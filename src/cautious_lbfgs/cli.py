@@ -96,7 +96,12 @@ def default_tol(problem_id: str) -> float:
 
 
 def build_config(args, ls: str | None = None, m: int | None = None,
-                 keep_iterates: bool = True) -> SolverConfig:
+                 keep_iterates: bool = True, grad_tol: float | None = None,
+                 oracle_checks: str | None = None) -> SolverConfig:
+    """SolverConfig from the parsed flags; keyword arguments override them.
+
+    ``oracle_checks`` takes the flag's values: "auto", "on" or "off".
+    """
     ls = args.ls if ls is None else ls
     m = args.m if m is None else m
     sigma = args.sigma
@@ -115,14 +120,16 @@ def build_config(args, ls: str | None = None, m: int | None = None,
         xtol=args.xtol,
         gll_memory=args.gll_mem,
     )
-    tol = args.tol if args.tol is not None else default_tol(args.problem)
-    oracle = {"auto": None, "on": True, "off": False}[args.oracle_checks]
+    if grad_tol is None:
+        grad_tol = args.tol if args.tol is not None else default_tol(args.problem)
+    oracle_checks = args.oracle_checks if oracle_checks is None else oracle_checks
+    oracle = {"auto": None, "on": True, "off": False}[oracle_checks]
     return SolverConfig(
         cautious=CautiousParams(m=m, c0=args.c0, c1=args.c1, c2=args.c2),
         mode="classical" if args.classic else "cautious",
         linesearch=ls,
         ls=ls_params,
-        grad_tol=tol,
+        grad_tol=grad_tol,
         max_iter=args.max_iter,
         oracle_checks=oracle,
         keep_iterates=keep_iterates,
@@ -290,9 +297,8 @@ def random_start_study(args) -> int:
         total_iters = 0
         for _ in range(args.runs):
             x0 = standard_normals(rng, problem.space.dim)
-            config = build_config(args, ls=ls, m=m, keep_iterates=False)
-            config.grad_tol = tol
-            config.oracle_checks = False
+            config = build_config(args, ls=ls, m=m, keep_iterates=False,
+                                  grad_tol=tol, oracle_checks="off")
             report = minimize(problem, problem.space, x0, config)
             if report.status == "converged":
                 n_ok += 1

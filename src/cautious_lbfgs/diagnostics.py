@@ -173,7 +173,7 @@ def linear_rate_check(
     """Audit the q-linear objective decay and the iterate error envelopes.
 
     The per-iteration factor is nu_k = 1 - 2*sigma*alpha_k*mu / ||H_k^{-1}||,
-    with the inverse-operator norms taken from the report's dense audits
+    with the inverse-operator norms taken from the report's norm audits
     unless supplied explicitly.  The objective check asks
     f_{k+1} - f_star <= nu_k (f_k - f_star) for every k >= k1; the
     envelope check asks ||x_{k+l} - x_star|| <= sqrt(kappa nu^l) ||x_k - x_star||
@@ -182,7 +182,7 @@ def linear_rate_check(
     """
     if hinv_norms is None:
         if report.audits is None:
-            raise ValueError("no dense audits in report; pass hinv_norms explicitly")
+            raise ValueError("no norm audits in report; pass hinv_norms explicitly")
         hinv_norms = [a.norm_h_inv for a in report.audits]
     hinv_norms = np.asarray(hinv_norms, dtype=float)
     alphas = report.alphas()

@@ -2,10 +2,10 @@
 
 The store keeps at most ``capacity`` pairs (s, y) in first-in-first-out
 order together with the scaling interval [gamma_minus, gamma_plus]
-computed from the most recent accepted pair.  Pairs enter only with
-positive curvature inner(s, y) > 0; a rejected pair leaves the stored
-pairs untouched and resets the scaling interval to the degenerate
-(0, inf).
+computed from the most recent accepted pair.  Pairs enter only with a
+positive curvature quality and a finite rho = 1/inner(s, y); a rejected
+pair leaves the stored pairs untouched and resets the scaling interval
+to the degenerate (0, inf).
 """
 
 from __future__ import annotations
@@ -137,7 +137,11 @@ class SecantStore:
         return len(self.pairs)
 
     def push(self, space: Space, s, y, index: int) -> bool:
-        """Store (s, y) if it has positive curvature; return whether it did.
+        """Store (s, y) if it carries usable curvature; return whether it did.
+
+        A pair is stored when its quality min(sy/ss, sy/yy) is positive
+        and rho = 1/sy is finite; a subnormal sy passes sy > 0 and can
+        fail both.
 
         Acceptance appends the pair with its cached scalars, refreshes
         (gamma_minus, gamma_plus) and evicts the oldest pair on overflow.
@@ -149,9 +153,9 @@ class SecantStore:
         sy = space.inner(s, y)
         ss = space.inner(s, s)
         yy = space.inner(y, y)
-        # ss/yy can underflow to zero for subnormal vectors even when
-        # sy > 0; such a pair carries no usable curvature information
-        if not sy > 0.0 or ss == 0.0 or yy == 0.0:
+        # ss/yy can underflow to zero for subnormal vectors even when sy > 0
+        quality = min(sy / ss, sy / yy) if ss != 0.0 and yy != 0.0 else 0.0
+        if not quality > 0.0 or not math.isfinite(1.0 / sy):
             self.gamma_minus = 0.0
             self.gamma_plus = math.inf
             return False
@@ -161,7 +165,7 @@ class SecantStore:
             sy=sy,
             ss=ss,
             yy=yy,
-            quality=min(sy / ss, sy / yy),
+            quality=quality,
             index=index,
         )
         self.pairs.append(pair)

@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .direction import BoundReport, cautious_bound_report, dense_hessian_inverse, two_loop
+# dense_hessian_inverse is not called here; it stays importable from this
+# module for tools that wrap the solver's calls by name (bench/tracing.py)
+from .direction import (
+    BoundReport,
+    TwoLoopOperator,
+    cautious_bound_report,
+    dense_hessian_inverse,
+    two_loop,
+)
 from .linesearch import (
     LineSearchError,
     LineSearchOutcome,
@@ -224,18 +232,8 @@ class SolverState:
             raise RuntimeError(f"direction is not a descent direction: dphi0 = {dphi0}")
 
         if self.audit_enabled:
-            if active:
-                dense = dense_hessian_inverse(self.space, active, gamma)
-                report = cautious_bound_report(dense, omega, cfg.cautious.m)
-            else:
-                # seed-only operator is gamma * identity; norms are exact
-                m = cfg.cautious.m
-                report = BoundReport(
-                    norm_h=gamma,
-                    norm_h_inv=1.0 / gamma,
-                    bound_h=5.0**m * max(1.0, omega ** -(2 * m + 1)),
-                    bound_h_inv=(m + 1) / omega,
-                )
+            H = TwoLoopOperator(self.space, active, gamma)
+            report = cautious_bound_report(H, omega, cfg.cautious.m)
             self.audits.append(report)
             if not report.ok:
                 self.bound_violations += 1

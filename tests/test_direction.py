@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from cautious_lbfgs import (
     Space,
+    TwoLoopOperator,
     check_bounds,
     cautious_bound_report,
     dense_hessian,
@@ -135,8 +136,8 @@ class TestDenseOperators:
             dense_hessian_inverse(euclidean(2001), [], 1.0)
 
     def test_operator_norm_tracks_eigvalsh(self):
-        # the power iteration serves pass/fail audits: a few digits of
-        # accuracy, never overestimating the spectral radius
+        # the norms serve pass/fail audits, so they must be exact: the
+        # extreme eigenvalues of the symmetric matrix
         rng = np.random.default_rng(1)
         for _ in range(30):
             space, store, gamma = random_instance(rng)
@@ -144,10 +145,86 @@ class TestDenseOperators:
             eigs = np.linalg.eigvalsh(H.matrix)
             norm_h = H.operator_norm()
             norm_h_inv = H.inverse_norm()
-            assert_allclose(norm_h, eigs.max(), rtol=2e-3)
-            assert_allclose(norm_h_inv, 1.0 / eigs.min(), rtol=2e-3)
+            assert_allclose(norm_h, eigs.max(), rtol=1e-12)
+            assert_allclose(norm_h_inv, 1.0 / eigs.min(), rtol=1e-12)
             assert norm_h <= eigs.max() * (1 + 1e-12)
             assert norm_h_inv <= (1.0 / eigs.min()) * (1 + 1e-12)
+
+
+def assert_norms_match_dense(space, pairs, gamma):
+    eigs = np.linalg.eigvalsh(dense_hessian_inverse(space, pairs, gamma).matrix)
+    H = TwoLoopOperator(space, pairs, gamma)
+    assert_allclose(H.operator_norm(), eigs.max(), rtol=1e-10)
+    assert_allclose(H.inverse_norm(), 1.0 / eigs.min(), rtol=1e-10)
+
+
+class TestTwoLoopOperator:
+    def test_norms_match_dense_on_random_instances(self):
+        rng = np.random.default_rng(31337)
+        seen = set()
+        for _ in range(300):
+            space, store, gamma = random_instance(rng)
+            assert_norms_match_dense(space, store.pairs, gamma)
+            seen.add((len(store.pairs), space.weight != 1.0))
+        assert seen == {(k, weighted) for k in range(6) for weighted in (False, True)}
+
+    def test_span_covering_the_space(self):
+        # n = 2 with k = 4: eight vectors span R^2, so gamma is no eigenvalue
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            space, store, gamma = random_instance(rng, dim=2, max_pairs=4)
+            while len(store) < 4:
+                space, store, gamma = random_instance(rng, dim=2, max_pairs=4)
+            assert_norms_match_dense(space, store.pairs, gamma)
+
+    def test_collinear_pairs(self):
+        # y = c * s, as the piecewise quadratic produces: the span has rank k
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            dim = int(rng.integers(2, 30))
+            space = Space(dim=dim, weight=float(rng.uniform(0.05, 2.0)))
+            store = SecantStore(capacity=5)
+            for k in range(int(rng.integers(1, 6))):
+                s = rng.standard_normal(dim)
+                store.push(space, s, float(rng.choice([1.0, 100.0, rng.uniform(0.5, 50.0)])) * s, index=k)
+            assert_norms_match_dense(space, store.pairs, float(rng.uniform(0.01, 1.0)))
+
+    def test_collinear_and_general_pairs_mixed(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            space, store, gamma = random_instance(rng, max_pairs=3)
+            s = rng.standard_normal(space.dim)
+            store.push(space, s, 3.0 * s, index=len(store.pairs))
+            assert_norms_match_dense(space, store.pairs, gamma)
+
+    def test_no_pairs_needs_no_lapack(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LAPACK call without pairs")
+
+        for name in ("qr", "svd", "eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        H = TwoLoopOperator(euclidean(300), [], 0.3)
+        assert H.operator_norm() == 0.3
+        assert H.inverse_norm() == 1.0 / 0.3
+
+    def test_rejects_bad_inputs(self):
+        space = euclidean(2)
+        with pytest.raises(ValueError):
+            TwoLoopOperator(space, [], 0.0)
+        store = SecantStore(capacity=1)
+        store.push(space, [1.0, 0.0], [1.0, 0.0], index=0)
+        object.__setattr__(store.pairs[0], "sy", -1.0)
+        with pytest.raises(ValueError):
+            TwoLoopOperator(space, store.pairs, 1.0)
+
+    def test_exact_where_power_iteration_underestimates(self):
+        # dim 300, k = 5: 200 steps of power iteration from a fixed start
+        # put ||H|| 1% below the largest eigenvalue of this instance
+        rng = np.random.default_rng(38)
+        space, store, gamma = random_instance(rng, dim=300, max_pairs=5)
+        while len(store) < 5:
+            space, store, gamma = random_instance(rng, dim=300, max_pairs=5)
+        assert_norms_match_dense(space, store.pairs, gamma)
 
 
 class TestBoundChecks:

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -145,6 +145,15 @@ class TestSecantStore:
         assert store.gamma_minus == 0.0
         assert math.isinf(store.gamma_plus)
 
+    def test_rejects_subnormal_curvature(self):
+        store = SecantStore(capacity=2)
+        # sy = 5e-324 > 0, but the quality underflows to 0
+        assert not store.push(self.space, [0.0, 1.0], [2.0, 5e-324], index=0)
+        # quality 1, but rho = 1/sy overflows to inf
+        assert not store.push(self.space, [1e-155, 0.0], [1e-155, 0.0], index=1)
+        assert len(store) == 0
+        assert math.isinf(store.gamma_plus)
+
     def test_capacity_zero_keeps_no_pairs_but_updates_scaling(self):
         store = SecantStore(capacity=0)
         assert store.push(self.space, [1.0, 0.0], [2.0, 0.0], index=0)
@@ -185,6 +194,7 @@ def _pair(space, quality, index):
 
 @given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),
                           st.floats(-2, 2), st.floats(-2, 2)), max_size=30))
+@example([(0.0, 1.0, 2.0, 5e-324)])  # subnormal sy: zero quality, infinite rho
 def test_store_invariants_after_any_push_sequence(raw):
     space = euclidean(2)
     store = SecantStore(capacity=3)

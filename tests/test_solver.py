@@ -225,6 +225,29 @@ class TestAudits:
         assert report.audits is not None
         assert report.bound_violations == 0
 
+    @pytest.mark.parametrize("problem_id", ["pwquad", "rosenbrock"])
+    def test_audit_changes_no_result(self, problem_id):
+        # the t3 configurations on the piecewise quadratic, the t2 ones on Rosenbrock
+        if problem_id == "pwquad":
+            prob = PiecewiseQuadratic(100)
+            x0, tol = prob.b.copy(), 1e-5
+            configs = [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "wolfe")]
+        else:
+            prob = Rosenbrock()
+            x0, tol = ROSEN_X0, 1e-9
+            configs = [(ls, m) for m in range(5) for ls in ("armijo", "mt")]
+        for ls, m in configs:
+            on, off = (
+                minimize(prob, prob.space, x0,
+                         config(m=m, linesearch=ls, grad_tol=tol, oracle_checks=audit,
+                                keep_iterates=False))
+                for audit in (True, False)
+            )
+            assert on.audits is not None and len(on.audits) == on.n_iter
+            assert on.bound_violations == 0
+            assert compare_traces(on, off) is None
+            assert np.array_equal(on.x_final, off.x_final)
+
     def test_audit_disabled_for_classical_mode(self):
         prob = Rosenbrock()
         report = minimize(prob, prob.space, ROSEN_X0,
