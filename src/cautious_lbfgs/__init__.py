@@ -4,6 +4,12 @@ A limited-memory quasi-Newton method over a pluggable inner-product
 space, with per-iteration cautious filtering of the stored curvature
 pairs, four line searches, exact operator-norm audits with dense
 oracles to test them, and convergence-rate diagnostics.
+
+The names below are the package's API.  The building blocks (the
+two-loop recursion and the dense oracles in ``direction``, the four
+line searches in ``linesearch``, the filter helpers in
+``secant_store``, ``SolverState`` in ``solver``) are imported from
+their submodules.
 """
 
 from .diagnostics import (
@@ -16,26 +22,8 @@ from .diagnostics import (
     neighborhood_entry,
     q_factors,
 )
-from .direction import (
-    BoundReport,
-    DenseOperator,
-    TwoLoopOperator,
-    cautious_bound_report,
-    check_bounds,
-    dense_hessian,
-    dense_hessian_inverse,
-    two_loop,
-)
-from .linesearch import (
-    Certificate,
-    LineSearchError,
-    LineSearchOutcome,
-    LineSearchParams,
-    armijo_backtrack,
-    gll_nonmonotone,
-    more_thuente,
-    wolfe_weak,
-)
+from .direction import BoundReport, TwoLoopOperator, cautious_bound_report
+from .linesearch import LineSearchError, LineSearchParams
 from .problems import (
     NewtonError,
     OcpControlProblem,
@@ -44,41 +32,17 @@ from .problems import (
     Problem,
     Rosenbrock,
     fd_gradient_check,
-    laplacian_5pt,
-    ocp_adjoint_solve,
-    ocp_eval,
-    ocp_state_solve,
-    piecewise_quadratic,
-    rosenbrock,
 )
-from .secant_store import (
-    CautiousParams,
-    SecantPair,
-    SecantStore,
-    bb_scalars,
-    cautious_threshold,
-    choose_seed_scaling,
-    curvature_quality,
-)
-from .solver import (
-    IterationRecord,
-    SolveReport,
-    SolverConfig,
-    SolverState,
-    compare_traces,
-    minimize,
-)
+from .secant_store import CautiousParams, SecantStore
+from .solver import IterationRecord, SolveReport, SolverConfig, compare_traces, minimize
 from .space import Space, euclidean, make_grid_space
 
 __all__ = [
     "BoundReport",
-    "Certificate",
     "CautiousParams",
     "ContractionReport",
-    "DenseOperator",
     "IterationRecord",
     "LineSearchError",
-    "LineSearchOutcome",
     "LineSearchParams",
     "NewtonError",
     "OcpControlProblem",
@@ -88,40 +52,20 @@ __all__ = [
     "RateConstants",
     "RateReport",
     "Rosenbrock",
-    "SecantPair",
     "SecantStore",
     "SolveReport",
     "SolverConfig",
-    "SolverState",
     "Space",
     "TwoLoopOperator",
-    "armijo_backtrack",
-    "bb_scalars",
     "cautious_bound_report",
-    "cautious_threshold",
-    "check_bounds",
-    "choose_seed_scaling",
     "compare_traces",
-    "curvature_quality",
-    "dense_hessian",
-    "dense_hessian_inverse",
     "error_sequences",
     "euclidean",
     "fd_gradient_check",
-    "gll_nonmonotone",
-    "laplacian_5pt",
     "linear_rate_check",
     "lstep_qlinear",
     "make_grid_space",
     "minimize",
-    "more_thuente",
     "neighborhood_entry",
-    "ocp_adjoint_solve",
-    "ocp_eval",
-    "ocp_state_solve",
-    "piecewise_quadratic",
     "q_factors",
-    "rosenbrock",
-    "two_loop",
-    "wolfe_weak",
 ]

@@ -33,8 +33,11 @@ SUMMARY_COLUMNS = [
 TABLE2_CONFIGS = [(ls, m) for m in range(5) for ls in ("armijo", "mt")]
 TABLE3_CONFIGS = [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "wolfe")]
 TABLE4_CONFIGS = [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "mt")]
-
-_OCP_REFERENCE_CACHE: dict[tuple, tuple[float, np.ndarray]] = {}
+TABLES = {
+    "t2": ("rosenbrock", TABLE2_CONFIGS),
+    "t3": ("pwquad", TABLE3_CONFIGS),
+    "t4": ("ocp", TABLE4_CONFIGS),
+}
 
 
 def format_value(v) -> str:
@@ -63,6 +66,16 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([format_value(v) for v in row])
+
+
+def emit(args, header: list[str], rows: list[list]) -> None:
+    """Write the rows to ``--csv`` when given, else print them as CSV lines."""
+    if args.csv:
+        write_csv(args.csv, header, rows)
+        return
+    print(",".join(header))
+    for row in rows:
+        print(",".join(format_value(v) for v in row))
 
 
 def write_trace(path, report: SolveReport) -> None:
@@ -137,33 +150,27 @@ def build_config(args, ls: str | None = None, m: int | None = None,
     )
 
 
-def reference_solution(args, problem: Problem) -> tuple[float, np.ndarray]:
+def reference_solution(problem: Problem) -> tuple[float, np.ndarray]:
     """(f*, x*) for the Q-factor columns.
 
-    Analytic where available; the control problem is solved once per
-    (mesh, penalty, target) at tolerance 1e-12 and cached in-process.
+    Analytic where available; the control problem is solved from zero
+    at tolerance 1e-12.
     """
-    if isinstance(problem, Rosenbrock):
-        return problem.f_star, problem.x_star
-    if isinstance(problem, PiecewiseQuadratic):
+    if isinstance(problem, (Rosenbrock, PiecewiseQuadratic)):
         return problem.f_star, problem.x_star
     assert isinstance(problem, OcpControlProblem)
-    key = (problem.grid.M, problem.grid.nu, problem.target_state.tobytes())
-    if key not in _OCP_REFERENCE_CACHE:
-        config = SolverConfig(
-            cautious=CautiousParams(m=10),
-            linesearch="armijo",
-            grad_tol=1e-12,
-            max_iter=500,
-            oracle_checks=False,
-            keep_iterates=False,
-        )
-        ref = minimize(problem, problem.space, np.zeros(problem.space.dim), config)
-        if ref.status != "converged":
-            raise RuntimeError(f"reference solve failed: {ref.status}")
-        f_star, _ = problem.value_and_grad(ref.x_final)
-        _OCP_REFERENCE_CACHE[key] = (f_star, ref.x_final)
-    return _OCP_REFERENCE_CACHE[key]
+    config = SolverConfig(
+        cautious=CautiousParams(m=10),
+        linesearch="armijo",
+        grad_tol=1e-12,
+        max_iter=500,
+        oracle_checks=False,
+        keep_iterates=False,
+    )
+    ref = minimize(problem, problem.space, np.zeros(problem.space.dim), config)
+    if ref.status != "converged":
+        raise RuntimeError(f"reference solve failed: {ref.status}: {ref.reason}")
+    return ref.f_final, ref.x_final
 
 
 def summary_row(problem_id: str, ls: str, m: int, mode: str, report: SolveReport,
@@ -186,14 +193,9 @@ def run_single(args) -> int:
     report = minimize(problem, problem.space, x0, config)
     rates = None
     if report.status == "converged" and report.n_iter >= 1:
-        f_star, x_star = reference_solution(args, problem)
+        f_star, x_star = reference_solution(problem)
         rates = q_factors(report, f_star, x_star, problem.space)
-    row = summary_row(args.problem, args.ls, args.m, config.mode, report, rates)
-    if args.csv:
-        write_csv(args.csv, SUMMARY_COLUMNS, [row])
-    else:
-        print(",".join(SUMMARY_COLUMNS))
-        print(",".join(format_value(v) for v in row))
+    emit(args, SUMMARY_COLUMNS, [summary_row(args.problem, args.ls, args.m, config.mode, report, rates)])
     if args.trace:
         write_trace(args.trace, report)
     if args.dump_grids:
@@ -214,60 +216,42 @@ def dump_grids(args, problem: Problem, report: SolveReport) -> None:
     np.savetxt(out / "control.csv", control.reshape(n, n), delimiter=",")
 
 
-def table_configs(table: str) -> list[tuple[str, int]]:
-    return {"t2": TABLE2_CONFIGS, "t3": TABLE3_CONFIGS, "t4": TABLE4_CONFIGS}[table]
-
-
 def run_table(args) -> int:
     """One summary row per (line search, memory) configuration."""
     if args.table == "t5":
         return mesh_study(args)
-    problem_id = {"t2": "rosenbrock", "t3": "pwquad", "t4": "ocp"}[args.table]
+    problem_id, configs = TABLES[args.table]
     args.problem = problem_id
     problem, x0 = build_problem(args)
-    f_star, x_star = reference_solution(args, problem)
+    f_star, x_star = reference_solution(problem)
     rows = []
-    for ls, m in table_configs(args.table):
+    for ls, m in configs:
         config = build_config(args, ls=ls, m=m)
         report = minimize(problem, problem.space, x0, config)
         rates = None
         if report.status == "converged" and report.n_iter >= 1:
             rates = q_factors(report, f_star, x_star, problem.space)
         rows.append(summary_row(problem_id, ls, m, config.mode, report, rates))
-    if args.csv:
-        write_csv(args.csv, SUMMARY_COLUMNS, rows)
-    else:
-        print(",".join(SUMMARY_COLUMNS))
-        for row in rows:
-            print(",".join(format_value(v) for v in row))
+    emit(args, SUMMARY_COLUMNS, rows)
     return 0
 
 
-def mesh_study(args, j_list: list[int] | None = None) -> int:
-    """Iteration counts of the control problem across mesh refinements."""
-    if j_list is None:
-        j_list = args.mesh_list
+def mesh_study(args) -> int:
+    """Iteration counts of the control problem across mesh refinements.
+
+    A cell whose run does not converge holds ``!`` and the run's status.
+    """
     args.problem = "ocp"
-    header = ["ls", "m"] + [f"it_j{j}" for j in j_list]
     rows = []
     for ls, m in TABLE4_CONFIGS:
         row: list = [ls, m]
-        for j in j_list:
-            grid = OcpGrid(M=2**j, nu=args.nu)
-            problem = OcpControlProblem(grid)
+        for j in args.mesh_list:
+            problem = OcpControlProblem(OcpGrid(M=2**j, nu=args.nu))
             config = build_config(args, ls=ls, m=m, keep_iterates=False)
-            try:
-                report = minimize(problem, problem.space, np.zeros(problem.space.dim), config)
-                row.append(report.n_iter if report.status == "converged" else f"!{report.status}")
-            except Exception as exc:  # per-cell failure; study continues
-                row.append(f"!{type(exc).__name__}")
+            report = minimize(problem, problem.space, np.zeros(problem.space.dim), config)
+            row.append(report.n_iter if report.status == "converged" else f"!{report.status}")
         rows.append(row)
-    if args.csv:
-        write_csv(args.csv, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format_value(v) for v in row))
+    emit(args, ["ls", "m"] + [f"it_j{j}" for j in args.mesh_list], rows)
     return 0
 
 
@@ -305,12 +289,7 @@ def random_start_study(args) -> int:
                 total_iters += report.n_iter
         mean = total_iters / n_ok if n_ok else math.nan
         rows.append([ls, m, args.runs, n_ok, n_ok / args.runs, mean])
-    if args.csv:
-        write_csv(args.csv, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format_value(v) for v in row))
+    emit(args, header, rows)
     return 0
 
 
@@ -382,28 +361,22 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config:
         file_values = load_config_file(args.config)
-        unknown = set(file_values) - {a.dest for a in parser._actions}
+        defaults = vars(parser.parse_args([]))
+        unknown = set(file_values) - set(defaults)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
-        parser.set_defaults(**file_values)
-        # re-parse so explicit flags override file values, with file strings
-        # coerced through the regular argument types
-        coerced = parser.parse_args([])
-        for key in file_values:
-            setattr(coerced, key, _coerce(parser, key, file_values[key]))
-        args = parser.parse_args(argv, namespace=coerced)
+        # each file value is parsed as its own flag, so it gets the flag's
+        # type and choices; switches (bool defaults) take a truthy word
+        from_file = argparse.Namespace(**defaults)
+        for key, value in file_values.items():
+            if isinstance(defaults[key], bool):
+                parsed = value.lower() in ("1", "true", "yes", "on")
+            else:
+                parsed = getattr(parser.parse_args([f"--{key.replace('_', '-')}", value]), key)
+            setattr(from_file, key, parsed)
+        # explicit flags override the file
+        args = parser.parse_args(argv, namespace=from_file)
     return args
-
-
-def _coerce(parser: argparse.ArgumentParser, dest: str, value: str):
-    for action in parser._actions:
-        if action.dest == dest:
-            if isinstance(action, argparse._StoreTrueAction):
-                return value.lower() in ("1", "true", "yes", "on")
-            if action.type is not None:
-                return action.type(value)
-            return value
-    return value
 
 
 def main(argv=None) -> int:

@@ -66,12 +66,6 @@ class _SpectralNorms:
         smallest, largest = self.moduli()
         return largest, 1.0 / smallest if smallest > 0.0 else math.inf
 
-    def operator_norm(self) -> float:
-        return self.norms()[0]
-
-    def inverse_norm(self) -> float:
-        return self.norms()[1]
-
 
 @dataclass(frozen=True)
 class DenseOperator(_SpectralNorms):
@@ -86,25 +80,6 @@ class DenseOperator(_SpectralNorms):
 
     space: Space
     matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ self.space.check(v)
-
-    def self_adjoint_defect(self, n_probes: int = 8, seed: int = 0) -> float:
-        """max |inner(Mu, v) - inner(u, Mv)| over random unit probes."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_probes):
-            u = rng.standard_normal(self.dim)
-            v = rng.standard_normal(self.dim)
-            u /= np.linalg.norm(u)
-            v /= np.linalg.norm(v)
-            worst = max(worst, abs(self.space.inner(self.matrix @ u, v) - self.space.inner(u, self.matrix @ v)))
-        return worst
 
     def moduli(self) -> tuple[float, float]:
         eigs = np.abs(np.linalg.eigvalsh(self.matrix))
@@ -200,7 +175,7 @@ def dense_hessian_inverse(space: Space, pairs: Sequence[SecantPair], gamma: floa
     eye = np.eye(n)
     H = gamma * eye
     for pair in pairs:
-        rho = pair.rho
+        rho = 1.0 / pair.sy
         V = eye - rho * np.outer(pair.y, w * pair.s)
         V_adj = eye - rho * np.outer(pair.s, w * pair.y)
         H = V_adj @ H @ V + rho * np.outer(pair.s, w * pair.s)
@@ -247,35 +222,6 @@ class BoundReport:
     @property
     def ok(self) -> bool:
         return self.h_ok and self.h_inv_ok
-
-
-def check_bounds(
-    H: _SpectralNorms,
-    gamma: float,
-    kappa1: float,
-    kappa2: float,
-    n_pairs: int,
-) -> BoundReport:
-    """Audit ||H|| and ||H^{-1}|| against the update-count bounds.
-
-    kappa1 and kappa2 must bound the pairs used (sy/ss >= 1/kappa1 and
-    sy/yy >= 1/kappa2).  The inverse norm is bounded by
-    1/gamma + n_pairs * kappa2 and the norm itself by
-    5^n_pairs * max(1, gamma) * max(1, kappa1^n_pairs, (kappa1*kappa2)^n_pairs).
-    """
-    bound_h_inv = 1.0 / gamma + n_pairs * kappa2
-    bound_h = (
-        5.0**n_pairs
-        * max(1.0, gamma)
-        * max(1.0, kappa1**n_pairs, (kappa1 * kappa2) ** n_pairs)
-    )
-    norm_h, norm_h_inv = H.norms()
-    return BoundReport(
-        norm_h=norm_h,
-        norm_h_inv=norm_h_inv,
-        bound_h=bound_h,
-        bound_h_inv=bound_h_inv,
-    )
 
 
 def cautious_bound_report(H: _SpectralNorms, threshold: float, m: int) -> BoundReport:

@@ -73,9 +73,7 @@ class LineSearchOutcome:
     alpha: float
     f_new: float
     n_feval: int
-    n_geval: int
     certificate: Certificate
-    dphi_new: float | None = None
     grad_new: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -100,7 +98,7 @@ def _backtrack(phi, phi0: float, dphi0: float, params: LineSearchParams,
         if f <= reference + params.sigma * alpha * dphi0:
             cert = Certificate(rule=rule, reference=reference, sufficient_decrease=True)
             return LineSearchOutcome(
-                alpha=alpha, f_new=f, n_feval=len(trials), n_geval=0, certificate=cert
+                alpha=alpha, f_new=f, n_feval=len(trials), certificate=cert
             )
         if params.beta1 == params.beta2:
             alpha *= params.beta1
@@ -152,13 +150,12 @@ def wolfe_weak(phi, dphi, params: LineSearchParams,
     sufficient-decrease and the weak curvature inequality, which forces
     positive curvature inner(s, y) > 0 of the resulting pair.
     """
-    n_feval = n_geval = 0
+    n_feval = 0
     if phi0 is None:
         phi0 = phi(0.0)
         n_feval += 1
     if dphi0 is None:
         dphi0 = dphi(0.0)
-        n_geval += 1
     if not dphi0 < 0.0:
         raise ValueError(f"descent derivative required, got dphi0 = {dphi0}")
     lo, hi = 0.0, math.inf
@@ -170,17 +167,12 @@ def wolfe_weak(phi, dphi, params: LineSearchParams,
         trials.append((alpha, f))
         if not (f <= phi0 + params.sigma * alpha * dphi0):
             hi = alpha
+        elif dphi(alpha) >= params.eta * dphi0:
+            cert = Certificate(
+                rule="wolfe", reference=phi0, sufficient_decrease=True, curvature=True
+            )
+            return LineSearchOutcome(alpha=alpha, f_new=f, n_feval=n_feval, certificate=cert)
         else:
-            g = dphi(alpha)
-            n_geval += 1
-            if g >= params.eta * dphi0:
-                cert = Certificate(
-                    rule="wolfe", reference=phi0, sufficient_decrease=True, curvature=True
-                )
-                return LineSearchOutcome(
-                    alpha=alpha, f_new=f, n_feval=n_feval, n_geval=n_geval,
-                    certificate=cert, dphi_new=g,
-                )
             lo = alpha
         if math.isinf(hi):
             alpha = 2.0 * alpha
@@ -209,13 +201,12 @@ def more_thuente(phi, dphi, params: LineSearchParams,
     satisfaction), ``stpmax`` / ``stpmin`` (step clipped at the bounds),
     and ``rounding``.
     """
-    n_feval = n_geval = 0
+    n_feval = 0
     if phi0 is None:
         phi0 = phi(0.0)
         n_feval += 1
     if dphi0 is None:
         dphi0 = dphi(0.0)
-        n_geval += 1
     if not dphi0 < 0.0:
         raise ValueError(f"descent derivative required, got dphi0 = {dphi0}")
     if not params.stpmin <= 1.0 <= params.stpmax:
@@ -239,7 +230,6 @@ def more_thuente(phi, dphi, params: LineSearchParams,
         f = phi(stp)
         g = dphi(stp)
         n_feval += 1
-        n_geval += 1
         trials.append((stp, f))
         if not (math.isfinite(f) and math.isfinite(g)):
             raise LineSearchError("nonfinite", f"phi({stp}) = {f}, dphi = {g}", trials)
@@ -252,10 +242,7 @@ def more_thuente(phi, dphi, params: LineSearchParams,
             cert = Certificate(
                 rule="strong_wolfe", reference=phi0, sufficient_decrease=True, curvature=True
             )
-            return LineSearchOutcome(
-                alpha=stp, f_new=f, n_feval=n_feval, n_geval=n_geval,
-                certificate=cert, dphi_new=g,
-            )
+            return LineSearchOutcome(alpha=stp, f_new=f, n_feval=n_feval, certificate=cert)
         # failure checks in decreasing priority, so a step pinned at a
         # bound or an exhausted bracket is reported as such even when the
         # weaker rounding condition also holds

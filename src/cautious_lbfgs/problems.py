@@ -59,26 +59,6 @@ class Rosenbrock(Problem):
             ]
         )
 
-    def hessian_spectrum_scan(self, lo=-0.5, hi=1.4, n=41) -> tuple[float, float]:
-        """(min, max) Hessian eigenvalue over an n x n scan of [lo, hi]^2.
-
-        The minimum comes out negative on parts of that square (wherever
-        x2 > x1^2 + 0.005), so strong-convexity constants have to be read
-        off a region where the returned minimum is positive.
-        """
-        grid = np.linspace(lo, hi, n)
-        lo_eig, hi_eig = np.inf, -np.inf
-        for a in grid:
-            for b in grid:
-                eig = np.linalg.eigvalsh(self.hessian(np.array([a, b])))
-                lo_eig = min(lo_eig, eig[0])
-                hi_eig = max(hi_eig, eig[-1])
-        return float(lo_eig), float(hi_eig)
-
-
-def rosenbrock(x) -> tuple[float, np.ndarray]:
-    return Rosenbrock().value_and_grad(x)
-
 
 class PiecewiseQuadratic(Problem):
     """f(x) = 0.5 ||x - b||^2 + 49.5 * sum(max(0, x_i)^2) on R^(3n).
@@ -112,10 +92,6 @@ class PiecewiseQuadratic(Problem):
         pos = np.maximum(0.0, x)
         f = 0.5 * np.dot(d, d) + 49.5 * np.sum(pos**2)
         return float(f), d + 99.0 * pos
-
-
-def piecewise_quadratic(x, n_blocks: int) -> tuple[float, np.ndarray]:
-    return PiecewiseQuadratic(n_blocks).value_and_grad(x)
 
 
 class NewtonError(RuntimeError):
@@ -231,36 +207,18 @@ class OcpControlProblem(Problem):
         jac = (self.laplacian + sp.diags(np.exp(y))).tocsc()
         return spla.splu(jac).solve(y - self.target_state)
 
-    def value(self, u) -> float:
-        u = self.space.check(u)
-        y = self.solve_state(u)
+    def _tracking(self, u, y) -> float:
         mismatch = y - self.target_state
         return 0.5 * self.space.inner(mismatch, mismatch) + 0.5 * self.grid.nu * self.space.inner(u, u)
+
+    def value(self, u) -> float:
+        u = self.space.check(u)
+        return self._tracking(u, self.solve_state(u))
 
     def value_and_grad(self, u):
         u = self.space.check(u)
         y = self.solve_state(u)
-        mismatch = y - self.target_state
-        f = 0.5 * self.space.inner(mismatch, mismatch) + 0.5 * self.grid.nu * self.space.inner(u, u)
-        p = self.solve_adjoint(y)
-        return f, self.grid.nu * u + p
-
-
-def ocp_state_solve(grid: OcpGrid, u) -> np.ndarray:
-    return OcpControlProblem(grid).solve_state(u)
-
-
-def ocp_adjoint_solve(grid: OcpGrid, y, target_state=None) -> np.ndarray:
-    problem = OcpControlProblem(grid)
-    if target_state is not None:
-        y = problem.space.check(y)
-        jac = (problem.laplacian + sp.diags(np.exp(y))).tocsc()
-        return spla.splu(jac).solve(y - np.asarray(target_state, dtype=float))
-    return problem.solve_adjoint(y)
-
-
-def ocp_eval(grid: OcpGrid, u) -> tuple[float, np.ndarray]:
-    return OcpControlProblem(grid).value_and_grad(u)
+        return self._tracking(u, y), self.grid.nu * u + self.solve_adjoint(y)
 
 
 def fd_gradient_check(problem: Problem, x, n_directions: int = 5,

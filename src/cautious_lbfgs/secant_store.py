@@ -65,7 +65,7 @@ class SecantPair:
     """One curvature pair with its cached scalar products.
 
     s is the accepted step, y the gradient difference across it, and
-    ``quality`` the cached value of :func:`curvature_quality`.  ``index``
+    ``quality`` the curvature quality min(sy/ss, sy/yy).  ``index``
     records the iteration the pair originated from.
     """
 
@@ -77,24 +77,6 @@ class SecantPair:
     quality: float
     index: int
 
-    @property
-    def rho(self) -> float:
-        return 1.0 / self.sy
-
-
-def curvature_quality(space: Space, s, y) -> float:
-    """min(sy/ss, sy/yy), or exactly 0 when either vector vanishes.
-
-    May be negative; a pair is worth storing only when the value is
-    positive.
-    """
-    sy = space.inner(s, y)
-    ss = space.inner(s, s)
-    yy = space.inner(y, y)
-    if ss == 0.0 or yy == 0.0:
-        return 0.0
-    return min(sy / ss, sy / yy)
-
 
 def cautious_threshold(grad_norm: float, params: CautiousParams) -> float:
     """Per-iteration filter level min(c0, c1 * grad_norm**c2).
@@ -105,21 +87,6 @@ def cautious_threshold(grad_norm: float, params: CautiousParams) -> float:
     if not grad_norm > 0.0:
         raise ValueError(f"grad_norm must be positive, got {grad_norm}")
     return min(params.c0, params.c1 * grad_norm**params.c2)
-
-
-def bb_scalars(space: Space, s, y) -> tuple[float, float]:
-    """Barzilai-Borwein scalings (sy/yy, ss/sy) of a positive-curvature pair.
-
-    Cauchy-Schwarz guarantees the first value never exceeds the second.
-    Callers must gate on inner(s, y) > 0 before calling.
-    """
-    sy = space.inner(s, y)
-    if not sy > 0.0:
-        raise ValueError(f"bb_scalars requires inner(s, y) > 0, got {sy}")
-    lo = sy / space.inner(y, y)
-    hi = space.inner(s, s) / sy
-    # rounding can flip the ordering by one ulp for parallel vectors
-    return min(lo, hi), max(lo, hi)
 
 
 class SecantStore:
@@ -169,6 +136,8 @@ class SecantStore:
             index=index,
         )
         self.pairs.append(pair)
+        # Barzilai-Borwein scalings; Cauchy-Schwarz orders them, but
+        # rounding can flip the order by one ulp for parallel vectors
         lo, hi = sy / yy, ss / sy
         self.gamma_minus = min(lo, hi)
         self.gamma_plus = max(lo, hi)

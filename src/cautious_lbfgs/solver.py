@@ -45,6 +45,10 @@ from .space import Space
 
 LINE_SEARCHES = ("armijo", "wolfe", "mt", "gll")
 AUTO_AUDIT_DIM_LIMIT = 400
+# what an objective raises when it cannot be evaluated: NewtonError and a
+# singular SuperLU factor are RuntimeErrors, LinAlgError and math domain
+# errors ValueErrors, and numpy's raised floating-point events ArithmeticErrors
+EVAL_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
 @dataclass
@@ -94,7 +98,9 @@ class IterationRecord:
 
 @dataclass
 class SolveReport:
-    status: str  # converged | max_iter | linesearch_failure | nonfinite
+    # converged | max_iter | linesearch_failure | nonfinite | eval_error | non_descent;
+    # every status but converged comes with a reason
+    status: str
     x_final: np.ndarray
     f_final: float
     grad_norm_final: float
@@ -110,7 +116,7 @@ class SolveReport:
     audits: list[BoundReport] | None = None
     bound_violations: int = 0
     storage_snapshots: list[list[dict]] | None = None
-    ls_failure: str | None = None
+    reason: str | None = None
 
     def f_values(self) -> np.ndarray:
         """Objective values f(x_0), ..., f(x_K) including the final iterate."""
@@ -121,6 +127,17 @@ class SolveReport:
 
     def alphas(self) -> np.ndarray:
         return np.array([r.alpha for r in self.trace])
+
+
+class _EvalFailure(Exception):
+    """An objective evaluation raised one of EVAL_ERRORS; the message names it."""
+
+
+def _evaluate(fn, x):
+    try:
+        return fn(x)
+    except EVAL_ERRORS as exc:
+        raise _EvalFailure(f"{type(exc).__name__}: {exc}") from exc
 
 
 class _ValueRay:
@@ -134,7 +151,7 @@ class _ValueRay:
 
     def phi(self, alpha: float) -> float:
         self.n_feval += 1
-        return self.problem.value(self.x + alpha * self.d)
+        return _evaluate(self.problem.value, self.x + alpha * self.d)
 
 
 class _JointRay:
@@ -152,9 +169,9 @@ class _JointRay:
     def _evaluate(self, alpha: float) -> tuple[float, np.ndarray]:
         if self._cached is not None and self._cached[0] == alpha:
             return self._cached[1], self._cached[2]
-        f, g = self.problem.value_and_grad(self.x + alpha * self.d)
         self.n_feval += 1
         self.n_geval += 1
+        f, g = _evaluate(self.problem.value_and_grad, self.x + alpha * self.d)
         self._cached = (alpha, f, g)
         return f, g
 
@@ -181,7 +198,7 @@ class SolverState:
         self.x = space.check(x0).copy()
         self.k = 0
         self.status: str | None = None
-        self.ls_failure: str | None = None
+        self.reason: str | None = None
         self.store = SecantStore(config.cautious.m)
         self.trace: list[IterationRecord] = []
         self.n_feval = 0
@@ -194,27 +211,35 @@ class SolverState:
         else:
             self.audit_enabled = config.oracle_checks
 
-        self.f, self.grad = problem.value_and_grad(self.x)
-        self.n_geval += 1
-        self.grad_norm = space.norm(self.grad)
         self.iterates: list[np.ndarray] = [self.x.copy()] if config.keep_iterates else []
+        self.n_geval += 1
+        try:
+            self.f, self.grad = _evaluate(problem.value_and_grad, self.x)
+        except _EvalFailure as err:
+            self.f, self.grad = math.nan, np.full(space.dim, math.nan)
+            self._stop("eval_error", str(err))
+        self.grad_norm = space.norm(self.grad)
         self.f_history: deque[float] = deque([self.f], maxlen=config.ls.gll_memory)
-        if not (np.isfinite(self.f) and np.all(np.isfinite(self.grad))):
-            self.status = "nonfinite"
+        if self.status is None and not (np.isfinite(self.f) and np.all(np.isfinite(self.grad))):
+            self._stop("nonfinite", "nonfinite objective or gradient at the starting point")
 
     @property
     def terminated(self) -> bool:
         return self.status is not None
+
+    def _stop(self, status: str, reason: str | None = None) -> None:
+        self.status, self.reason = status, reason
 
     def step(self) -> IterationRecord | None:
         """Run one iteration; return its record, or None on a termination event."""
         if self.status is not None:
             return None
         if self.grad_norm <= self.config.grad_tol:
-            self.status = "converged"
+            self._stop("converged")
             return None
         if self.k >= self.config.max_iter:
-            self.status = "max_iter"
+            self._stop("max_iter", f"gradient norm {self.grad_norm} above "
+                                   f"{self.config.grad_tol} after {self.k} iterations")
             return None
 
         cfg = self.config
@@ -229,7 +254,8 @@ class SolverState:
         d = two_loop(self.space, active, gamma, self.grad)
         dphi0 = self.space.inner(self.grad, d)
         if not dphi0 < 0.0:
-            raise RuntimeError(f"direction is not a descent direction: dphi0 = {dphi0}")
+            self._stop("non_descent", f"direction is not a descent direction: dphi0 = {dphi0}")
+            return None
 
         if self.audit_enabled:
             H = TwoLoopOperator(self.space, active, gamma)
@@ -240,24 +266,23 @@ class SolverState:
 
         try:
             outcome = self._search(d, dphi0)
-        except LineSearchError as err:
-            self.status = "linesearch_failure"
-            self.ls_failure = err.reason
-            return None
-
-        alpha = outcome.alpha
-        s = alpha * d
-        x_new = self.x + s
-        f_new = outcome.f_new
-        if outcome.grad_new is not None:
+            s = outcome.alpha * d
+            x_new = self.x + s
             grad_new = outcome.grad_new
-        else:
-            _, grad_new = self.problem.value_and_grad(x_new)
-            self.n_geval += 1
+            if grad_new is None:
+                self.n_geval += 1
+                _, grad_new = _evaluate(self.problem.value_and_grad, x_new)
+        except LineSearchError as err:
+            self._stop("linesearch_failure", str(err))
+            return None
+        except _EvalFailure as err:
+            self._stop("eval_error", str(err))
+            return None
+        alpha, f_new = outcome.alpha, outcome.f_new
         if not (np.isfinite(f_new) and np.all(np.isfinite(grad_new))):
             self.x, self.f = x_new, f_new
             self.grad, self.grad_norm = grad_new, float("nan")
-            self.status = "nonfinite"
+            self._stop("nonfinite", f"nonfinite objective or gradient at iterate {self.k + 1}")
             return None
 
         y = grad_new - self.grad
@@ -328,16 +353,17 @@ class SolverState:
             audits=list(self.audits) if self.audit_enabled else None,
             bound_violations=self.bound_violations,
             storage_snapshots=list(self.storage_snapshots) if self.config.keep_storage else None,
-            ls_failure=self.ls_failure,
+            reason=self.reason,
         )
 
 
 def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveReport:
     """Drive :class:`SolverState` until a termination event fires.
 
-    On ``converged`` the final gradient norm is at or below grad_tol; a
-    line-search failure or a nonfinite evaluation ends the run with the
-    corresponding status and the trace collected so far.
+    On ``converged`` the final gradient norm is at or below grad_tol.  A
+    line-search failure, a nonfinite or failed evaluation, or a direction
+    without descent ends the run with the corresponding status, its
+    reason, and the trace collected so far; none of them raises.
     """
     state = SolverState(problem, space, x0, config)
     while not state.terminated:

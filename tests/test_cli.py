@@ -203,6 +203,24 @@ class TestConfigFile:
         with pytest.raises(SystemExit):
             parse_args(["--config", str(bad)])
 
+    def test_abbreviated_key_and_bad_choice_rejected(self, tmp_path):
+        # "gll" would abbreviate --gll-mem on the command line; in a file it
+        # is an unknown key
+        for text in ("gll = 3\n", "ls = exact\n"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(text)
+            with pytest.raises(SystemExit):
+                parse_args(["--config", str(cfg)])
+
+    def test_file_values_take_flag_types(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-iter = 7\nclassic = no\nmesh_list = 4\nsigma = 1e-6\n")
+        args = parse_args(["--config", str(cfg)])
+        assert args.max_iter == 7
+        assert args.classic is False
+        assert args.mesh_list == [4]
+        assert args.sigma == 1e-6
+
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just a line\n")

@@ -3,16 +3,44 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cautious_lbfgs import (
+    BoundReport,
+    SecantStore,
     Space,
     TwoLoopOperator,
-    check_bounds,
     cautious_bound_report,
-    dense_hessian,
-    dense_hessian_inverse,
     euclidean,
-    two_loop,
 )
-from cautious_lbfgs.secant_store import SecantStore
+from cautious_lbfgs.direction import dense_hessian, dense_hessian_inverse, two_loop
+
+
+def check_bounds(H, gamma, kappa1, kappa2, n_pairs) -> BoundReport:
+    """Audit ||H|| and ||H^{-1}|| against the update-count bounds.
+
+    kappa1 and kappa2 must bound the pairs used (sy/ss >= 1/kappa1 and
+    sy/yy >= 1/kappa2).  The inverse norm is bounded by
+    1/gamma + n_pairs * kappa2 and the norm itself by
+    5^n_pairs * max(1, gamma) * max(1, kappa1^n_pairs, (kappa1*kappa2)^n_pairs).
+    """
+    norm_h, norm_h_inv = H.norms()
+    return BoundReport(
+        norm_h=norm_h,
+        norm_h_inv=norm_h_inv,
+        bound_h=5.0**n_pairs * max(1.0, gamma) * max(1.0, kappa1**n_pairs, (kappa1 * kappa2) ** n_pairs),
+        bound_h_inv=1.0 / gamma + n_pairs * kappa2,
+    )
+
+
+def self_adjoint_defect(H, n_probes=8, seed=0) -> float:
+    """max |inner(Mu, v) - inner(u, Mv)| over random unit probes of a DenseOperator."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_probes):
+        u = rng.standard_normal(H.space.dim)
+        v = rng.standard_normal(H.space.dim)
+        u /= np.linalg.norm(u)
+        v /= np.linalg.norm(v)
+        worst = max(worst, abs(H.space.inner(H.matrix @ u, v) - H.space.inner(u, H.matrix @ v)))
+    return worst
 
 
 def random_instance(rng, dim=None, max_pairs=5, weighted=True):
@@ -121,8 +149,8 @@ class TestDenseOperators:
         for _ in range(50):
             space, store, gamma = random_instance(rng)
             H = dense_hessian_inverse(space, store.pairs, gamma)
-            scale = max(1.0, H.operator_norm())
-            assert H.self_adjoint_defect() <= 1e-12 * scale
+            scale = max(1.0, H.norms()[0])
+            assert self_adjoint_defect(H) <= 1e-12 * scale
 
     def test_positive_definite(self):
         rng = np.random.default_rng(13)
@@ -143,8 +171,7 @@ class TestDenseOperators:
             space, store, gamma = random_instance(rng)
             H = dense_hessian_inverse(space, store.pairs, gamma)
             eigs = np.linalg.eigvalsh(H.matrix)
-            norm_h = H.operator_norm()
-            norm_h_inv = H.inverse_norm()
+            norm_h, norm_h_inv = H.norms()
             assert_allclose(norm_h, eigs.max(), rtol=1e-12)
             assert_allclose(norm_h_inv, 1.0 / eigs.min(), rtol=1e-12)
             assert norm_h <= eigs.max() * (1 + 1e-12)
@@ -153,9 +180,9 @@ class TestDenseOperators:
 
 def assert_norms_match_dense(space, pairs, gamma):
     eigs = np.linalg.eigvalsh(dense_hessian_inverse(space, pairs, gamma).matrix)
-    H = TwoLoopOperator(space, pairs, gamma)
-    assert_allclose(H.operator_norm(), eigs.max(), rtol=1e-10)
-    assert_allclose(H.inverse_norm(), 1.0 / eigs.min(), rtol=1e-10)
+    norm_h, norm_h_inv = TwoLoopOperator(space, pairs, gamma).norms()
+    assert_allclose(norm_h, eigs.max(), rtol=1e-10)
+    assert_allclose(norm_h_inv, 1.0 / eigs.min(), rtol=1e-10)
 
 
 class TestTwoLoopOperator:
@@ -203,9 +230,7 @@ class TestTwoLoopOperator:
 
         for name in ("qr", "svd", "eigvalsh", "eigh"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        H = TwoLoopOperator(euclidean(300), [], 0.3)
-        assert H.operator_norm() == 0.3
-        assert H.inverse_norm() == 1.0 / 0.3
+        assert TwoLoopOperator(euclidean(300), [], 0.3).norms() == (0.3, 1.0 / 0.3)
 
     def test_rejects_bad_inputs(self):
         space = euclidean(2)

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cautious_lbfgs import (
-    LineSearchError,
-    LineSearchParams,
-    armijo_backtrack,
-    gll_nonmonotone,
-    more_thuente,
-    wolfe_weak,
-)
+from cautious_lbfgs import LineSearchError, LineSearchParams
+from cautious_lbfgs.linesearch import armijo_backtrack, gll_nonmonotone, more_thuente, wolfe_weak
 
 P = LineSearchParams()
 

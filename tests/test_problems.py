@@ -11,29 +11,42 @@ from cautious_lbfgs import (
     PiecewiseQuadratic,
     Rosenbrock,
     fd_gradient_check,
-    laplacian_5pt,
-    ocp_adjoint_solve,
-    ocp_eval,
-    ocp_state_solve,
-    piecewise_quadratic,
-    rosenbrock,
 )
+from cautious_lbfgs.problems import laplacian_5pt
+
+
+def hessian_spectrum_scan(lo=-0.5, hi=1.4, n=41) -> tuple[float, float]:
+    """(min, max) Rosenbrock Hessian eigenvalue over an n x n scan of [lo, hi]^2.
+
+    The minimum comes out negative on parts of that square (wherever
+    x2 > x1^2 + 0.005), so strong-convexity constants have to be read
+    off a region where the returned minimum is positive.
+    """
+    hessian = Rosenbrock().hessian
+    grid = np.linspace(lo, hi, n)
+    lo_eig, hi_eig = np.inf, -np.inf
+    for a in grid:
+        for b in grid:
+            eig = np.linalg.eigvalsh(hessian(np.array([a, b])))
+            lo_eig = min(lo_eig, eig[0])
+            hi_eig = max(hi_eig, eig[-1])
+    return float(lo_eig), float(hi_eig)
 
 
 class TestRosenbrock:
     def test_minimizer(self):
-        f, grad = rosenbrock(np.array([1.0, 1.0]))
+        f, grad = Rosenbrock().value_and_grad(np.array([1.0, 1.0]))
         assert f == 0.0
         assert_allclose(grad, [0.0, 0.0], atol=0)
 
     def test_origin(self):
-        f, grad = rosenbrock(np.array([0.0, 0.0]))
+        f, grad = Rosenbrock().value_and_grad(np.array([0.0, 0.0]))
         assert f == 1.0
         assert_allclose(grad, [-2.0, 0.0], atol=0)
 
     def test_standard_start(self):
         # (2.2)^2 + 100 (1 - 1.44)^2 = 4.84 + 19.36
-        f, _ = rosenbrock(np.array([-1.2, 1.0]))
+        f, _ = Rosenbrock().value_and_grad(np.array([-1.2, 1.0]))
         assert_allclose(f, 24.2, rtol=1e-14)
 
     def test_gradient_against_finite_differences(self):
@@ -52,7 +65,7 @@ class TestRosenbrock:
     def test_hessian_scan_detects_indefiniteness(self):
         # the scan square contains points with x2 > x1^2 + 1/200 where the
         # Hessian is indefinite, so the reported minimum is negative
-        lo, hi = Rosenbrock().hessian_spectrum_scan(n=15)
+        lo, hi = hessian_spectrum_scan(n=15)
         assert lo < 0.0 < hi
 
 
@@ -68,7 +81,7 @@ class TestPiecewiseQuadratic:
         assert_allclose(grad, np.tile([99.0, 0.0, 0.0], 3), atol=0)
 
     def test_single_block_at_origin(self):
-        f, grad = piecewise_quadratic(np.zeros(3), 1)
+        f, grad = PiecewiseQuadratic(1).value_and_grad(np.zeros(3))
         assert f == 1.0
         assert_allclose(grad, [-1.0, 1.0, 0.0], atol=0)
 
@@ -148,13 +161,13 @@ class TestOcpGrid:
 class TestOcpState:
     def test_single_node_forced_solution(self):
         # 16*0 + exp(0) = 1, so u = 1 gives y = 0
-        y = ocp_state_solve(OcpGrid(M=2), np.array([1.0]))
+        y = OcpControlProblem(OcpGrid(M=2)).solve_state(np.array([1.0]))
         assert_allclose(y, [0.0], atol=1e-13)
 
     def test_manufactured_single_node(self):
         c = 0.37
         u = np.array([16.0 * c + np.exp(c)])
-        y = ocp_state_solve(OcpGrid(M=2), u)
+        y = OcpControlProblem(OcpGrid(M=2)).solve_state(u)
         assert_allclose(y, [c], atol=1e-12)
 
     def test_residual_postcondition(self):
@@ -175,18 +188,19 @@ class TestOcpState:
     def test_iteration_cap(self):
         grid = OcpGrid(M=4, newton_max=1)
         with pytest.raises(NewtonError):
-            ocp_state_solve(grid, np.full(9, 50.0))
+            OcpControlProblem(grid).solve_state(np.full(9, 50.0))
 
 
 class TestOcpAdjoint:
     def test_zero_mismatch(self):
         grid = OcpGrid(M=4)
         prob = OcpControlProblem(grid)
-        p = ocp_adjoint_solve(grid, prob.target_state)
+        p = prob.solve_adjoint(prob.target_state)
         assert_allclose(p, np.zeros(9), atol=1e-14)
 
     def test_single_node_value(self):
-        p = ocp_adjoint_solve(OcpGrid(M=2), np.array([0.0]), target_state=np.array([1.0]))
+        grid = OcpGrid(M=2, target_state=np.array([1.0]))
+        p = OcpControlProblem(grid).solve_adjoint(np.array([0.0]))
         assert_allclose(p, [-1.0 / 17.0], rtol=1e-14)
 
     def test_residual_postcondition(self):
@@ -204,7 +218,7 @@ class TestOcpAdjoint:
 class TestOcpObjective:
     def test_penalty_only_when_state_matches(self):
         grid = OcpGrid(M=2, nu=1e-3, target_state=np.array([0.0]))
-        f, grad = ocp_eval(grid, np.array([1.0]))
+        f, grad = OcpControlProblem(grid).value_and_grad(np.array([1.0]))
         assert_allclose(f, 1.25e-4, rtol=1e-12)
         assert_allclose(grad, 1e-3 * np.array([1.0]), atol=1e-15)
 

@@ -7,34 +7,40 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cautious_lbfgs import (
-    CautiousParams,
-    SecantStore,
-    bb_scalars,
-    cautious_threshold,
-    choose_seed_scaling,
-    curvature_quality,
-    euclidean,
-)
+from cautious_lbfgs import CautiousParams, SecantStore, euclidean
+from cautious_lbfgs.secant_store import cautious_threshold, choose_seed_scaling
+
+
+def _pushed(space, s, y):
+    """Store holding (s, y) if push accepted it, and whether it did."""
+    store = SecantStore(capacity=1)
+    return store, store.push(space, s, y, index=0)
 
 
 class TestCurvatureQuality:
     space = euclidean(2)
 
     def test_identical_vectors(self):
-        assert curvature_quality(self.space, [1.0, 0.0], [1.0, 0.0]) == 1.0
+        store, stored = _pushed(self.space, [1.0, 0.0], [1.0, 0.0])
+        assert stored
+        assert store.pairs[0].quality == 1.0
 
     def test_scaled_vector(self):
-        assert curvature_quality(self.space, [1.0, 0.0], [2.0, 0.0]) == 0.5
+        store, stored = _pushed(self.space, [1.0, 0.0], [2.0, 0.0])
+        assert stored
+        assert store.pairs[0].quality == 0.5
 
     def test_zero_y_branch(self):
-        assert curvature_quality(self.space, [1.0, 0.0], [0.0, 0.0]) == 0.0
+        store, stored = _pushed(self.space, [1.0, 0.0], [0.0, 0.0])
+        assert not stored and len(store) == 0
 
     def test_zero_s_branch(self):
-        assert curvature_quality(self.space, [0.0, 0.0], [1.0, 0.0]) == 0.0
+        store, stored = _pushed(self.space, [0.0, 0.0], [1.0, 0.0])
+        assert not stored and len(store) == 0
 
     def test_negative_curvature(self):
-        assert curvature_quality(self.space, [1.0, 0.0], [-1.0, 0.0]) == -1.0
+        store, stored = _pushed(self.space, [1.0, 0.0], [-1.0, 0.0])
+        assert not stored and len(store) == 0
 
 
 class TestCautiousThreshold:
@@ -94,16 +100,21 @@ class TestBbScalars:
     space = euclidean(2)
 
     def test_parallel_pair(self):
-        assert bb_scalars(self.space, [1.0, 0.0], [2.0, 0.0]) == (0.5, 0.5)
+        store, stored = _pushed(self.space, [1.0, 0.0], [2.0, 0.0])
+        assert stored
+        assert (store.gamma_minus, store.gamma_plus) == (0.5, 0.5)
 
     def test_general_pair(self):
-        lo, hi = bb_scalars(self.space, [1.0, 1.0], [1.0, 2.0])
-        assert_allclose(lo, 0.6, rtol=1e-15)
-        assert_allclose(hi, 2.0 / 3.0, rtol=1e-15)
+        store, stored = _pushed(self.space, [1.0, 1.0], [1.0, 2.0])
+        assert stored
+        assert_allclose(store.gamma_minus, 0.6, rtol=1e-15)
+        assert_allclose(store.gamma_plus, 2.0 / 3.0, rtol=1e-15)
 
     def test_requires_positive_curvature(self):
-        with pytest.raises(ValueError):
-            bb_scalars(self.space, [1.0, 0.0], [-1.0, 0.0])
+        store, stored = _pushed(self.space, [1.0, 0.0], [-1.0, 0.0])
+        assert not stored
+        assert store.gamma_minus == 0.0
+        assert math.isinf(store.gamma_plus)
 
     def test_quadratic_spectrum_containment(self):
         # y = H s for H = diag(1, 4): both scalings lie in the spectrum
@@ -114,9 +125,9 @@ class TestBbScalars:
             s = rng.standard_normal(2)
             if np.linalg.norm(s) < 1e-12:
                 continue
-            y = H @ s
-            lo, hi = bb_scalars(self.space, s, y)
-            assert 0.25 - 1e-12 <= lo <= hi <= 1.0 + 1e-12
+            store, stored = _pushed(self.space, s, H @ s)
+            assert stored
+            assert 0.25 - 1e-12 <= store.gamma_minus <= store.gamma_plus <= 1.0 + 1e-12
 
 
 class TestSecantStore:
@@ -184,7 +195,7 @@ class TestSecantStore:
 
 def _pair(space, quality, index):
     # fabricate a stored pair with a prescribed quality: y = q * s has
-    # curvature_quality min(q, 1/q) = q for q <= 1
+    # quality min(q, 1/q) = q for q <= 1
     s = np.array([1.0, 0.0])
     y = quality * s
     store = SecantStore(capacity=1)

@@ -7,15 +7,18 @@ from numpy.testing import assert_allclose
 from cautious_lbfgs import (
     CautiousParams,
     LineSearchParams,
+    OcpControlProblem,
+    OcpGrid,
     PiecewiseQuadratic,
     Problem,
     Rosenbrock,
     SolverConfig,
-    SolverState,
+    Space,
     compare_traces,
     euclidean,
     minimize,
 )
+from cautious_lbfgs.solver import SolverState
 
 ROSEN_X0 = np.array([-1.2, 1.0])
 
@@ -108,9 +111,59 @@ class TestMinimizeBasics:
         report = minimize(prob, prob.space, np.array([0.0]),
                           config(m=0, linesearch="wolfe", grad_tol=1e-9))
         assert report.status == "linesearch_failure"
-        assert report.ls_failure == "stpmax"
+        assert report.reason == "stpmax: bracket expansion exceeded stpmax = 1000.0"
         assert report.n_iter == 0
         assert report.n_feval > 0  # the failed search's trials still count
+
+    def test_eval_error_status(self):
+        # the damped Newton state solve fails at this start instead of raising
+        prob = OcpControlProblem(OcpGrid(M=8))
+        report = minimize(prob, prob.space, np.full(49, 1e4),
+                          config(m=5, linesearch="wolfe", grad_tol=1e-9))
+        assert report.status == "eval_error"
+        assert report.reason == "NewtonError: damping failed to reduce the state residual"
+        assert report.n_iter == 0
+
+    def test_eval_error_inside_line_search(self):
+        class Cliff(Problem):
+            # defined only on x > -1; the first unit step leaves the domain
+            def __init__(self):
+                self.space = euclidean(1)
+
+            def value(self, x):
+                return math.log(1.0 + x[0]) + x[0] ** 2
+
+            def value_and_grad(self, x):
+                return self.value(x), np.array([1.0 / (1.0 + x[0]) + 2.0 * x[0]])
+
+        prob = Cliff()
+        report = minimize(prob, prob.space, np.array([0.0]), config(m=1, grad_tol=1e-9))
+        assert report.status == "eval_error"
+        assert report.reason == "ValueError: math domain error"
+        assert report.n_iter == 0
+        assert report.n_feval == 1  # the failed trial counts
+        assert report.f_final == 0.0  # the run stops at the last good iterate
+
+    def test_non_descent_status(self):
+        # weight 1e-300 and grad = 1e-13: the gradient norm 1e-163 is above
+        # tolerance, but inner(grad, -grad) = -1e-326 underflows to -0.0
+        prob = SphereProblem()
+        prob.space = Space(dim=1, weight=1e-300)
+        report = minimize(prob, prob.space, np.array([1e-13]), config(m=1, grad_tol=1e-300))
+        assert report.status == "non_descent"
+        assert report.reason == "direction is not a descent direction: dphi0 = -0.0"
+        assert report.n_iter == 0
+
+    def test_reason_given_for_every_stop_but_convergence(self):
+        prob = Rosenbrock()
+        done = minimize(prob, prob.space, ROSEN_X0, config(m=2, grad_tol=1e-9))
+        capped = minimize(prob, prob.space, ROSEN_X0, config(m=2, grad_tol=1e-9, max_iter=3))
+        assert done.status == "converged" and done.reason is None
+        assert capped.status == "max_iter" and capped.reason.endswith("after 3 iterations")
+        nan = NanGradProblem()
+        report = minimize(nan, nan.space, np.array([0.05]), config(m=1))
+        assert report.status == "nonfinite"
+        assert report.reason == "nonfinite objective or gradient at the starting point"
 
 
 @pytest.fixture(scope="module")
@@ -216,8 +269,6 @@ class TestAudits:
             assert audit.norm_h_inv <= (2 + 1) / t.omega * (1 + 1e-9)
 
     def test_coarse_pde_grid_audit_clean(self):
-        from cautious_lbfgs import OcpControlProblem, OcpGrid
-
         problem = OcpControlProblem(OcpGrid(M=16))
         report = minimize(problem, problem.space, np.zeros(problem.space.dim),
                           SolverConfig(cautious=CautiousParams(m=5), grad_tol=1e-9))
