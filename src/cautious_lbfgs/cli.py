@@ -117,13 +117,8 @@ def build_config(args, ls: str | None = None, m: int | None = None,
     """
     ls = args.ls if ls is None else ls
     m = args.m if m is None else m
-    sigma = args.sigma
-    if sigma is None:
-        # the interpolating strong-Wolfe search needs a smaller slope on the
-        # control problem; 1e-4 intermittently fails there
-        sigma = 1e-8 if (args.problem == "ocp" and ls == "mt") else 1e-4
     ls_params = LineSearchParams(
-        sigma=sigma,
+        sigma=args.sigma,
         eta=args.eta,
         beta1=args.beta,
         beta2=args.beta,
@@ -331,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="default 1/(2m+3)")
     parser.add_argument("--classic", action="store_true",
                         help="disable the cautious filter and scaling restriction")
-    parser.add_argument("--sigma", type=float, default=None,
-                        help="sufficient-decrease slope (default 1e-4; 1e-8 for ocp+mt)")
+    parser.add_argument("--sigma", type=float, default=1e-4, help="sufficient-decrease slope")
     parser.add_argument("--eta", type=float, default=0.9)
     parser.add_argument("--beta", type=float, default=0.5,
                         help="backtracking contraction factor")
@@ -366,13 +360,15 @@ def parse_args(argv=None) -> argparse.Namespace:
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
         # each file value is parsed as its own flag, so it gets the flag's
-        # type and choices; switches (bool defaults) take a truthy word
+        # type and choices; switches (bool defaults) take a truthy word and
+        # list-valued keys whitespace-separated items
         from_file = argparse.Namespace(**defaults)
         for key, value in file_values.items():
             if isinstance(defaults[key], bool):
                 parsed = value.lower() in ("1", "true", "yes", "on")
             else:
-                parsed = getattr(parser.parse_args([f"--{key.replace('_', '-')}", value]), key)
+                items = value.split() if isinstance(defaults[key], list) else [value]
+                parsed = getattr(parser.parse_args([f"--{key.replace('_', '-')}", *items]), key)
             setattr(from_file, key, parsed)
         # explicit flags override the file
         args = parser.parse_args(argv, namespace=from_file)

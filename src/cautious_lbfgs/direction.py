@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -33,21 +34,28 @@ def two_loop(space: Space, active: Sequence[SecantPair], gamma: float, grad) -> 
     and gamma must be positive, which makes the operator positive
     definite and the result a descent direction for any nonzero grad.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    q = space.check(grad).copy()
+    _validate_operator_inputs(active, gamma)
+    return -_recursion(space.weight, active, gamma, space.check(grad).copy())
+
+
+def _recursion(weight: float, pairs: Sequence, gamma: float, q: np.ndarray) -> np.ndarray:
+    """H q by the two-loop recursion, overwriting q.
+
+    Each pair has attributes s, y and sy = inner(s, y), oldest first; s
+    and y are coordinates whose inner product is ``weight`` times the dot
+    product.  q is a vector or a block of columns; ``np.multiply.outer``
+    makes each rank-one correction a scaled vector or an outer product.
+    """
     coeffs = []
-    for pair in reversed(active):
-        if not pair.sy > 0.0:
-            raise ValueError(f"active pair {pair.index} has nonpositive curvature {pair.sy}")
-        a = space.inner(pair.s, q) / pair.sy
+    for pair in reversed(pairs):
+        a = weight * np.dot(pair.s, q) / pair.sy
         coeffs.append(a)
-        q -= a * pair.y
+        q -= np.multiply.outer(pair.y, a)
     r = gamma * q
-    for pair, a in zip(active, reversed(coeffs)):
-        b = space.inner(pair.y, r) / pair.sy
-        r += (a - b) * pair.s
-    return -r
+    for pair, a in zip(pairs, reversed(coeffs)):
+        b = weight * np.dot(pair.y, r) / pair.sy
+        r += np.multiply.outer(pair.s, a - b)
+    return r
 
 
 class _SpectralNorms:
@@ -122,30 +130,10 @@ class TwoLoopOperator(_SpectralNorms):
             return gamma, gamma
         k = len(self.pairs)
         R = np.linalg.qr(np.column_stack([p.s for p in self.pairs] + [p.y for p in self.pairs]), mode="r")
-        restriction = _two_loop_matrix(self.space.weight, R[:, :k], R[:, k:],
-                                       [p.sy for p in self.pairs], gamma)
+        coords = [SimpleNamespace(s=R[:, i], y=R[:, k + i], sy=p.sy) for i, p in enumerate(self.pairs)]
+        restriction = _recursion(self.space.weight, coords, gamma, np.eye(R.shape[0]))
         eigs = np.abs(np.linalg.eigvalsh(restriction))
         return float(eigs.min()), float(eigs.max())
-
-
-def _two_loop_matrix(weight: float, S: np.ndarray, Y: np.ndarray, sy: Sequence[float],
-                     gamma: float) -> np.ndarray:
-    """Matrix of H on R^m, by the recursion of :func:`two_loop` on the identity.
-
-    Column i of S and Y holds pair i, oldest first; ``sy`` holds the
-    pairs' inner(s, y).
-    """
-    q = np.eye(S.shape[0])
-    coeffs = []
-    for i in reversed(range(S.shape[1])):
-        a = (weight / sy[i]) * (S[:, i] @ q)
-        coeffs.append(a)
-        q -= np.outer(Y[:, i], a)
-    r = gamma * q
-    for i, a in enumerate(reversed(coeffs)):
-        b = (weight / sy[i]) * (Y[:, i] @ r)
-        r += np.outer(S[:, i], a - b)
-    return r
 
 
 def _validate_dense_inputs(space: Space, pairs: Sequence[SecantPair], gamma: float) -> None:

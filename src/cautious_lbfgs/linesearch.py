@@ -4,16 +4,16 @@ and the Grippo-Lampariello-Lucidi nonmonotone Armijo variant.
 All searches operate on a one-dimensional slice phi(alpha) = f(x + alpha*d)
 with phi'(0) < 0 and return a :class:`LineSearchOutcome` whose certificate
 records which sufficient-decrease / curvature inequalities were verified
-at the accepted step.  Failures raise :class:`LineSearchError` with a
-distinct ``reason`` and the trial history.
+at the accepted step.  The last call to phi (and, for the Wolfe rules,
+dphi) before a search returns is at the accepted step, so a caller that
+caches its latest evaluation holds the accepted one.  Failures raise
+:class:`LineSearchError` with a distinct ``reason`` and the trial history.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ class LineSearchOutcome:
     f_new: float
     n_feval: int
     certificate: Certificate
-    grad_new: np.ndarray | None = field(default=None, repr=False)
 
 
 class LineSearchError(RuntimeError):
@@ -142,7 +141,7 @@ def gll_nonmonotone(phi, dphi0: float, f_history, params: LineSearchParams) -> L
 
 
 def wolfe_weak(phi, dphi, params: LineSearchParams,
-               phi0: float | None = None, dphi0: float | None = None) -> LineSearchOutcome:
+               phi0: float, dphi0: float) -> LineSearchOutcome:
     """Bracketing/bisection search for the weak Wolfe-Powell conditions.
 
     Doubles the step while decrease holds but curvature fails, halves the
@@ -151,11 +150,6 @@ def wolfe_weak(phi, dphi, params: LineSearchParams,
     positive curvature inner(s, y) > 0 of the resulting pair.
     """
     n_feval = 0
-    if phi0 is None:
-        phi0 = phi(0.0)
-        n_feval += 1
-    if dphi0 is None:
-        dphi0 = dphi(0.0)
     if not dphi0 < 0.0:
         raise ValueError(f"descent derivative required, got dphi0 = {dphi0}")
     lo, hi = 0.0, math.inf
@@ -190,7 +184,7 @@ def wolfe_weak(phi, dphi, params: LineSearchParams,
 
 
 def more_thuente(phi, dphi, params: LineSearchParams,
-                 phi0: float | None = None, dphi0: float | None = None) -> LineSearchOutcome:
+                 phi0: float, dphi0: float) -> LineSearchOutcome:
     """More-Thuente search for the strong Wolfe-Powell conditions.
 
     Sectioning with cubic/quadratic interpolation over a shrinking
@@ -202,11 +196,6 @@ def more_thuente(phi, dphi, params: LineSearchParams,
     and ``rounding``.
     """
     n_feval = 0
-    if phi0 is None:
-        phi0 = phi(0.0)
-        n_feval += 1
-    if dphi0 is None:
-        dphi0 = dphi(0.0)
     if not dphi0 < 0.0:
         raise ValueError(f"descent derivative required, got dphi0 = {dphi0}")
     if not params.stpmin <= 1.0 <= params.stpmax:

@@ -1,11 +1,11 @@
 """Benchmark objectives: Rosenbrock, a block piecewise quadratic, and a
 semilinear elliptic optimal-control problem on the unit square.
 
-Every problem exposes ``value`` and ``value_and_grad`` where the gradient
-is the Riesz representative with respect to the problem's space, i.e. the
-directional derivative at x along v equals space.inner(grad, v).  That
-convention matters for the grid-weighted control problem, whose gradient
-differs from the vector of partial derivatives.
+Every problem defines ``value_and_grad`` where the gradient is the Riesz
+representative with respect to the problem's space, i.e. the directional
+derivative at x along v equals space.inner(grad, v).  That convention
+matters for the grid-weighted control problem, whose gradient differs
+from the vector of partial derivatives.
 """
 
 from __future__ import annotations
@@ -20,12 +20,16 @@ from .space import Space, euclidean, make_grid_space
 
 
 class Problem:
-    """Objective interface used by the solver."""
+    """Objective interface used by the solver.
+
+    Subclasses define ``value_and_grad``; ``value`` is its first component,
+    so each objective formula is written once.
+    """
 
     space: Space
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        return self.value_and_grad(x)[0]
 
     def value_and_grad(self, x) -> tuple[float, np.ndarray]:
         raise NotImplementedError
@@ -38,10 +42,6 @@ class Rosenbrock(Problem):
         self.space = euclidean(2)
         self.x_star = np.array([1.0, 1.0])
         self.f_star = 0.0
-
-    def value(self, x) -> float:
-        x = self.space.check(x)
-        return float((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
 
     def value_and_grad(self, x):
         x = self.space.check(x)
@@ -80,11 +80,6 @@ class PiecewiseQuadratic(Problem):
         self.b = np.tile([1.0, -1.0, 0.0], n_blocks)
         self.x_star = np.tile([0.01, -1.0, 0.0], n_blocks)
         self.f_star = self.value(self.x_star)
-
-    def value(self, x) -> float:
-        x = self.space.check(x)
-        d = x - self.b
-        return float(0.5 * np.dot(d, d) + 49.5 * np.sum(np.maximum(0.0, x) ** 2))
 
     def value_and_grad(self, x):
         x = self.space.check(x)
@@ -207,18 +202,12 @@ class OcpControlProblem(Problem):
         jac = (self.laplacian + sp.diags(np.exp(y))).tocsc()
         return spla.splu(jac).solve(y - self.target_state)
 
-    def _tracking(self, u, y) -> float:
-        mismatch = y - self.target_state
-        return 0.5 * self.space.inner(mismatch, mismatch) + 0.5 * self.grid.nu * self.space.inner(u, u)
-
-    def value(self, u) -> float:
-        u = self.space.check(u)
-        return self._tracking(u, self.solve_state(u))
-
     def value_and_grad(self, u):
         u = self.space.check(u)
         y = self.solve_state(u)
-        return self._tracking(u, y), self.grid.nu * u + self.solve_adjoint(y)
+        mismatch = y - self.target_state
+        f = 0.5 * self.space.inner(mismatch, mismatch) + 0.5 * self.grid.nu * self.space.inner(u, u)
+        return f, self.grid.nu * u + self.solve_adjoint(y)
 
 
 def fd_gradient_check(problem: Problem, x, n_directions: int = 5,

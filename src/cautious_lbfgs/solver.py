@@ -44,7 +44,6 @@ from .secant_store import (
 from .space import Space
 
 LINE_SEARCHES = ("armijo", "wolfe", "mt", "gll")
-AUTO_AUDIT_DIM_LIMIT = 400
 # what an objective raises when it cannot be evaluated: NewtonError and a
 # singular SuperLU factor are RuntimeErrors, LinAlgError and math domain
 # errors ValueErrors, and numpy's raised floating-point events ArithmeticErrors
@@ -59,7 +58,7 @@ class SolverConfig:
     ls: LineSearchParams = field(default_factory=LineSearchParams)
     grad_tol: float = 1e-9
     max_iter: int = 50_000
-    oracle_checks: bool | None = None  # None: auto (cautious mode, dim <= 400)
+    oracle_checks: bool | None = None  # None: auto (on in cautious mode)
     keep_iterates: bool = True
     keep_storage: bool = False
 
@@ -106,8 +105,8 @@ class SolveReport:
     grad_norm_final: float
     trace: list[IterationRecord]
     n_iter: int
-    n_feval: int
-    n_geval: int
+    n_feval: int  # distinct trial steps evaluated by the line searches
+    n_geval: int  # n_feval + 1: every evaluation returns the gradient, plus the start
     n_pairs_stored: int
     n_unit_steps: int
     alpha_min: float
@@ -140,22 +139,13 @@ def _evaluate(fn, x):
         raise _EvalFailure(f"{type(exc).__name__}: {exc}") from exc
 
 
-class _ValueRay:
-    """phi(alpha) = f(x + alpha d) counting objective evaluations."""
+class _Ray:
+    """phi/dphi along x + alpha d from one objective-plus-gradient evaluation per step.
 
-    def __init__(self, problem: Problem, x: np.ndarray, d: np.ndarray):
-        self.problem = problem
-        self.x = x
-        self.d = d
-        self.n_feval = 0
-
-    def phi(self, alpha: float) -> float:
-        self.n_feval += 1
-        return _evaluate(self.problem.value, self.x + alpha * self.d)
-
-
-class _JointRay:
-    """phi/dphi sharing one objective-plus-gradient evaluation per step."""
+    ``n_feval`` counts the distinct steps evaluated.  Every search returns
+    right after evaluating the step it accepts, so after a successful
+    search ``f`` and ``grad`` are the values there.
+    """
 
     def __init__(self, problem: Problem, space: Space, x: np.ndarray, d: np.ndarray):
         self.problem = problem
@@ -163,29 +153,21 @@ class _JointRay:
         self.x = x
         self.d = d
         self.n_feval = 0
-        self.n_geval = 0
-        self._cached: tuple[float, float, np.ndarray] | None = None
+        self.alpha = self.f = self.grad = None  # the latest evaluation
 
-    def _evaluate(self, alpha: float) -> tuple[float, np.ndarray]:
-        if self._cached is not None and self._cached[0] == alpha:
-            return self._cached[1], self._cached[2]
-        self.n_feval += 1
-        self.n_geval += 1
-        f, g = _evaluate(self.problem.value_and_grad, self.x + alpha * self.d)
-        self._cached = (alpha, f, g)
-        return f, g
+    def _evaluate(self, alpha: float) -> None:
+        if alpha != self.alpha:
+            self.n_feval += 1
+            self.f, self.grad = _evaluate(self.problem.value_and_grad, self.x + alpha * self.d)
+            self.alpha = alpha
 
     def phi(self, alpha: float) -> float:
-        return self._evaluate(alpha)[0]
+        self._evaluate(alpha)
+        return self.f
 
     def dphi(self, alpha: float) -> float:
-        _, g = self._evaluate(alpha)
-        return self.space.inner(g, self.d)
-
-    def cached_grad(self, alpha: float) -> np.ndarray | None:
-        if self._cached is not None and self._cached[0] == alpha:
-            return self._cached[2]
-        return None
+        self._evaluate(alpha)
+        return self.space.inner(self.grad, self.d)
 
 
 class SolverState:
@@ -202,17 +184,13 @@ class SolverState:
         self.store = SecantStore(config.cautious.m)
         self.trace: list[IterationRecord] = []
         self.n_feval = 0
-        self.n_geval = 0
         self.audits: list[BoundReport] = []
         self.bound_violations = 0
         self.storage_snapshots: list[list[dict]] = []
-        if config.oracle_checks is None:
-            self.audit_enabled = config.mode == "cautious" and space.dim <= AUTO_AUDIT_DIM_LIMIT
-        else:
-            self.audit_enabled = config.oracle_checks
+        auto = config.oracle_checks is None
+        self.audit_enabled = config.mode == "cautious" if auto else config.oracle_checks
 
         self.iterates: list[np.ndarray] = [self.x.copy()] if config.keep_iterates else []
-        self.n_geval += 1
         try:
             self.f, self.grad = _evaluate(problem.value_and_grad, self.x)
         except _EvalFailure as err:
@@ -264,21 +242,21 @@ class SolverState:
             if not report.ok:
                 self.bound_violations += 1
 
+        ray = _Ray(self.problem, self.space, self.x, d)
         try:
-            outcome = self._search(d, dphi0)
-            s = outcome.alpha * d
-            x_new = self.x + s
-            grad_new = outcome.grad_new
-            if grad_new is None:
-                self.n_geval += 1
-                _, grad_new = _evaluate(self.problem.value_and_grad, x_new)
+            outcome = self._search(ray, dphi0)
         except LineSearchError as err:
             self._stop("linesearch_failure", str(err))
             return None
         except _EvalFailure as err:
             self._stop("eval_error", str(err))
             return None
-        alpha, f_new = outcome.alpha, outcome.f_new
+        finally:
+            # the trials of a failed search happened too
+            self.n_feval += ray.n_feval
+        alpha, f_new, grad_new = outcome.alpha, outcome.f_new, ray.grad
+        s = alpha * d
+        x_new = self.x + s
         if not (np.isfinite(f_new) and np.all(np.isfinite(grad_new))):
             self.x, self.f = x_new, f_new
             self.grad, self.grad_norm = grad_new, float("nan")
@@ -311,28 +289,15 @@ class SolverState:
         self.k += 1
         return record
 
-    def _search(self, d: np.ndarray, dphi0: float) -> LineSearchOutcome:
-        # counters accrue even when the search fails: the trials happened
+    def _search(self, ray: _Ray, dphi0: float) -> LineSearchOutcome:
         cfg = self.config
-        if cfg.linesearch in ("armijo", "gll"):
-            ray = _ValueRay(self.problem, self.x, d)
-            try:
-                if cfg.linesearch == "armijo":
-                    return armijo_backtrack(ray.phi, self.f, dphi0, cfg.ls)
-                return gll_nonmonotone(ray.phi, dphi0, self.f_history, cfg.ls)
-            finally:
-                self.n_feval += ray.n_feval
-        ray = _JointRay(self.problem, self.space, self.x, d)
-        try:
-            if cfg.linesearch == "wolfe":
-                outcome = wolfe_weak(ray.phi, ray.dphi, cfg.ls, phi0=self.f, dphi0=dphi0)
-            else:
-                outcome = more_thuente(ray.phi, ray.dphi, cfg.ls, phi0=self.f, dphi0=dphi0)
-        finally:
-            self.n_feval += ray.n_feval
-            self.n_geval += ray.n_geval
-        outcome.grad_new = ray.cached_grad(outcome.alpha)
-        return outcome
+        if cfg.linesearch == "armijo":
+            return armijo_backtrack(ray.phi, self.f, dphi0, cfg.ls)
+        if cfg.linesearch == "gll":
+            return gll_nonmonotone(ray.phi, dphi0, self.f_history, cfg.ls)
+        if cfg.linesearch == "wolfe":
+            return wolfe_weak(ray.phi, ray.dphi, cfg.ls, phi0=self.f, dphi0=dphi0)
+        return more_thuente(ray.phi, ray.dphi, cfg.ls, phi0=self.f, dphi0=dphi0)
 
     def report(self) -> SolveReport:
         alphas = [r.alpha for r in self.trace]
@@ -344,7 +309,7 @@ class SolverState:
             trace=list(self.trace),
             n_iter=len(self.trace),
             n_feval=self.n_feval,
-            n_geval=self.n_geval,
+            n_geval=self.n_feval + 1,
             n_pairs_stored=sum(r.pair_stored for r in self.trace),
             n_unit_steps=sum(r.alpha == 1.0 for r in self.trace),
             alpha_min=min(alphas) if alphas else math.nan,

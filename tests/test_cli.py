@@ -220,6 +220,8 @@ class TestConfigFile:
         assert args.classic is False
         assert args.mesh_list == [4]
         assert args.sigma == 1e-6
+        cfg.write_text("mesh-list = 4 5\n")
+        assert parse_args(["--config", str(cfg)]).mesh_list == [4, 5]
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -16,6 +16,7 @@ from cautious_lbfgs import (
     Space,
     compare_traces,
     euclidean,
+    fd_gradient_check,
     minimize,
 )
 from cautious_lbfgs.solver import SolverState
@@ -172,6 +173,47 @@ def rosen_report():
     return minimize(prob, prob.space, ROSEN_X0, config(m=2, grad_tol=1e-9))
 
 
+class CountingRosenbrock(Rosenbrock):
+    def __init__(self):
+        super().__init__()
+        self.calls = {"value": 0, "value_and_grad": 0}
+
+    def value(self, x):
+        self.calls["value"] += 1
+        return super().value(x)
+
+    def value_and_grad(self, x):
+        self.calls["value_and_grad"] += 1
+        return super().value_and_grad(x)
+
+
+class TestEvaluations:
+    @pytest.mark.parametrize("ls", ["armijo", "wolfe", "mt", "gll"])
+    def test_one_evaluation_per_trial_step(self, ls):
+        # the accepted step's gradient comes from the line search's last
+        # evaluation, never from a second one, and value is never called
+        prob = CountingRosenbrock()
+        report = minimize(prob, prob.space, ROSEN_X0, config(m=2, linesearch=ls, grad_tol=1e-9))
+        assert report.status == "converged"
+        assert prob.calls["value"] == 0
+        assert prob.calls["value_and_grad"] == report.n_geval == report.n_feval + 1
+        assert report.n_feval == sum(t.n_feval_ls for t in report.trace)
+
+    def test_problem_defining_only_value_and_grad(self):
+        class Quartic(Problem):
+            space = euclidean(3)
+
+            def value_and_grad(self, x):
+                x = self.space.check(x)
+                return float(np.sum(x**4) + 0.5 * np.dot(x, x)), 4.0 * x**3 + x
+
+        prob = Quartic()
+        assert prob.value(np.ones(3)) == 4.5
+        assert fd_gradient_check(prob, np.array([0.3, -0.7, 1.1])) < 1e-6
+        report = minimize(prob, prob.space, np.array([0.3, -0.7, 1.1]), config(m=2))
+        assert report.status == "converged"
+
+
 class TestTraceInvariants:
     def test_objective_strictly_decreasing(self, rosen_report):
         f = rosen_report.f_values()
@@ -298,6 +340,14 @@ class TestAudits:
             assert on.bound_violations == 0
             assert compare_traces(on, off) is None
             assert np.array_equal(on.x_final, off.x_final)
+
+    def test_auto_audit_at_every_dimension(self):
+        prob = PiecewiseQuadratic(200)  # dim 600
+        report = minimize(prob, prob.space, prob.b.copy(),
+                          SolverConfig(cautious=CautiousParams(m=5), grad_tol=1e-5))
+        assert report.status == "converged"
+        assert report.audits is not None and len(report.audits) == report.n_iter
+        assert report.bound_violations == 0
 
     def test_audit_disabled_for_classical_mode(self):
         prob = Rosenbrock()
