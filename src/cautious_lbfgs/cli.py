@@ -237,11 +237,13 @@ def mesh_study(args) -> int:
     A cell whose run does not converge holds ``!`` and the run's status.
     """
     args.problem = "ocp"
+    # a problem holds no per-run state, so each mesh is built (and A + I factored) once
+    meshes = {j: OcpControlProblem(OcpGrid(M=2**j, nu=args.nu)) for j in args.mesh_list}
     rows = []
     for ls, m in TABLE4_CONFIGS:
         row: list = [ls, m]
         for j in args.mesh_list:
-            problem = OcpControlProblem(OcpGrid(M=2**j, nu=args.nu))
+            problem = meshes[j]
             config = build_config(args, ls=ls, m=m, keep_iterates=False)
             report = minimize(problem, problem.space, np.zeros(problem.space.dim), config)
             row.append(report.n_iter if report.status == "converged" else f"!{report.status}")

@@ -147,7 +147,9 @@ class OcpControlProblem(Problem):
     The state is solved by a damped Newton iteration from y = 0 and the
     gradient nu*u + p comes from one linearized (self-adjoint) solve, so
     one objective-plus-gradient evaluation costs one nonlinear and one
-    linear PDE solve.
+    linear PDE solve.  The Jacobian at y = 0 is A + I, which is factored
+    once at construction; an evaluation costs one sparse LU factorization
+    per Newton step after the first, plus one for the adjoint.
     """
 
     def __init__(self, grid: OcpGrid):
@@ -155,6 +157,29 @@ class OcpControlProblem(Problem):
         self.space = make_grid_space(grid.M)
         self.laplacian = laplacian_5pt(grid.M)
         self.target_state = grid.target_state
+        n = self.space.dim
+        # every Jacobian A + diag(exp(y)) shares the sparsity pattern of A + I
+        pattern = (self.laplacian + sp.identity(n)).tocsc()
+        pattern.sort_indices()
+        self._jac_pattern = pattern
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        self._diag_slots = np.flatnonzero(pattern.indices == rows)
+        self._lap_diag = self.laplacian.diagonal()
+        self._lu_at_zero = spla.splu(pattern)
+
+    def _jacobian_lu(self, y: np.ndarray):
+        """SuperLU factor of A + diag(exp(y)).
+
+        exp(0) is exactly 1, so at y = 0 the factor of A + I built at
+        construction is the same matrix bit for bit.  Otherwise the
+        diagonal is written into a copy of the shared pattern, which is
+        never modified.
+        """
+        if not y.any():
+            return self._lu_at_zero
+        jac = self._jac_pattern.copy()
+        jac.data[self._diag_slots] = self._lap_diag + np.exp(y)
+        return spla.splu(jac)
 
     def solve_state(self, u) -> np.ndarray:
         """State y whose residual A y + exp(y) - u is below newton_tol.
@@ -172,8 +197,7 @@ class OcpControlProblem(Problem):
             for _ in range(self.grid.newton_max):
                 if res_norm <= self.grid.newton_tol:
                     return y
-                jac = (self.laplacian + sp.diags(np.exp(y))).tocsc()
-                delta = spla.splu(jac).solve(-residual)
+                delta = self._jacobian_lu(y).solve(-residual)
                 t = 1.0
                 while True:
                     y_trial = y + t * delta
@@ -199,8 +223,7 @@ class OcpControlProblem(Problem):
         product, so the same matrix serves as its own adjoint.
         """
         y = self.space.check(y)
-        jac = (self.laplacian + sp.diags(np.exp(y))).tocsc()
-        return spla.splu(jac).solve(y - self.target_state)
+        return self._jacobian_lu(y).solve(y - self.target_state)
 
     def value_and_grad(self, u):
         u = self.space.check(u)

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cautious_lbfgs import (
+    CautiousParams,
     NewtonError,
     OcpControlProblem,
     OcpGrid,
     PiecewiseQuadratic,
     Rosenbrock,
+    SolverConfig,
+    compare_traces,
     fd_gradient_check,
+    minimize,
+    problems,
 )
 from cautious_lbfgs.problems import laplacian_5pt
 
@@ -241,3 +247,121 @@ class TestOcpObjective:
         t = 1e-6
         directional = (prob.value(u + t * v) - prob.value(u - t * v)) / (2 * t)
         assert_allclose(prob.space.inner(grad, v), directional, rtol=1e-6)
+
+
+class ReassemblingOcp(OcpControlProblem):
+    """Oracle that assembles and factors A + diag(exp(y)) on every solve.
+
+    Its state and adjoint solves never reuse a factor or a matrix, so a
+    problem that caches the factor of A + I must agree with it bit for
+    bit.  splu is looked up on ``problems.spla`` so that counting views
+    patched there see these calls too.
+    """
+
+    def solve_state(self, u):
+        u = self.space.check(u)
+        y = np.zeros(self.space.dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = self.laplacian @ y + np.exp(y) - u
+            res_norm = self.space.norm(residual)
+            for _ in range(self.grid.newton_max):
+                if res_norm <= self.grid.newton_tol:
+                    return y
+                jac = (self.laplacian + sp.diags(np.exp(y))).tocsc()
+                delta = problems.spla.splu(jac).solve(-residual)
+                t = 1.0
+                while True:
+                    y_trial = y + t * delta
+                    r_trial = self.laplacian @ y_trial + np.exp(y_trial) - u
+                    r_norm = self.space.norm(r_trial)
+                    if r_norm < res_norm:
+                        break
+                    t *= 0.5
+                    if t < 2.0**-40:
+                        raise NewtonError("damping failed to reduce the state residual")
+                y, residual, res_norm = y_trial, r_trial, r_norm
+            if res_norm <= self.grid.newton_tol:
+                return y
+        raise NewtonError("state residual above newton_tol")
+
+    def solve_adjoint(self, y):
+        y = self.space.check(y)
+        jac = (self.laplacian + sp.diags(np.exp(y))).tocsc()
+        return problems.spla.splu(jac).solve(y - self.target_state)
+
+
+def _controls(M):
+    """u = 0, u = 1 (whose state is exactly y = 0) and a seeded random u."""
+    dim = (M - 1) ** 2
+    rng = np.random.default_rng(M)
+    return [np.zeros(dim), np.ones(dim), rng.standard_normal(dim)]
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Count the splu calls the problems module makes, as the bench tracer does."""
+    calls = []
+    real = problems.spla
+
+    class CountingView:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def splu(self, A):
+            calls.append(A.shape)
+            return real.splu(A)
+
+    monkeypatch.setattr(problems, "spla", CountingView())
+    return calls
+
+
+class TestOcpFactorReuse:
+    @pytest.mark.parametrize("M", [2, 4, 32])
+    def test_value_and_grad_matches_reassembling_oracle(self, M):
+        prob = OcpControlProblem(OcpGrid(M=M))
+        oracle = ReassemblingOcp(OcpGrid(M=M))
+        for u in _controls(M):
+            f, grad = prob.value_and_grad(u)
+            f_ref, grad_ref = oracle.value_and_grad(u)
+            assert np.array_equal(f, f_ref)
+            assert np.array_equal(grad, grad_ref)
+
+    @pytest.mark.parametrize("ls", ["armijo", "mt"])
+    @pytest.mark.parametrize("m", [0, 5, 10])
+    def test_minimize_matches_reassembling_oracle(self, ls, m):
+        grid = OcpGrid(M=16)
+        runs = []
+        for prob in (OcpControlProblem(grid), ReassemblingOcp(grid)):
+            config = SolverConfig(cautious=CautiousParams(m=m), linesearch=ls,
+                                  grad_tol=1e-8, oracle_checks=False)
+            runs.append(minimize(prob, prob.space, np.zeros(prob.space.dim), config))
+        ours, ref = runs
+        assert ours.status == ref.status == "converged"
+        assert compare_traces(ours, ref, fields=("f", "grad_norm", "gamma", "alpha", "n_active")) is None
+        assert ours.x_final.tobytes() == ref.x_final.tobytes()
+
+    @pytest.mark.parametrize("M", [2, 4, 32])
+    def test_one_factorization_fewer_than_reassembling(self, M, splu_calls):
+        prob = OcpControlProblem(OcpGrid(M=M))
+        oracle = ReassemblingOcp(OcpGrid(M=M))
+        for u in _controls(M):
+            del splu_calls[:]
+            prob.value_and_grad(u)
+            ours = len(splu_calls)
+            del splu_calls[:]
+            oracle.value_and_grad(u)
+            # the Newton step at y = 0 reuses A + I; at u = 1 (state y = 0)
+            # the adjoint does too, so that evaluation factors nothing
+            assert ours == len(splu_calls) - 1
+
+    def test_evaluations_leave_no_state_behind(self):
+        grid = OcpGrid(M=8)
+        prob = OcpControlProblem(grid)
+        rng = np.random.default_rng(5)
+        u1 = rng.standard_normal(prob.space.dim)
+        u2 = 2.0 * rng.standard_normal(prob.space.dim)
+        for u in (u1, u2, np.ones(prob.space.dim), u1):
+            f, grad = prob.value_and_grad(u)
+            f_fresh, grad_fresh = OcpControlProblem(grid).value_and_grad(u)
+            assert np.array_equal(f, f_fresh)
+            assert np.array_equal(grad, grad_fresh)
