@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--c2", type=float, default=None,
                         help="default 1/(2m+3)")
     parser.add_argument("--classic", action="store_true",
-                        help="disable the cautious filter and scaling restriction")
+                        help="classical L-BFGS/BB: the same iteration at filter level 0")
     parser.add_argument("--sigma", type=float, default=1e-4, help="sufficient-decrease slope")
     parser.add_argument("--eta", type=float, default=0.9)
     parser.add_argument("--beta", type=float, default=0.5,

@@ -1,10 +1,10 @@
 """Convergence-rate diagnostics computed from solve reports.
 
 Q-factors are the per-step error quotients of the objective values, the
-iterates and the gradient norms; the "final three" variants restrict the
-maximum to the last three quotients.  l-step q-linear convergence of a
-positive error sequence means every quotient e_{k+l}/e_k from some index
-on stays below one.
+iterates and the gradient norms; the "final three" variants take the
+maximum over the last three quotients only.  l-step q-linear convergence
+of a positive error sequence means every quotient e_{k+l}/e_k from some
+index on stays below one.
 """
 
 from __future__ import annotations
@@ -56,27 +56,24 @@ class RateReport:
     lstep_table: dict[int, tuple[bool, float]] = field(default_factory=dict)
 
 
-def _max_quotient(errors: np.ndarray, start: int = 1) -> tuple[float, int]:
-    """Largest e_k / e_{k-1} for k >= start; zero denominators are skipped."""
-    worst = -math.inf
-    skipped = 0
-    for k in range(max(start, 1), len(errors)):
-        if errors[k - 1] == 0.0:
-            skipped += 1
-            continue
-        worst = max(worst, errors[k] / errors[k - 1])
-    return worst, skipped
+def _quotients(errors: np.ndarray, l: int = 1) -> tuple[np.ndarray, int]:
+    """Quotients e_{k+l} / e_k over the k with e_k != 0, and how many k were skipped."""
+    denominators = errors[:-l]
+    nonzero = denominators != 0.0
+    return errors[l:][nonzero] / denominators[nonzero], int(np.count_nonzero(~nonzero))
+
+
+def _x_errors(report: SolveReport, x_star, space: Space) -> np.ndarray:
+    """||x_k - x_star|| along the run's iterates."""
+    if report.iterates is None:
+        raise ValueError("report was produced without keep_iterates")
+    x_star = space.check(x_star)
+    return np.array([space.norm(x - x_star) for x in report.iterates])
 
 
 def error_sequences(report: SolveReport, f_star: float, x_star, space: Space):
     """(f-errors, x-errors, gradient norms) along the run, final point included."""
-    f_err = report.f_values() - f_star
-    g_err = report.grad_norms()
-    if report.iterates is None:
-        raise ValueError("report was produced without keep_iterates")
-    x_star = space.check(x_star)
-    x_err = np.array([space.norm(x - x_star) for x in report.iterates])
-    return f_err, x_err, g_err
+    return report.f_values() - f_star, _x_errors(report, x_star, space), report.grad_norms()
 
 
 def q_factors(report: SolveReport, f_star: float, x_star, space: Space,
@@ -90,20 +87,17 @@ def q_factors(report: SolveReport, f_star: float, x_star, space: Space,
     K = len(f_err) - 1
     if K < 1:
         raise ValueError("need at least one completed iteration")
-    tail = max(1, K - 2)
-    qf, sf = _max_quotient(f_err)
-    qx, sx = _max_quotient(x_err)
-    qg, sg = _max_quotient(g_err)
-    qf3, tf = _max_quotient(f_err, start=tail)
-    qx3, tx = _max_quotient(x_err, start=tail)
-    qg3, tg = _max_quotient(g_err, start=tail)
-    table = {}
-    for l in lsteps:
-        table[l] = lstep_qlinear(x_err, l)
+    # every quotient, then the final three: e_k / e_{k-1} for k >= max(1, K - 2)
+    maxima, n_skipped = [], 0
+    for errors in (f_err, x_err, g_err):
+        for start in (0, max(1, K - 2) - 1):
+            q, skipped = _quotients(errors[start:])
+            maxima.append(float(q.max()) if len(q) else -math.inf)
+            n_skipped += skipped
+    qf, qf3, qx, qx3, qg, qg3 = maxima
     return RateReport(
-        qf=qf, qx=qx, qg=qg, qf3=qf3, qx3=qx3, qg3=qg3,
-        n_skipped=sf + sx + sg + tf + tx + tg,
-        lstep_table=table,
+        qf=qf, qx=qx, qg=qg, qf3=qf3, qx3=qx3, qg3=qg3, n_skipped=n_skipped,
+        lstep_table={l: lstep_qlinear(x_err, l) for l in lsteps},
     )
 
 
@@ -114,18 +108,11 @@ def neighborhood_entry(report: SolveReport, x_star, radius: float, space: Space)
     :func:`linear_rate_check` are obtained from a run.  Raises when even
     the final iterate sits outside the ball.
     """
-    if report.iterates is None:
-        raise ValueError("report was produced without keep_iterates")
-    x_star = space.check(x_star)
-    inside = [space.norm(x - x_star) <= radius for x in report.iterates]
-    entry = len(inside)
-    for k in range(len(inside) - 1, -1, -1):
-        if not inside[k]:
-            break
-        entry = k
-    if entry == len(inside):
+    inside = _x_errors(report, x_star, space) <= radius
+    if not inside[-1]:
         raise ValueError(f"no iterate stays within radius {radius}")
-    return entry
+    outside = np.flatnonzero(~inside)
+    return int(outside[-1]) + 1 if len(outside) else 0
 
 
 def lstep_qlinear(errors, l: int, k_start: int = 0) -> tuple[bool, float]:
@@ -144,7 +131,7 @@ def lstep_qlinear(errors, l: int, k_start: int = 0) -> tuple[bool, float]:
     tail = errors[k_start:]
     if not np.all(tail > 0.0):
         raise ValueError("error sequence must be strictly positive from k_start on")
-    kappa_l = float(np.max(tail[l:] / tail[:-l]))
+    kappa_l = float(np.max(_quotients(tail, l)[0]))
     return kappa_l < 1.0, kappa_l
 
 
@@ -197,17 +184,12 @@ def linear_rate_check(
     if x_star is not None and space is not None and report.iterates is not None:
         if k2 is None:
             k2 = k1
-        x_star = space.check(x_star)
-        x_err = np.array([space.norm(x - x_star) for x in report.iterates])
+        x_err = _x_errors(report, x_star, space)[k2:]
         nu_sup_k2 = float(np.max(nu[k2:])) if len(nu[k2:]) else math.nan
         for l in lsteps:
-            ok = True
-            for k in range(k2, len(x_err) - l):
-                bound = math.sqrt(constants.kappa * nu_sup_k2**l) * x_err[k]
-                if x_err[k + l] > bound * (1.0 + 1e-12):
-                    ok = False
-                    break
-            envelope_ok[l] = ok
+            # products, not quotients: an iterate at x_star bounds every later error by 0
+            bound = math.sqrt(constants.kappa * nu_sup_k2**l) * x_err[:-l]
+            envelope_ok[l] = not np.any(x_err[l:] > bound * (1.0 + 1e-12))
 
     return ContractionReport(
         nu_values=nu,

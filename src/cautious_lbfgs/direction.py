@@ -100,18 +100,18 @@ class TwoLoopOperator(_SpectralNorms):
     The recursion maps a vector orthogonal to every s and y of ``pairs``
     to gamma times itself.  H is self-adjoint, so any subspace containing
     span(S, Y) is invariant, and the spectrum of H is that of its
-    restriction there, plus gamma when the subspace is proper.  The
+    compression there, plus gamma when the subspace is proper.  The
     weight is one scalar, so the QR factorization [S Y] = Q R gives an
     orthonormal basis Q of such a subspace, of dimension m = min(n, 2k),
     and in R the coordinates of every s and y, which keep their weighted
-    inner products.  The restriction Q^T H Q is the same recursion run on
+    inner products.  The compression Q^T H Q is the same recursion run on
     these coordinates, applied to the m x m identity, and one m x m
     ``eigvalsh`` gives its spectrum.  No rank decision is needed: when
     [S Y] is rank-deficient, the rest of span(Q) lies where H is gamma.
     Nor does gamma need adding when m < n: H^{-1} - I/gamma is k
     positive semidefinite rank-one terms minus k others, so on m > k
     dimensions it has an eigenvalue of each sign or a zero one, and the
-    extremes of the restriction bracket gamma already.
+    extremes of the compression bracket gamma already.
 
     For k pairs this costs O(n k^2 + k^3), against O(k n^3) for
     :func:`dense_hessian_inverse`; without pairs the norms are gamma and
@@ -131,8 +131,8 @@ class TwoLoopOperator(_SpectralNorms):
         k = len(self.pairs)
         R = np.linalg.qr(np.column_stack([p.s for p in self.pairs] + [p.y for p in self.pairs]), mode="r")
         coords = [SimpleNamespace(s=R[:, i], y=R[:, k + i], sy=p.sy) for i, p in enumerate(self.pairs)]
-        restriction = _recursion(self.space.weight, coords, gamma, np.eye(R.shape[0]))
-        eigs = np.abs(np.linalg.eigvalsh(restriction))
+        compression = _recursion(self.space.weight, coords, gamma, np.eye(R.shape[0]))
+        eigs = np.abs(np.linalg.eigvalsh(compression))
         return float(eigs.min()), float(eigs.max())
 
 
@@ -218,16 +218,22 @@ def cautious_bound_report(H: _SpectralNorms, threshold: float, m: int) -> BoundR
     With every applied pair passing the quality filter at ``threshold``
     and the seed scaling confined to [threshold, 1/threshold], the
     operator norms obey ||H^{-1}|| <= (m+1)/threshold and
-    ||H|| <= 5^m * max(1, threshold^-(2m+1)).  ``H`` is a
+    ||H|| <= 5^m * max(1, threshold^-(2m+1)).  At threshold 0 both
+    bounds are +inf, and so is a bound beyond the float range, which an
+    underflowing threshold gives; such a bound always holds.  ``H`` is a
     :class:`TwoLoopOperator` or a :class:`DenseOperator`; its norms are
     computed here.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    try:
+        bound_h = 5.0**m * max(1.0, threshold ** -(2 * m + 1))
+    except (OverflowError, ZeroDivisionError):
+        bound_h = math.inf
     norm_h, norm_h_inv = H.norms()
     return BoundReport(
         norm_h=norm_h,
         norm_h_inv=norm_h_inv,
-        bound_h=5.0**m * max(1.0, threshold ** -(2 * m + 1)),
-        bound_h_inv=(m + 1) / threshold,
+        bound_h=bound_h,
+        bound_h_inv=(m + 1) / threshold if threshold > 0.0 else math.inf,
     )

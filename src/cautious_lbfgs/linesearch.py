@@ -46,8 +46,10 @@ class LineSearchParams:
             raise ValueError(f"need 0 < beta1 <= beta2 < 1, got {self.beta1}, {self.beta2}")
         if self.maxfev < 1:
             raise ValueError(f"maxfev must be >= 1, got {self.maxfev}")
-        if not 0.0 <= self.stpmin < self.stpmax:
-            raise ValueError(f"need 0 <= stpmin < stpmax, got {self.stpmin}, {self.stpmax}")
+        # every search starts at step 1
+        if not (0.0 <= self.stpmin <= 1.0 <= self.stpmax and self.stpmin < self.stpmax):
+            raise ValueError(f"need 0 <= stpmin <= 1 <= stpmax, stpmin < stpmax; "
+                             f"got {self.stpmin}, {self.stpmax}")
         if self.gll_memory < 1:
             raise ValueError(f"gll_memory must be >= 1, got {self.gll_memory}")
 
@@ -149,15 +151,13 @@ def wolfe_weak(phi, dphi, params: LineSearchParams,
     sufficient-decrease and the weak curvature inequality, which forces
     positive curvature inner(s, y) > 0 of the resulting pair.
     """
-    n_feval = 0
     if not dphi0 < 0.0:
         raise ValueError(f"descent derivative required, got dphi0 = {dphi0}")
     lo, hi = 0.0, math.inf
     alpha = 1.0
     trials: list[tuple[float, float]] = []
-    while n_feval < params.maxfev:
+    while len(trials) < params.maxfev:
         f = phi(alpha)
-        n_feval += 1
         trials.append((alpha, f))
         if not (f <= phi0 + params.sigma * alpha * dphi0):
             hi = alpha
@@ -165,7 +165,7 @@ def wolfe_weak(phi, dphi, params: LineSearchParams,
             cert = Certificate(
                 rule="wolfe", reference=phi0, sufficient_decrease=True, curvature=True
             )
-            return LineSearchOutcome(alpha=alpha, f_new=f, n_feval=n_feval, certificate=cert)
+            return LineSearchOutcome(alpha=alpha, f_new=f, n_feval=len(trials), certificate=cert)
         else:
             lo = alpha
         if math.isinf(hi):
@@ -195,11 +195,8 @@ def more_thuente(phi, dphi, params: LineSearchParams,
     satisfaction), ``stpmax`` / ``stpmin`` (step clipped at the bounds),
     and ``rounding``.
     """
-    n_feval = 0
     if not dphi0 < 0.0:
         raise ValueError(f"descent derivative required, got dphi0 = {dphi0}")
-    if not params.stpmin <= 1.0 <= params.stpmax:
-        raise ValueError("initial step 1 must lie within [stpmin, stpmax]")
 
     xtrapl, xtrapu = 1.1, 4.0
     sigma, eta = params.sigma, params.eta
@@ -218,7 +215,6 @@ def more_thuente(phi, dphi, params: LineSearchParams,
     while True:
         f = phi(stp)
         g = dphi(stp)
-        n_feval += 1
         trials.append((stp, f))
         if not (math.isfinite(f) and math.isfinite(g)):
             raise LineSearchError("nonfinite", f"phi({stp}) = {f}, dphi = {g}", trials)
@@ -231,7 +227,7 @@ def more_thuente(phi, dphi, params: LineSearchParams,
             cert = Certificate(
                 rule="strong_wolfe", reference=phi0, sufficient_decrease=True, curvature=True
             )
-            return LineSearchOutcome(alpha=stp, f_new=f, n_feval=n_feval, certificate=cert)
+            return LineSearchOutcome(alpha=stp, f_new=f, n_feval=len(trials), certificate=cert)
         # failure checks in decreasing priority, so a step pinned at a
         # bound or an exhausted bracket is reported as such even when the
         # weaker rounding condition also holds
@@ -247,25 +243,29 @@ def more_thuente(phi, dphi, params: LineSearchParams,
             raise LineSearchError(
                 "rounding", "rounding errors prevent further progress", trials
             )
-        if n_feval >= params.maxfev:
+        if len(trials) >= params.maxfev:
             raise LineSearchError(
                 "maxfev", f"no strong Wolfe point within {params.maxfev} trials", trials
             )
 
-        if stage == 1 and f <= fx and f > ftest:
-            # work on the modified function psi(a) = phi(a) - phi(0) - sigma*dphi0*a
-            fm, gm = f - stp * gtest, g - gtest
-            fxm, gxm = fx - stx * gtest, gx - gtest
-            fym, gym = fy - sty * gtest, gy - gtest
-            stx, fxm, gxm, sty, fym, gym, stp, brackt = _trial_step(
-                stx, fxm, gxm, sty, fym, gym, stp, fm, gm, brackt, stmin, stmax
-            )
-            fx, gx = fxm + stx * gtest, gxm + gtest
-            fy, gy = fym + sty * gtest, gym + gtest
-        else:
-            stx, fx, gx, sty, fy, gy, stp, brackt = _trial_step(
-                stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax
-            )
+        try:
+            if stage == 1 and f <= fx and f > ftest:
+                # work on the modified function psi(a) = phi(a) - phi(0) - sigma*dphi0*a
+                fm, gm = f - stp * gtest, g - gtest
+                fxm, gxm = fx - stx * gtest, gx - gtest
+                fym, gym = fy - sty * gtest, gy - gtest
+                stx, fxm, gxm, sty, fym, gym, stp, brackt = _trial_step(
+                    stx, fxm, gxm, sty, fym, gym, stp, fm, gm, brackt, stmin, stmax
+                )
+                fx, gx = fxm + stx * gtest, gxm + gtest
+                fy, gy = fym + sty * gtest, gym + gtest
+            else:
+                stx, fx, gx, sty, fy, gy, stp, brackt = _trial_step(
+                    stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax
+                )
+        except ZeroDivisionError:
+            # coincident steps or slopes leave the interpolation undefined
+            raise LineSearchError("rounding", "interpolation undefined", trials) from None
 
         if brackt:
             # force a decrease of the interval of uncertainty
@@ -299,7 +299,7 @@ def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         # higher value: the minimum is bracketed between stx and stp
         theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
         s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * math.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
         if stp < stx:
             gamma = -gamma
         p = (gamma - dx) + theta
@@ -316,7 +316,7 @@ def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         # opposite slope signs: bracketed between stp and stx
         theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
         s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * math.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
         if stp > stx:
             gamma = -gamma
         p = (gamma - dp) + theta
@@ -357,7 +357,7 @@ def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         if brackt:
             theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
             s = max(abs(theta), abs(dy), abs(dp))
-            gamma = s * math.sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+            gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dy / s) * (dp / s)))
             if stp > sty:
                 gamma = -gamma
             p = (gamma - dp) + theta

@@ -5,7 +5,9 @@ order together with the scaling interval [gamma_minus, gamma_plus]
 computed from the most recent accepted pair.  Pairs enter only with a
 positive curvature quality and a finite rho = 1/inner(s, y); a rejected
 pair leaves the stored pairs untouched and resets the scaling interval
-to the degenerate (0, inf).
+to the degenerate (0, inf).  The filter level is a threshold in [0, 1]:
+level 0, the classical method, keeps every stored pair and the
+unclamped scaling.
 """
 
 from __future__ import annotations
@@ -82,11 +84,15 @@ def cautious_threshold(grad_norm: float, params: CautiousParams) -> float:
     """Per-iteration filter level min(c0, c1 * grad_norm**c2).
 
     Requires grad_norm > 0; the solver terminates before the gradient
-    reaches zero, so a zero argument signals a logic error upstream.
+    reaches zero, so a zero argument signals a logic error upstream.  A
+    large c2 can underflow the level to 0; an overflowing power gives c0.
     """
     if not grad_norm > 0.0:
         raise ValueError(f"grad_norm must be positive, got {grad_norm}")
-    return min(params.c0, params.c1 * grad_norm**params.c2)
+    try:
+        return min(params.c0, params.c1 * grad_norm**params.c2)
+    except OverflowError:
+        return params.c0
 
 
 class SecantStore:
@@ -150,7 +156,8 @@ class SecantStore:
 
         The filter is evaluated afresh on every call, so a pair skipped at
         one threshold remains eligible at a lower one.  Ties count as
-        active.
+        active.  ``push`` admits only pairs of positive quality, so
+        ``active(0.0)`` returns every stored pair.
         """
         return [p for p in self.pairs if p.quality >= threshold]
 
@@ -162,12 +169,7 @@ class SecantStore:
         ]
 
 
-def choose_seed_scaling(
-    store: SecantStore,
-    threshold: float,
-    fallback: float = 1.0,
-    restrict: bool = True,
-) -> float:
+def choose_seed_scaling(store: SecantStore, threshold: float, fallback: float = 1.0) -> float:
     """Scaling factor for the seed operator of the next direction.
 
     The preferred target is the latest gamma_minus; when the scaling
@@ -175,19 +177,17 @@ def choose_seed_scaling(
     after a rejected pair) the unscaled seed ``fallback`` is targeted
     instead.  Carrying a stale scaling across a rejected pair instead of
     falling back turns the benchmark runs into a crawl, so the fallback
-    is deliberately a constant.  With ``restrict`` the result is clamped
-    into [gamma_minus, gamma_plus] intersected with
-    [threshold, 1/threshold] when that intersection is nonempty, and
-    into [threshold, 1/threshold] otherwise, so the returned value
-    always lies in the threshold interval.  Without ``restrict`` the
-    target is returned unclamped, which is the classical behaviour.
+    is deliberately a constant.  The target is clamped into
+    [gamma_minus, gamma_plus] intersected with [threshold, 1/threshold]
+    when that intersection is nonempty, and into [threshold, 1/threshold]
+    otherwise, so the result always lies in the threshold interval.  At
+    threshold 0 that interval is [0, inf] and, since push orders
+    gamma_minus <= gamma_plus, the target comes back unclamped: the
+    classical scaling.
     """
-    if restrict:
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-        lo, hi = threshold, 1.0 / threshold
-    else:
-        lo, hi = 0.0, math.inf
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    lo, hi = threshold, (1.0 / threshold if threshold > 0.0 else math.inf)
     degenerate = store.gamma_minus == 0.0 and math.isinf(store.gamma_plus)
     target = fallback if degenerate else store.gamma_minus
     if not degenerate:

@@ -1,11 +1,12 @@
 """Main iteration: cautious (filtered) or classical limited-memory BFGS.
 
-Both modes share one code path.  The cautious mode recomputes a quality
-threshold from the current gradient norm each iteration, uses only the
-stored pairs passing it, and confines the seed scaling to
-[threshold, 1/threshold]; the classical mode forces the filter open and
-leaves the scaling unrestricted, so tracing differences between the two
-modes isolates exactly the effect of the modification.
+Both modes run one iteration at a filter level.  Each iteration computes
+the quality threshold omega from the current gradient norm; the cautious
+mode filters at omega, using only the stored pairs passing it and
+confining the seed scaling to [omega, 1/omega].  The classical mode
+filters at level 0, which passes every stored pair and leaves the
+scaling unclamped: L-BFGS/BB.  Tracing differences between the two
+modes therefore isolates exactly the effect of the modification.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ class IterationRecord:
 
     f and grad_norm are taken at the iterate the step departs from;
     n_stored counts the pairs available when the direction was formed and
-    n_active how many of them passed the filter.
+    n_active how many of them passed the filter.  omega is the computed
+    threshold in both modes, also where classical mode filters at 0.
     """
 
     k: int
@@ -221,13 +223,13 @@ class SolverState:
             return None
 
         cfg = self.config
-        cautious = cfg.mode == "cautious"
         omega = cautious_threshold(self.grad_norm, cfg.cautious)
+        level = omega if cfg.mode == "cautious" else 0.0
         # Degenerate-interval target: plain unscaled seed on the very first
         # iteration, unit-step gradient scaling after a rejected pair.
         fallback = 1.0 if self.k == 0 else 1.0 / self.grad_norm
-        gamma = choose_seed_scaling(self.store, omega, fallback, restrict=cautious)
-        active = self.store.active(omega) if cautious else list(self.store.pairs)
+        gamma = choose_seed_scaling(self.store, level, fallback)
+        active = self.store.active(level)
         n_stored = len(self.store)
         d = two_loop(self.space, active, gamma, self.grad)
         dphi0 = self.space.inner(self.grad, d)

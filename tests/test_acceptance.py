@@ -188,11 +188,12 @@ def test_criterion_6_mesh_independence():
     start = time.perf_counter()
     patterns = {0: 14, 5: 10, 10: 8}
     counts = {}
+    # a problem holds no per-run state, so each mesh is built (and A + I factored) once
+    meshes = {j: OcpControlProblem(OcpGrid(M=2**j)) for j in (4, 5, 6, 7)}
     for ls in ("armijo", "mt"):
         for m in (0, 5, 10):
             row = []
-            for j in (4, 5, 6, 7):
-                problem = OcpControlProblem(OcpGrid(M=2**j))
+            for j, problem in meshes.items():
                 sigma = 1e-8 if ls == "mt" else 1e-4
                 config = SolverConfig(
                     cautious=CautiousParams(m=m), linesearch=ls,

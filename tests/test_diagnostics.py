@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from cautious_lbfgs import (
     RateConstants,
     Rosenbrock,
     SolverConfig,
+    error_sequences,
     euclidean,
     linear_rate_check,
     lstep_qlinear,
@@ -236,6 +239,39 @@ class TestLinearRateCheck:
         constants = RateConstants(mu=1.0, L=1.0, sigma=1e-4)
         with pytest.raises(ValueError):
             linear_rate_check(report, constants, 0.0)
+
+
+@given(st.lists(st.just(0.0) | st.floats(1e-12, 1e3), min_size=2, max_size=12))
+def test_vectorised_diagnostics_match_loop_reference(errors):
+    space = euclidean(2)
+    report = synthetic_report(errors)
+    f_err, x_err, g_err = error_sequences(report, 0.0, np.zeros(2), space)
+
+    def max_quotient(e, start):
+        worst, skipped = -math.inf, 0
+        for k in range(max(start, 1), len(e)):
+            if e[k - 1] == 0.0:
+                skipped += 1
+                continue
+            worst = max(worst, e[k] / e[k - 1])
+        return worst, skipped
+
+    tail = max(1, len(errors) - 3)
+    expected = [max_quotient(e, start) for e in (f_err, x_err, g_err) for start in (1, tail)]
+    rates = q_factors(report, 0.0, np.zeros(2), space)
+    maxima = [rates.qf, rates.qf3, rates.qx, rates.qx3, rates.qg, rates.qg3]
+    assert maxima == [q for q, _ in expected]
+    assert rates.n_skipped == sum(s for _, s in expected)
+
+    constants = RateConstants(mu=1.0, L=4.0, sigma=0.25)
+    out = linear_rate_check(report, constants, 0.0, hinv_norms=[1.0] * (len(errors) - 1),
+                            x_star=np.zeros(2), space=space)
+    nu_sup = float(np.max(out.nu_values))
+    for l, ok in out.envelope_ok.items():
+        factor = math.sqrt(constants.kappa * nu_sup**l)
+        violated = any(x_err[k + l] > factor * x_err[k] * (1.0 + 1e-12)
+                       for k in range(len(x_err) - l))
+        assert ok == (not violated)
 
 
 class TestNeighborhoodEntry:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -292,3 +295,16 @@ class TestBoundChecks:
         assert report.ok
         with pytest.raises(ValueError):
             cautious_bound_report(H, threshold=2.0, m=1)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-200])
+    def test_cautious_report_infinite_bounds(self, threshold):
+        # level 0, and a level whose bound on ||H|| leaves the float range
+        space, store = euclidean(2), SecantStore(capacity=2)
+        store.push(space, [1.0, 0.0], [2.0, 0.5], index=0)
+        H = TwoLoopOperator(space, store.pairs, gamma=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cautious_bound_report(H, threshold=threshold, m=2)
+        assert report.bound_h == math.inf
+        assert math.isinf(report.bound_h_inv) == (threshold == 0.0)
+        assert report.ok

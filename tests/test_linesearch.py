@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cautious_lbfgs import LineSearchError, LineSearchParams
 from cautious_lbfgs.linesearch import armijo_backtrack, gll_nonmonotone, more_thuente, wolfe_weak
@@ -207,9 +209,56 @@ class TestMoreThuente:
     def test_requires_descent_and_step_window(self):
         with pytest.raises(ValueError):
             more_thuente(lambda a: a, lambda a: 1.0, P, phi0=0.0, dphi0=1.0)
-        bad = LineSearchParams(stpmin=2.0, stpmax=3.0)
         with pytest.raises(ValueError):
-            more_thuente(lambda a: -a, lambda a: -1.0, bad, phi0=0.0, dphi0=-1.0)
+            LineSearchParams(stpmin=2.0, stpmax=3.0)
+
+    def test_step_window_must_contain_unit_step(self):
+        with pytest.raises(ValueError):
+            LineSearchParams(stpmax=0.5)
+        assert LineSearchParams(stpmin=1.0, stpmax=2.0).stpmin == 1.0
+
+    def test_degenerate_interpolation_reports_rounding(self):
+        # slopes reported at 3.74 times their true value shrink the bracket
+        # until a cubic step divides by zero
+        c0, c1, c2 = -1.8594095131400887, -2.451440748746299, 0.4610712695522783
+        phi = lambda a: c0 + a * (c1 + a * c2)
+        dphi = lambda a: 3.7390981292304795 * (c1 + 2.0 * c2 * a)
+        params = LineSearchParams(sigma=0.45, maxfev=38)
+        with pytest.raises(LineSearchError) as err:
+            more_thuente(phi, dphi, params, phi0=phi(0.0), dphi0=dphi(0.0))
+        assert err.value.reason == "rounding"
+
+
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6),
+    st.floats(1e-6, 1e6),
+    st.sampled_from([(1e-4, 0.9), (1e-4, 0.1), (0.3, 0.5), (0.45, 0.451)]),
+    st.integers(1, 60),
+)
+def test_more_thuente_returns_or_raises_line_search_error(coeffs, scale, sigma_eta, maxfev):
+    # a polynomial ray whose slope is off by a constant factor, as an
+    # inexact gradient gives; the search either returns or reports why not
+    coeffs[1] = -abs(coeffs[1]) - 1e-3
+
+    def phi(a):
+        value = 0.0
+        for c in reversed(coeffs):
+            value = value * a + c
+        return value
+
+    def dphi(a):
+        value = 0.0
+        for i in range(len(coeffs) - 1, 0, -1):
+            value = value * a + i * coeffs[i]
+        return scale * value
+
+    sigma, eta = sigma_eta
+    params = LineSearchParams(sigma=sigma, eta=eta, maxfev=maxfev)
+    try:
+        out = more_thuente(phi, dphi, params, phi0=phi(0.0), dphi0=dphi(0.0))
+    except LineSearchError:
+        return
+    assert out.alpha > 0.0
 
 
 def _random_smooth_problem(rng):

@@ -56,6 +56,11 @@ class TestCautiousThreshold:
         p = CautiousParams(m=0, c0=1.0, c1=2.0, c2=1.0)
         assert cautious_threshold(0.25, p) == 0.5
 
+    def test_extreme_powers_stay_in_range(self):
+        params = CautiousParams(m=1, c2=200.0)
+        assert cautious_threshold(1e-10, params) == 0.0  # underflow: level 0
+        assert cautious_threshold(1e4, params) == params.c0  # power overflows
+
     def test_zero_gradient_is_logic_error(self):
         with pytest.raises(ValueError):
             cautious_threshold(0.0, CautiousParams(m=1))
@@ -259,15 +264,30 @@ class TestChooseSeedScaling:
         assert choose_seed_scaling(self._store(1e-6, 1e-5), 1e-4) == 1e-4
 
     def test_unrestricted_returns_target(self):
-        assert choose_seed_scaling(self._store(1e-6, 1e-5), 1e-4, restrict=False) == 1e-6
+        # filter level 0 is the classical, unclamped scaling
+        assert choose_seed_scaling(self._store(1e-6, 1e-5), 0.0) == 1e-6
         degenerate = self._store(0.0, math.inf)
-        assert choose_seed_scaling(degenerate, 1e-4, fallback=7.0, restrict=False) == 7.0
+        assert choose_seed_scaling(degenerate, 0.0, fallback=7.0) == 7.0
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            choose_seed_scaling(self._store(1.0, 1.0), 0.0)
+            choose_seed_scaling(self._store(1.0, 1.0), -1e-300)
         with pytest.raises(ValueError):
-            choose_seed_scaling(self._store(1.0, 1.0), 2.0)
+            choose_seed_scaling(self._store(1.0, 1.0), 1.5)
+        assert choose_seed_scaling(self._store(1.0, 1.0), 0.0) == 1.0
+
+    @given(
+        st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),
+                           st.floats(-2, 2), st.floats(-2, 2)), max_size=5),
+        st.floats(min_value=1e-9, max_value=1e9),
+    )
+    def test_level_zero_returns_unclamped_target(self, raw, fallback):
+        store = SecantStore(capacity=2)
+        for k, (a, b, c, d) in enumerate(raw):
+            store.push(self.space, [a, b], [c, d], index=k)
+        degenerate = store.gamma_minus == 0.0 and math.isinf(store.gamma_plus)
+        target = fallback if degenerate else store.gamma_minus
+        assert choose_seed_scaling(store, 0.0, fallback) == target
 
     @given(
         st.floats(min_value=1e-6, max_value=1.0),

@@ -155,6 +155,23 @@ class TestMinimizeBasics:
         assert report.reason == "direction is not a descent direction: dphi0 = -0.0"
         assert report.n_iter == 0
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_more_thuente_with_inexact_slope_returns(self, m):
+        # the reported gradient is three times the true one: rounding makes
+        # a cubic discriminant negative inside the More-Thuente step
+        class Quartic(Problem):
+            space = euclidean(1)
+
+            def value_and_grad(self, x):
+                t = float(x[0])
+                return 4 * t**4 - t**3 - t, np.array([3.0 * (16 * t**3 - 3 * t**2 - 1)])
+
+        prob = Quartic()
+        cfg = config(m=m, linesearch="mt", ls=LineSearchParams(sigma=0.3))
+        report = minimize(prob, prob.space, np.zeros(1), cfg)
+        assert report.status in ("converged", "linesearch_failure")
+        assert (report.reason is None) == (report.status == "converged")
+
     def test_reason_given_for_every_stop_but_convergence(self):
         prob = Rosenbrock()
         done = minimize(prob, prob.space, ROSEN_X0, config(m=2, grad_tol=1e-9))
@@ -382,6 +399,18 @@ class TestModes:
         div = compare_traces(ra, rb)
         assert div is not None
         assert div >= 0
+
+    @pytest.mark.parametrize("audit", [None, False])
+    def test_underflowing_threshold_filters_at_level_zero(self, audit):
+        # c2 = 100 drives omega below the smallest float near the solution
+        prob = Rosenbrock()
+        with pytest.warns(UserWarning):
+            cfg = SolverConfig(cautious=CautiousParams(m=2, c2=100), grad_tol=1e-9,
+                               oracle_checks=audit)
+        report = minimize(prob, prob.space, ROSEN_X0, cfg)
+        assert report.status == "converged"
+        assert report.trace[-1].omega == 0.0
+        assert report.bound_violations == 0
 
     def test_compare_traces_identical_reports(self):
         prob = Rosenbrock()
