@@ -104,19 +104,22 @@ def build_problem(args) -> tuple[Problem, np.ndarray]:
     raise ValueError(f"unknown problem {args.problem!r}")
 
 
-def default_tol(problem_id: str) -> float:
-    return 1e-5 if problem_id == "pwquad" else 1e-9
+def planned_configs(args) -> list[SolverConfig]:
+    """The config of every solve the flags ask for, in run order.
 
-
-def build_config(args, ls: str | None = None, m: int | None = None,
-                 keep_iterates: bool = True, grad_tol: float | None = None,
-                 oracle_checks: str | None = None) -> SolverConfig:
-    """SolverConfig from the parsed flags; keyword arguments override them.
-
-    ``oracle_checks`` takes the flag's values: "auto", "on" or "off".
+    Tables and studies fix their problem, and with it the default
+    tolerance.  All are built before any solve, so a bad value fails first.
     """
-    ls = args.ls if ls is None else ls
-    m = args.m if m is None else m
+    if args.runs is not None:
+        args.problem, pairs = "pwquad", TABLE3_CONFIGS
+    elif args.table == "t5":
+        args.problem, pairs = "ocp", TABLE4_CONFIGS
+    elif args.table is not None:
+        args.problem, pairs = TABLES[args.table]
+    else:
+        if args.dump_grids and args.problem != "ocp":
+            raise ValueError("--dump-grids requires --problem ocp")
+        pairs = [(args.ls, args.m)]
     ls_params = LineSearchParams(
         sigma=args.sigma,
         eta=args.eta,
@@ -128,21 +131,22 @@ def build_config(args, ls: str | None = None, m: int | None = None,
         xtol=args.xtol,
         gll_memory=args.gll_mem,
     )
-    if grad_tol is None:
-        grad_tol = args.tol if args.tol is not None else default_tol(args.problem)
-    oracle_checks = args.oracle_checks if oracle_checks is None else oracle_checks
-    oracle = {"auto": None, "on": True, "off": False}[oracle_checks]
-    return SolverConfig(
-        cautious=CautiousParams(m=m, c0=args.c0, c1=args.c1, c2=args.c2),
-        mode="classical" if args.classic else "cautious",
-        linesearch=ls,
-        ls=ls_params,
-        grad_tol=grad_tol,
-        max_iter=args.max_iter,
-        oracle_checks=oracle,
-        keep_iterates=keep_iterates,
-        keep_storage=args.trace is not None,
-    )
+    default_tol = 1e-5 if args.problem == "pwquad" else 1e-9
+    oracle_checks = "off" if args.runs is not None else args.oracle_checks
+    return [
+        SolverConfig(
+            cautious=CautiousParams(m=m, c0=args.c0, c1=args.c1, c2=args.c2),
+            mode="classical" if args.classic else "cautious",
+            linesearch=ls,
+            ls=ls_params,
+            grad_tol=args.tol if args.tol is not None else default_tol,
+            max_iter=args.max_iter,
+            oracle_checks={"auto": None, "on": True, "off": False}[oracle_checks],
+            keep_iterates=args.runs is None and args.table != "t5",
+            keep_storage=args.trace is not None,
+        )
+        for ls, m in pairs
+    ]
 
 
 def reference_solution(problem: Problem) -> tuple[float, np.ndarray]:
@@ -184,7 +188,7 @@ def summary_row(problem_id: str, ls: str, m: int, mode: str, report: SolveReport
 
 def run_single(args) -> int:
     problem, x0 = build_problem(args)
-    config = build_config(args)
+    [config] = args.configs
     report = minimize(problem, problem.space, x0, config)
     rates = None
     if report.status == "converged" and report.n_iter >= 1:
@@ -198,9 +202,7 @@ def run_single(args) -> int:
     return 0 if report.status == "converged" else 1
 
 
-def dump_grids(args, problem: Problem, report: SolveReport) -> None:
-    if not isinstance(problem, OcpControlProblem):
-        raise ValueError("--dump-grids requires --problem ocp")
+def dump_grids(args, problem: OcpControlProblem, report: SolveReport) -> None:
     out = Path(args.dump_grids)
     out.mkdir(parents=True, exist_ok=True)
     n = problem.grid.M - 1
@@ -215,18 +217,16 @@ def run_table(args) -> int:
     """One summary row per (line search, memory) configuration."""
     if args.table == "t5":
         return mesh_study(args)
-    problem_id, configs = TABLES[args.table]
-    args.problem = problem_id
     problem, x0 = build_problem(args)
     f_star, x_star = reference_solution(problem)
     rows = []
-    for ls, m in configs:
-        config = build_config(args, ls=ls, m=m)
+    for config in args.configs:
         report = minimize(problem, problem.space, x0, config)
         rates = None
         if report.status == "converged" and report.n_iter >= 1:
             rates = q_factors(report, f_star, x_star, problem.space)
-        rows.append(summary_row(problem_id, ls, m, config.mode, report, rates))
+        rows.append(summary_row(args.problem, config.linesearch, config.cautious.m,
+                                config.mode, report, rates))
     emit(args, SUMMARY_COLUMNS, rows)
     return 0
 
@@ -236,15 +236,13 @@ def mesh_study(args) -> int:
 
     A cell whose run does not converge holds ``!`` and the run's status.
     """
-    args.problem = "ocp"
     # a problem holds no per-run state, so each mesh is built (and A + I factored) once
     meshes = {j: OcpControlProblem(OcpGrid(M=2**j, nu=args.nu)) for j in args.mesh_list}
     rows = []
-    for ls, m in TABLE4_CONFIGS:
-        row: list = [ls, m]
+    for config in args.configs:
+        row: list = [config.linesearch, config.cautious.m]
         for j in args.mesh_list:
             problem = meshes[j]
-            config = build_config(args, ls=ls, m=m, keep_iterates=False)
             report = minimize(problem, problem.space, np.zeros(problem.space.dim), config)
             row.append(report.n_iter if report.status == "converged" else f"!{report.status}")
         rows.append(row)
@@ -269,23 +267,20 @@ def random_start_study(args) -> int:
     starts, so per-config results are directly comparable.
     """
     problem = PiecewiseQuadratic(args.n)
-    tol = args.tol if args.tol is not None else 1e-5
     header = ["ls", "m", "n_runs", "n_converged", "success_rate", "mean_iters"]
     rows = []
-    for ls, m in TABLE3_CONFIGS:
+    for config in args.configs:
         rng = np.random.Generator(np.random.Philox(args.seed))
         n_ok = 0
         total_iters = 0
         for _ in range(args.runs):
             x0 = standard_normals(rng, problem.space.dim)
-            config = build_config(args, ls=ls, m=m, keep_iterates=False,
-                                  grad_tol=tol, oracle_checks="off")
             report = minimize(problem, problem.space, x0, config)
             if report.status == "converged":
                 n_ok += 1
                 total_iters += report.n_iter
         mean = total_iters / n_ok if n_ok else math.nan
-        rows.append([ls, m, args.runs, n_ok, n_ok / args.runs, mean])
+        rows.append([config.linesearch, config.cautious.m, args.runs, n_ok, n_ok / args.runs, mean])
     emit(args, header, rows)
     return 0
 
@@ -374,6 +369,10 @@ def parse_args(argv=None) -> argparse.Namespace:
             setattr(from_file, key, parsed)
         # explicit flags override the file
         args = parser.parse_args(argv, namespace=from_file)
+    try:
+        args.configs = planned_configs(args)
+    except ValueError as err:
+        parser.error(str(err))
     return args
 
 

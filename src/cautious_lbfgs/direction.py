@@ -58,25 +58,19 @@ def _recursion(weight: float, pairs: Sequence, gamma: float, q: np.ndarray) -> n
     return r
 
 
-class _SpectralNorms:
-    """Operator norms of a self-adjoint operator read off its eigenvalues.
+def _norms(eigenvalues: np.ndarray) -> tuple[float, float]:
+    """(||H||, ||H^{-1}||) of a self-adjoint operator from its eigenvalues.
 
-    Subclasses supply :meth:`moduli`, the smallest and largest eigenvalue
-    modulus.  For a self-adjoint operator these give ||H|| and
-    ||H^{-1}|| exactly; a singular operator has an infinite inverse norm.
+    The norms are the largest and the inverse of the smallest eigenvalue
+    modulus; a singular operator has an infinite inverse norm.
     """
-
-    def moduli(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def norms(self) -> tuple[float, float]:
-        """(||H||, ||H^{-1}||) from one eigenvalue computation."""
-        smallest, largest = self.moduli()
-        return largest, 1.0 / smallest if smallest > 0.0 else math.inf
+    magnitudes = np.abs(eigenvalues)
+    smallest = float(magnitudes.min())
+    return float(magnitudes.max()), 1.0 / smallest if smallest > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
-class DenseOperator(_SpectralNorms):
+class DenseOperator:
     """Explicit matrix of a self-adjoint operator on ``space``.
 
     ``matrix`` maps coordinate vectors; self-adjointness is with respect
@@ -89,12 +83,12 @@ class DenseOperator(_SpectralNorms):
     space: Space
     matrix: np.ndarray
 
-    def moduli(self) -> tuple[float, float]:
-        eigs = np.abs(np.linalg.eigvalsh(self.matrix))
-        return float(eigs.min()), float(eigs.max())
+    def norms(self) -> tuple[float, float]:
+        """(||H||, ||H^{-1}||) from one ``eigvalsh``."""
+        return _norms(np.linalg.eigvalsh(self.matrix))
 
 
-class TwoLoopOperator(_SpectralNorms):
+class TwoLoopOperator:
     """The operator :func:`two_loop` applies, with exact norms at low cost.
 
     The recursion maps a vector orthogonal to every s and y of ``pairs``
@@ -124,16 +118,16 @@ class TwoLoopOperator(_SpectralNorms):
         self.pairs = pairs
         self.gamma = gamma
 
-    def moduli(self) -> tuple[float, float]:
+    def norms(self) -> tuple[float, float]:
+        """(||H||, ||H^{-1}||) from one eigenvalue computation."""
         gamma = self.gamma
         if not self.pairs:
-            return gamma, gamma
+            return gamma, 1.0 / gamma
         k = len(self.pairs)
         R = np.linalg.qr(np.column_stack([p.s for p in self.pairs] + [p.y for p in self.pairs]), mode="r")
         coords = [SimpleNamespace(s=R[:, i], y=R[:, k + i], sy=p.sy) for i, p in enumerate(self.pairs)]
         compression = _recursion(self.space.weight, coords, gamma, np.eye(R.shape[0]))
-        eigs = np.abs(np.linalg.eigvalsh(compression))
-        return float(eigs.min()), float(eigs.max())
+        return _norms(np.linalg.eigvalsh(compression))
 
 
 def _validate_dense_inputs(space: Space, pairs: Sequence[SecantPair], gamma: float) -> None:
@@ -200,19 +194,13 @@ class BoundReport:
     bound_h_inv: float
 
     @property
-    def h_ok(self) -> bool:
-        return self.norm_h <= self.bound_h * (1.0 + 1e-9)
-
-    @property
-    def h_inv_ok(self) -> bool:
-        return self.norm_h_inv <= self.bound_h_inv * (1.0 + 1e-9)
-
-    @property
     def ok(self) -> bool:
-        return self.h_ok and self.h_inv_ok
+        """Both norms within their bounds, up to a relative slack of 1e-9."""
+        slack = 1.0 + 1e-9
+        return self.norm_h <= self.bound_h * slack and self.norm_h_inv <= self.bound_h_inv * slack
 
 
-def cautious_bound_report(H: _SpectralNorms, threshold: float, m: int) -> BoundReport:
+def cautious_bound_report(H: TwoLoopOperator | DenseOperator, threshold: float, m: int) -> BoundReport:
     """Audit against the threshold-based bounds of the cautious method.
 
     With every applied pair passing the quality filter at ``threshold``

@@ -2,12 +2,14 @@
 and the Grippo-Lampariello-Lucidi nonmonotone Armijo variant.
 
 All searches operate on a one-dimensional slice phi(alpha) = f(x + alpha*d)
-with phi'(0) < 0 and return a :class:`LineSearchOutcome` whose certificate
-records which sufficient-decrease / curvature inequalities were verified
-at the accepted step.  The last call to phi (and, for the Wolfe rules,
-dphi) before a search returns is at the accepted step, so a caller that
-caches its latest evaluation holds the accepted one.  Failures raise
-:class:`LineSearchError` with a distinct ``reason`` and the trial history.
+with phi'(0) < 0 and return a :class:`LineSearchOutcome` for a step that
+satisfies the search's conditions: sufficient decrease against phi(0)
+(against the history maximum for the nonmonotone rule), plus the weak or
+strong curvature condition for the Wolfe rules.  The last call to phi
+(and, for the Wolfe rules, dphi) before a search returns is at the
+accepted step, so a caller that caches its latest evaluation holds the
+accepted one.  Failures raise :class:`LineSearchError` with a distinct
+``reason`` and the trial history.
 """
 
 from __future__ import annotations
@@ -54,28 +56,11 @@ class LineSearchParams:
             raise ValueError(f"gll_memory must be >= 1, got {self.gll_memory}")
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Which inequalities the accepted step was verified to satisfy.
-
-    ``reference`` is the function level the sufficient-decrease test was
-    taken against (phi(0) for the monotone rules, the history maximum for
-    the nonmonotone rule).  ``curvature`` is None for rules without a
-    curvature part.
-    """
-
-    rule: str
-    reference: float
-    sufficient_decrease: bool
-    curvature: bool | None = None
-
-
 @dataclass
 class LineSearchOutcome:
     alpha: float
     f_new: float
     n_feval: int
-    certificate: Certificate
 
 
 class LineSearchError(RuntimeError):
@@ -88,7 +73,7 @@ class LineSearchError(RuntimeError):
 
 
 def _backtrack(phi, phi0: float, dphi0: float, params: LineSearchParams,
-               reference: float, rule: str) -> LineSearchOutcome:
+               reference: float) -> LineSearchOutcome:
     if not dphi0 < 0.0:
         raise ValueError(f"descent derivative required, got dphi0 = {dphi0}")
     alpha = 1.0
@@ -97,10 +82,7 @@ def _backtrack(phi, phi0: float, dphi0: float, params: LineSearchParams,
         f = phi(alpha)
         trials.append((alpha, f))
         if f <= reference + params.sigma * alpha * dphi0:
-            cert = Certificate(rule=rule, reference=reference, sufficient_decrease=True)
-            return LineSearchOutcome(
-                alpha=alpha, f_new=f, n_feval=len(trials), certificate=cert
-            )
+            return LineSearchOutcome(alpha=alpha, f_new=f, n_feval=len(trials))
         if params.beta1 == params.beta2:
             alpha *= params.beta1
         else:
@@ -124,7 +106,7 @@ def armijo_backtrack(phi, phi0: float, dphi0: float, params: LineSearchParams) -
     Every trial after the first lies within [beta1, beta2] times its
     predecessor.
     """
-    return _backtrack(phi, phi0, dphi0, params, reference=phi0, rule="armijo")
+    return _backtrack(phi, phi0, dphi0, params, reference=phi0)
 
 
 def gll_nonmonotone(phi, dphi0: float, f_history, params: LineSearchParams) -> LineSearchOutcome:
@@ -137,9 +119,7 @@ def gll_nonmonotone(phi, dphi0: float, f_history, params: LineSearchParams) -> L
     history = list(f_history)
     if not history:
         raise ValueError("f_history must be nonempty")
-    return _backtrack(
-        phi, history[-1], dphi0, params, reference=max(history), rule="gll"
-    )
+    return _backtrack(phi, history[-1], dphi0, params, reference=max(history))
 
 
 def wolfe_weak(phi, dphi, params: LineSearchParams,
@@ -162,10 +142,7 @@ def wolfe_weak(phi, dphi, params: LineSearchParams,
         if not (f <= phi0 + params.sigma * alpha * dphi0):
             hi = alpha
         elif dphi(alpha) >= params.eta * dphi0:
-            cert = Certificate(
-                rule="wolfe", reference=phi0, sufficient_decrease=True, curvature=True
-            )
-            return LineSearchOutcome(alpha=alpha, f_new=f, n_feval=len(trials), certificate=cert)
+            return LineSearchOutcome(alpha=alpha, f_new=f, n_feval=len(trials))
         else:
             lo = alpha
         if math.isinf(hi):
@@ -224,10 +201,7 @@ def more_thuente(phi, dphi, params: LineSearchParams,
             stage = 2
 
         if f <= ftest and abs(g) <= eta * (-dphi0):
-            cert = Certificate(
-                rule="strong_wolfe", reference=phi0, sufficient_decrease=True, curvature=True
-            )
-            return LineSearchOutcome(alpha=stp, f_new=f, n_feval=len(trials), certificate=cert)
+            return LineSearchOutcome(alpha=stp, f_new=f, n_feval=len(trials))
         # failure checks in decreasing priority, so a step pinned at a
         # bound or an exhausted bracket is reported as such even when the
         # weaker rounding condition also holds
@@ -278,10 +252,21 @@ def more_thuente(phi, dphi, params: LineSearchParams,
             stmin = stp + xtrapl * (stp - stx)
             stmax = stp + xtrapu * (stp - stx)
         stp = min(max(stp, params.stpmin), params.stpmax)
-        if (brackt and (stp <= stmin or stp >= stmax)) or (
-            brackt and stmax - stmin <= params.xtol * stmax
-        ):
+        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= params.xtol * stmax):
             stp = stx
+
+
+def _cubic(fa, fb, sa, sb, da, db):
+    """theta and gamma of the cubic interpolating (sa, fa, da) and (sb, fb, db).
+
+    theta = 3 (fa - fb)/(sb - sa) + da + db and gamma = sqrt(theta^2 - da db),
+    whose sign the caller sets.  The root's terms are scaled by their largest
+    modulus against overflow, and a negative discriminant, which only
+    rounding produces, is clipped to 0.
+    """
+    theta = 3.0 * (fa - fb) / (sb - sa) + da + db
+    s = max(abs(theta), abs(da), abs(db))
+    return theta, s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
 
 
 def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
@@ -297,9 +282,7 @@ def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
 
     if fp > fx:
         # higher value: the minimum is bracketed between stx and stp
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+        theta, gamma = _cubic(fx, fp, stx, stp, dx, dp)
         if stp < stx:
             gamma = -gamma
         p = (gamma - dx) + theta
@@ -314,9 +297,7 @@ def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         brackt = True
     elif sgnd < 0.0:
         # opposite slope signs: bracketed between stp and stx
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+        theta, gamma = _cubic(fx, fp, stx, stp, dx, dp)
         if stp > stx:
             gamma = -gamma
         p = (gamma - dp) + theta
@@ -328,9 +309,7 @@ def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         brackt = True
     elif abs(dp) < abs(dx):
         # same sign, decreasing magnitude: cubic may have no minimizer ahead
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+        theta, gamma = _cubic(fx, fp, stx, stp, dx, dp)
         if stp > stx:
             gamma = -gamma
         p = (gamma - dp) + theta
@@ -355,9 +334,7 @@ def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     else:
         # same sign, nondecreasing magnitude
         if brackt:
-            theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
-            s = max(abs(theta), abs(dy), abs(dp))
-            gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dy / s) * (dp / s)))
+            theta, gamma = _cubic(fp, fy, stp, sty, dy, dp)
             if stp > sty:
                 gamma = -gamma
             p = (gamma - dp) + theta

@@ -190,9 +190,8 @@ def choose_seed_scaling(store: SecantStore, threshold: float, fallback: float = 
     lo, hi = threshold, (1.0 / threshold if threshold > 0.0 else math.inf)
     degenerate = store.gamma_minus == 0.0 and math.isinf(store.gamma_plus)
     target = fallback if degenerate else store.gamma_minus
-    if not degenerate:
-        ilo = max(store.gamma_minus, lo)
-        ihi = min(store.gamma_plus, hi)
-        if ilo <= ihi:
-            return min(max(target, ilo), ihi)
-    return min(max(target, lo), hi)
+    # the degenerate (0, inf) intersects to [lo, hi] itself
+    ilo, ihi = max(store.gamma_minus, lo), min(store.gamma_plus, hi)
+    if not ilo <= ihi:
+        ilo, ihi = lo, hi
+    return min(max(target, ilo), ihi)

@@ -200,7 +200,7 @@ class SolverState:
             self._stop("eval_error", str(err))
         self.grad_norm = space.norm(self.grad)
         self.f_history: deque[float] = deque([self.f], maxlen=config.ls.gll_memory)
-        if self.status is None and not (np.isfinite(self.f) and np.all(np.isfinite(self.grad))):
+        if self.status is None and not (math.isfinite(self.f) and math.isfinite(self.grad_norm)):
             self._stop("nonfinite", "nonfinite objective or gradient at the starting point")
 
     @property
@@ -257,11 +257,12 @@ class SolverState:
             # the trials of a failed search happened too
             self.n_feval += ray.n_feval
         alpha, f_new, grad_new = outcome.alpha, outcome.f_new, ray.grad
+        grad_norm_new = self.space.norm(grad_new)
         s = alpha * d
         x_new = self.x + s
-        if not (np.isfinite(f_new) and np.all(np.isfinite(grad_new))):
-            self.x, self.f = x_new, f_new
-            self.grad, self.grad_norm = grad_new, float("nan")
+        # a NaN or infinite entry, or finite entries whose norm overflows
+        if not (math.isfinite(f_new) and math.isfinite(grad_norm_new)):
+            self.x, self.f, self.grad, self.grad_norm = x_new, f_new, grad_new, grad_norm_new
             self._stop("nonfinite", f"nonfinite objective or gradient at iterate {self.k + 1}")
             return None
 
@@ -283,8 +284,7 @@ class SolverState:
         if cfg.keep_storage:
             self.storage_snapshots.append(self.store.snapshot())
 
-        self.x, self.f, self.grad = x_new, f_new, grad_new
-        self.grad_norm = self.space.norm(grad_new)
+        self.x, self.f, self.grad, self.grad_norm = x_new, f_new, grad_new, grad_norm_new
         self.f_history.append(f_new)
         if cfg.keep_iterates:
             self.iterates.append(x_new.copy())

@@ -73,6 +73,23 @@ class TestSingleRuns:
             main(["--problem", "nosuch"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--ls", "mt", "--stpmax", "0.5"], ["--sigma", "2"], ["--beta", "1.5"],
+        ["--tol", "0"], ["--max-iter", "0"], ["--m", "-1"], ["--c0", "0"], ["--gll-mem", "0"],
+        ["--dump-grids", "grids"], ["--table", "t2", "--tol", "0"], ["--runs", "2", "--c0", "2"],
+    ])
+    def test_bad_parameter_is_usage_error_before_any_solve(self, tmp_path, flags):
+        out = tmp_path / "row.csv"
+        with pytest.raises(SystemExit) as err:
+            main(flags + ["--csv", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+
+    def test_rate_guard_warns_once(self, tmp_path):
+        with pytest.warns(UserWarning) as caught:
+            main(["--m", "2", "--c2", "0.5", "--csv", str(tmp_path / "row.csv")])
+        assert len([w for w in caught if "linear-rate" in str(w.message)]) == 1
+
     def test_trace_jsonl(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         main(["--problem", "rosenbrock", "--m", "2", "--trace", str(trace),

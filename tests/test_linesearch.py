@@ -84,12 +84,12 @@ class TestArmijo:
         assert out.alpha == alphas[-1]
 
     def test_certificate_reverifies_by_direct_evaluation(self):
+        # the reference level of the Armijo rule is phi(0), taken here from
+        # phi itself rather than from anything the search reports
         phi = lambda a: 1.0 - a + 10.0 * a * a
-        out = armijo_backtrack(phi, 1.0, -1.0, P)
-        cert = out.certificate
-        assert cert.rule == "armijo"
-        assert cert.sufficient_decrease
-        assert phi(out.alpha) <= cert.reference + P.sigma * out.alpha * (-1.0)
+        out = armijo_backtrack(phi, phi(0.0), -1.0, P)
+        assert phi(out.alpha) == out.f_new
+        assert phi(out.alpha) <= phi(0.0) + P.sigma * out.alpha * (-1.0)
 
 
 class TestGll:
@@ -123,7 +123,7 @@ class TestWolfeWeak:
         dphi = lambda a: 2 * (a - 1)
         out = wolfe_weak(phi, dphi, P, phi0=1.0, dphi0=-2.0)
         assert out.alpha == 1.0
-        assert out.certificate.curvature
+        assert dphi(out.alpha) >= P.eta * (-2.0)
 
     def test_unbounded_ray_hits_stpmax(self):
         with pytest.raises(LineSearchError) as err:
@@ -281,7 +281,8 @@ def _random_smooth_problem(rng):
 @pytest.mark.parametrize("rule", ["armijo", "gll", "wolfe", "mt"])
 def test_randomized_certificates(rule):
     # every accepted step re-verifies its inequalities by direct
-    # evaluation, with exact comparisons
+    # evaluation, with exact comparisons, against a reference level
+    # computed here: phi(0), or the history maximum for gll
     rng = np.random.default_rng(hash(rule) % 2**32)
     params = LineSearchParams(maxfev=60)
     checked = 0
@@ -292,11 +293,13 @@ def test_randomized_certificates(rule):
         phi0, dphi0 = phi(0.0), dphi(0.0)
         if not dphi0 < 0.0:
             continue
+        reference = phi0
         try:
             if rule == "armijo":
                 out = armijo_backtrack(phi, phi0, dphi0, params)
             elif rule == "gll":
                 history = sorted(rng.uniform(phi0, phi0 + 2.0, size=3).tolist()) + [phi0]
+                reference = max(history)
                 out = gll_nonmonotone(phi, dphi0, history, params)
             elif rule == "wolfe":
                 out = wolfe_weak(phi, dphi, params, phi0=phi0, dphi0=dphi0)
@@ -306,7 +309,6 @@ def test_randomized_certificates(rule):
             continue
         alpha = out.alpha
         assert alpha > 0.0
-        reference = out.certificate.reference
         assert phi(alpha) <= reference + params.sigma * alpha * dphi0
         if rule == "wolfe":
             assert dphi(alpha) >= params.eta * dphi0
