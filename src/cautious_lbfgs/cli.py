@@ -8,6 +8,7 @@ applies) yields byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -37,6 +38,7 @@ TABLES = {
     "t2": ("rosenbrock", TABLE2_CONFIGS),
     "t3": ("pwquad", TABLE3_CONFIGS),
     "t4": ("ocp", TABLE4_CONFIGS),
+    "t5": ("ocp", TABLE4_CONFIGS),
 }
 
 
@@ -58,24 +60,18 @@ def format_value(v) -> str:
     return f"{x:.6g}"
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
-
-
 def emit(args, header: list[str], rows: list[list]) -> None:
-    """Write the rows to ``--csv`` when given, else print them as CSV lines."""
+    """Write the rows as CSV to ``--csv`` (CRLF line ends) or to stdout (LF)."""
     if args.csv:
-        write_csv(args.csv, header, rows)
-        return
-    print(",".join(header))
-    for row in rows:
-        print(",".join(format_value(v) for v in row))
+        path = Path(args.csv)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        out, line_end = open(path, "w", newline=""), "\r\n"
+    else:
+        out, line_end = contextlib.nullcontext(sys.stdout), "\n"
+    with out as fh:
+        writer = csv.writer(fh, lineterminator=line_end)
+        writer.writerow(header)
+        writer.writerows([format_value(v) for v in row] for row in rows)
 
 
 def write_trace(path, report: SolveReport) -> None:
@@ -90,36 +86,25 @@ def write_trace(path, report: SolveReport) -> None:
             fh.write(json.dumps(entry) + "\n")
 
 
-def build_problem(args) -> tuple[Problem, np.ndarray]:
-    if args.problem == "rosenbrock":
-        problem = Rosenbrock()
-        return problem, np.array([-1.2, 1.0])
-    if args.problem == "pwquad":
-        problem = PiecewiseQuadratic(args.n)
-        return problem, problem.b.copy()
-    if args.problem == "ocp":
-        grid = OcpGrid(M=2**args.mesh_j, nu=args.nu)
-        problem = OcpControlProblem(grid)
-        return problem, np.zeros(problem.space.dim)
-    raise ValueError(f"unknown problem {args.problem!r}")
-
-
-def planned_configs(args) -> list[SolverConfig]:
-    """The config of every solve the flags ask for, in run order.
+def plan(args) -> tuple[list[tuple[Problem, np.ndarray]], list[SolverConfig]]:
+    """The problems, with their starts, and the config of every solve the flags ask for.
 
     Tables and studies fix their problem, and with it the default
-    tolerance.  All are built before any solve, so a bad value fails first.
+    tolerance; the mesh study builds one control problem per exponent.
+    All are built before any solve, so a bad value fails first.
     """
     if args.runs is not None:
+        if args.runs < 1:
+            raise ValueError(f"--runs must be >= 1, got {args.runs}")
         args.problem, pairs = "pwquad", TABLE3_CONFIGS
-    elif args.table == "t5":
-        args.problem, pairs = "ocp", TABLE4_CONFIGS
     elif args.table is not None:
         args.problem, pairs = TABLES[args.table]
     else:
-        if args.dump_grids and args.problem != "ocp":
-            raise ValueError("--dump-grids requires --problem ocp")
         pairs = [(args.ls, args.m)]
+    if (args.trace or args.dump_grids) and (args.runs is not None or args.table is not None):
+        raise ValueError("--trace and --dump-grids apply to single runs only")
+    if args.dump_grids and args.problem != "ocp":
+        raise ValueError("--dump-grids requires --problem ocp")
     ls_params = LineSearchParams(
         sigma=args.sigma,
         eta=args.eta,
@@ -133,7 +118,7 @@ def planned_configs(args) -> list[SolverConfig]:
     )
     default_tol = 1e-5 if args.problem == "pwquad" else 1e-9
     oracle_checks = "off" if args.runs is not None else args.oracle_checks
-    return [
+    configs = [
         SolverConfig(
             cautious=CautiousParams(m=m, c0=args.c0, c1=args.c1, c2=args.c2),
             mode="classical" if args.classic else "cautious",
@@ -147,6 +132,17 @@ def planned_configs(args) -> list[SolverConfig]:
         )
         for ls, m in pairs
     ]
+    if args.problem == "rosenbrock":
+        problems = [(Rosenbrock(), np.array([-1.2, 1.0]))]
+    elif args.problem == "pwquad":
+        pwquad = PiecewiseQuadratic(args.n)
+        problems = [(pwquad, pwquad.b.copy())]
+    else:
+        # a problem holds no per-run state, so each mesh is built (and A + I factored) once
+        meshes = args.mesh_list if args.table == "t5" else [args.mesh_j]
+        ocps = [OcpControlProblem(OcpGrid(M=2**j, nu=args.nu)) for j in meshes]
+        problems = [(ocp, np.zeros(ocp.space.dim)) for ocp in ocps]
+    return problems, configs
 
 
 def reference_solution(problem: Problem) -> tuple[float, np.ndarray]:
@@ -172,13 +168,13 @@ def reference_solution(problem: Problem) -> tuple[float, np.ndarray]:
     return ref.f_final, ref.x_final
 
 
-def summary_row(problem_id: str, ls: str, m: int, mode: str, report: SolveReport,
+def summary_row(problem_id: str, config: SolverConfig, report: SolveReport,
                 rates=None) -> list:
     q = ["", "", "", "", "", ""]
     if rates is not None:
         q = [rates.qf, rates.qf3, rates.qx, rates.qx3, rates.qg, rates.qg3]
     return [
-        problem_id, ls, m, mode, report.status,
+        problem_id, config.linesearch, config.cautious.m, config.mode, report.status,
         report.n_iter, report.n_feval, report.n_pairs_stored, report.n_unit_steps,
         report.alpha_max, report.alpha_min,
         *q,
@@ -186,20 +182,30 @@ def summary_row(problem_id: str, ls: str, m: int, mode: str, report: SolveReport
     ]
 
 
-def run_single(args) -> int:
-    problem, x0 = build_problem(args)
-    [config] = args.configs
-    report = minimize(problem, problem.space, x0, config)
-    rates = None
-    if report.status == "converged" and report.n_iter >= 1:
-        f_star, x_star = reference_solution(problem)
-        rates = q_factors(report, f_star, x_star, problem.space)
-    emit(args, SUMMARY_COLUMNS, [summary_row(args.problem, args.ls, args.m, config.mode, report, rates)])
+def run_table(args) -> int:
+    """One summary row per config.
+
+    A single run is a one-row table that may also write ``--trace`` and
+    ``--dump-grids``; it exits 1 unless it converged.  The reference
+    solution is computed once, when the first converged run needs it.
+    """
+    [(problem, x0)] = args.problems
+    reference = None
+    rows = []
+    for config in args.configs:
+        report = minimize(problem, problem.space, x0, config)
+        rates = None
+        if report.status == "converged" and report.n_iter >= 1:
+            if reference is None:
+                reference = reference_solution(problem)
+            rates = q_factors(report, *reference, problem.space)
+        rows.append(summary_row(args.problem, config, report, rates))
+    emit(args, SUMMARY_COLUMNS, rows)
     if args.trace:
         write_trace(args.trace, report)
     if args.dump_grids:
         dump_grids(args, problem, report)
-    return 0 if report.status == "converged" else 1
+    return 0 if args.table is not None or report.status == "converged" else 1
 
 
 def dump_grids(args, problem: OcpControlProblem, report: SolveReport) -> None:
@@ -213,37 +219,16 @@ def dump_grids(args, problem: OcpControlProblem, report: SolveReport) -> None:
     np.savetxt(out / "control.csv", control.reshape(n, n), delimiter=",")
 
 
-def run_table(args) -> int:
-    """One summary row per (line search, memory) configuration."""
-    if args.table == "t5":
-        return mesh_study(args)
-    problem, x0 = build_problem(args)
-    f_star, x_star = reference_solution(problem)
-    rows = []
-    for config in args.configs:
-        report = minimize(problem, problem.space, x0, config)
-        rates = None
-        if report.status == "converged" and report.n_iter >= 1:
-            rates = q_factors(report, f_star, x_star, problem.space)
-        rows.append(summary_row(args.problem, config.linesearch, config.cautious.m,
-                                config.mode, report, rates))
-    emit(args, SUMMARY_COLUMNS, rows)
-    return 0
-
-
 def mesh_study(args) -> int:
     """Iteration counts of the control problem across mesh refinements.
 
     A cell whose run does not converge holds ``!`` and the run's status.
     """
-    # a problem holds no per-run state, so each mesh is built (and A + I factored) once
-    meshes = {j: OcpControlProblem(OcpGrid(M=2**j, nu=args.nu)) for j in args.mesh_list}
     rows = []
     for config in args.configs:
         row: list = [config.linesearch, config.cautious.m]
-        for j in args.mesh_list:
-            problem = meshes[j]
-            report = minimize(problem, problem.space, np.zeros(problem.space.dim), config)
+        for problem, x0 in args.problems:
+            report = minimize(problem, problem.space, x0, config)
             row.append(report.n_iter if report.status == "converged" else f"!{report.status}")
         rows.append(row)
     emit(args, ["ls", "m"] + [f"it_j{j}" for j in args.mesh_list], rows)
@@ -266,7 +251,7 @@ def random_start_study(args) -> int:
     Each configuration replays the same seeded stream of standard-normal
     starts, so per-config results are directly comparable.
     """
-    problem = PiecewiseQuadratic(args.n)
+    [(problem, _)] = args.problems
     header = ["ls", "m", "n_runs", "n_converged", "success_rate", "mean_iters"]
     rows = []
     for config in args.configs:
@@ -370,7 +355,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         # explicit flags override the file
         args = parser.parse_args(argv, namespace=from_file)
     try:
-        args.configs = planned_configs(args)
+        args.problems, args.configs = plan(args)
     except ValueError as err:
         parser.error(str(err))
     return args
@@ -380,9 +365,9 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     if args.runs is not None:
         return random_start_study(args)
-    if args.table is not None:
-        return run_table(args)
-    return run_single(args)
+    if args.table == "t5":
+        return mesh_study(args)
+    return run_table(args)
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ class RateReport:
     qx3: float
     qg3: float
     n_skipped: int = 0
-    lstep_table: dict[int, tuple[bool, float]] = field(default_factory=dict)
 
 
 def _quotients(errors: np.ndarray, l: int = 1) -> tuple[np.ndarray, int]:
@@ -76,13 +75,8 @@ def error_sequences(report: SolveReport, f_star: float, x_star, space: Space):
     return report.f_values() - f_star, _x_errors(report, x_star, space), report.grad_norms()
 
 
-def q_factors(report: SolveReport, f_star: float, x_star, space: Space,
-              lsteps: tuple[int, ...] = ()) -> RateReport:
-    """Maximal q-factors of a run against a reference solution.
-
-    ``lsteps`` optionally adds :func:`lstep_qlinear` verdicts on the
-    iterate errors to the report.
-    """
+def q_factors(report: SolveReport, f_star: float, x_star, space: Space) -> RateReport:
+    """Maximal q-factors of a run against a reference solution."""
     f_err, x_err, g_err = error_sequences(report, f_star, x_star, space)
     K = len(f_err) - 1
     if K < 1:
@@ -95,10 +89,7 @@ def q_factors(report: SolveReport, f_star: float, x_star, space: Space,
             maxima.append(float(q.max()) if len(q) else -math.inf)
             n_skipped += skipped
     qf, qf3, qx, qx3, qg, qg3 = maxima
-    return RateReport(
-        qf=qf, qx=qx, qg=qg, qf3=qf3, qx3=qx3, qg3=qg3, n_skipped=n_skipped,
-        lstep_table={l: lstep_qlinear(x_err, l) for l in lsteps},
-    )
+    return RateReport(qf=qf, qx=qx, qg=qg, qf3=qf3, qx3=qx3, qg3=qg3, n_skipped=n_skipped)
 
 
 def neighborhood_entry(report: SolveReport, x_star, radius: float, space: Space) -> int:
@@ -152,10 +143,8 @@ def linear_rate_check(
     f_star: float,
     hinv_norms=None,
     k1: int = 0,
-    k2: int | None = None,
     x_star=None,
     space: Space | None = None,
-    lsteps: tuple[int, ...] = (1, 2, 3, 4, 5),
 ) -> ContractionReport:
     """Audit the q-linear objective decay and the iterate error envelopes.
 
@@ -164,8 +153,8 @@ def linear_rate_check(
     unless supplied explicitly.  The objective check asks
     f_{k+1} - f_star <= nu_k (f_k - f_star) for every k >= k1; the
     envelope check asks ||x_{k+l} - x_star|| <= sqrt(kappa nu^l) ||x_k - x_star||
-    for each requested l and all k >= k2, with nu the supremum of nu_k
-    over k >= k2.
+    for l = 1, ..., 5 and all k >= k1, with nu the supremum of nu_k over
+    k >= k1.
     """
     if hinv_norms is None:
         if report.audits is None:
@@ -182,13 +171,11 @@ def linear_rate_check(
 
     envelope_ok: dict[int, bool] = {}
     if x_star is not None and space is not None and report.iterates is not None:
-        if k2 is None:
-            k2 = k1
-        x_err = _x_errors(report, x_star, space)[k2:]
-        nu_sup_k2 = float(np.max(nu[k2:])) if len(nu[k2:]) else math.nan
-        for l in lsteps:
+        x_err = _x_errors(report, x_star, space)[k1:]
+        nu_sup_k1 = float(np.max(nu[k1:])) if len(nu[k1:]) else math.nan
+        for l in range(1, 6):
             # products, not quotients: an iterate at x_star bounds every later error by 0
-            bound = math.sqrt(constants.kappa * nu_sup_k2**l) * x_err[:-l]
+            bound = math.sqrt(constants.kappa * nu_sup_k1**l) * x_err[:-l]
             envelope_ok[l] = not np.any(x_err[l:] > bound * (1.0 + 1e-12))
 
     return ContractionReport(

@@ -47,8 +47,10 @@ from .space import Space
 LINE_SEARCHES = ("armijo", "wolfe", "mt", "gll")
 # what an objective raises when it cannot be evaluated: NewtonError and a
 # singular SuperLU factor are RuntimeErrors, LinAlgError and math domain
-# errors ValueErrors, and numpy's raised floating-point events ArithmeticErrors
-EVAL_ERRORS = (ArithmeticError, RuntimeError, ValueError)
+# errors ValueErrors, and numpy's raised floating-point events
+# ArithmeticErrors; a malformed result fails its check with a ValueError
+# (wrong gradient shape) or a TypeError (an f that is not a scalar)
+EVAL_ERRORS = (ArithmeticError, RuntimeError, TypeError, ValueError)
 
 
 @dataclass
@@ -134,9 +136,11 @@ class _EvalFailure(Exception):
     """An objective evaluation raised one of EVAL_ERRORS; the message names it."""
 
 
-def _evaluate(fn, x):
+def _evaluate(problem: Problem, space: Space, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """f and gradient at x, each checked once: f is a float, the gradient a vector of the space."""
     try:
-        return fn(x)
+        f, grad = problem.value_and_grad(x)
+        return float(f), space.check(grad)
     except EVAL_ERRORS as exc:
         raise _EvalFailure(f"{type(exc).__name__}: {exc}") from exc
 
@@ -146,7 +150,7 @@ class _Ray:
 
     ``n_feval`` counts the distinct steps evaluated.  Every search returns
     right after evaluating the step it accepts, so after a successful
-    search ``f`` and ``grad`` are the values there.
+    search ``point``, ``f`` and ``grad`` are the values there.
     """
 
     def __init__(self, problem: Problem, space: Space, x: np.ndarray, d: np.ndarray):
@@ -155,12 +159,13 @@ class _Ray:
         self.x = x
         self.d = d
         self.n_feval = 0
-        self.alpha = self.f = self.grad = None  # the latest evaluation
+        self.alpha = self.point = self.f = self.grad = None  # the latest evaluation
 
     def _evaluate(self, alpha: float) -> None:
         if alpha != self.alpha:
             self.n_feval += 1
-            self.f, self.grad = _evaluate(self.problem.value_and_grad, self.x + alpha * self.d)
+            self.point = self.x + alpha * self.d
+            self.f, self.grad = _evaluate(self.problem, self.space, self.point)
             self.alpha = alpha
 
     def phi(self, alpha: float) -> float:
@@ -194,7 +199,7 @@ class SolverState:
 
         self.iterates: list[np.ndarray] = [self.x.copy()] if config.keep_iterates else []
         try:
-            self.f, self.grad = _evaluate(problem.value_and_grad, self.x)
+            self.f, self.grad = _evaluate(problem, space, self.x)
         except _EvalFailure as err:
             self.f, self.grad = math.nan, np.full(space.dim, math.nan)
             self._stop("eval_error", str(err))
@@ -256,16 +261,15 @@ class SolverState:
         finally:
             # the trials of a failed search happened too
             self.n_feval += ray.n_feval
-        alpha, f_new, grad_new = outcome.alpha, outcome.f_new, ray.grad
+        alpha, x_new, f_new, grad_new = outcome.alpha, ray.point, outcome.f_new, ray.grad
         grad_norm_new = self.space.norm(grad_new)
-        s = alpha * d
-        x_new = self.x + s
         # a NaN or infinite entry, or finite entries whose norm overflows
         if not (math.isfinite(f_new) and math.isfinite(grad_norm_new)):
             self.x, self.f, self.grad, self.grad_norm = x_new, f_new, grad_new, grad_norm_new
             self._stop("nonfinite", f"nonfinite objective or gradient at iterate {self.k + 1}")
             return None
 
+        s = alpha * d
         y = grad_new - self.grad
         stored = self.store.push(self.space, s, y, index=self.k)
         record = IterationRecord(

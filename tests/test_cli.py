@@ -77,13 +77,19 @@ class TestSingleRuns:
         ["--ls", "mt", "--stpmax", "0.5"], ["--sigma", "2"], ["--beta", "1.5"],
         ["--tol", "0"], ["--max-iter", "0"], ["--m", "-1"], ["--c0", "0"], ["--gll-mem", "0"],
         ["--dump-grids", "grids"], ["--table", "t2", "--tol", "0"], ["--runs", "2", "--c0", "2"],
+        ["--problem", "pwquad", "--n", "0"], ["--problem", "ocp", "--mesh-j", "0"],
+        ["--table", "t5", "--mesh-list", "4", "0"], ["--problem", "ocp", "--nu", "-1"],
+        ["--runs", "0"], ["--table", "t2", "--trace", "t.jsonl"], ["--runs", "2", "--dump-grids", "g"],
     ])
-    def test_bad_parameter_is_usage_error_before_any_solve(self, tmp_path, flags):
+    def test_bad_parameter_is_usage_error_before_any_solve(self, tmp_path, monkeypatch, flags):
+        # relative --trace and --dump-grids paths land in tmp_path, which must stay empty
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "row.csv"
         with pytest.raises(SystemExit) as err:
             main(flags + ["--csv", str(out)])
         assert err.value.code == 2
         assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_rate_guard_warns_once(self, tmp_path):
         with pytest.warns(UserWarning) as caught:

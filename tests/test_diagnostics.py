@@ -112,9 +112,8 @@ class TestQFactors:
 
     def test_lstep_table_composition(self):
         report = synthetic_report([2.0**-k for k in range(12)])
-        rates = q_factors(report, 0.0, np.zeros(2), self.space, lsteps=(1, 2))
-        assert set(rates.lstep_table) == {1, 2}
-        holds, kappa = rates.lstep_table[2]
+        x_err = error_sequences(report, 0.0, np.zeros(2), self.space)[1]
+        holds, kappa = lstep_qlinear(x_err, 2)
         assert holds
         assert abs(kappa - 0.25) < 1e-12
 

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from cautious_lbfgs import (
     CautiousParams,
     NewtonError,
+    OcpControlProblem,
+    OcpGrid,
     PiecewiseQuadratic,
     Problem,
     Rosenbrock,
@@ -25,7 +27,8 @@ from cautious_lbfgs import (
 )
 
 STATUSES = {"converged", "max_iter", "linesearch_failure", "nonfinite", "eval_error", "non_descent"}
-FAULTS = ("nan_f", "inf_f", "nan_grad", "newton_error", "zero_division", "repeat_grad", "huge_grad")
+FAULTS = ("nan_f", "inf_f", "nan_grad", "newton_error", "zero_division", "repeat_grad", "huge_grad",
+          "short_grad", "array_f")
 PROBLEMS = {"rosenbrock": Rosenbrock(), "pwquad": PiecewiseQuadratic(3)}
 STARTS = {"rosenbrock": np.array([-1.2, 1.0]), "pwquad": PROBLEMS["pwquad"].b + 0.3}
 MAX_ITER = 150
@@ -59,8 +62,36 @@ class Faulty(Problem):
             return f, grad
         if self.fault == "repeat_grad":  # y = 0 when the previous evaluation was the last iterate
             return f, grad if previous is None else previous.copy()
+        if self.fault == "short_grad":  # a malformed result: the gradient misses an entry
+            return f, grad[:-1]
+        if self.fault == "array_f":  # a malformed result: f is not a scalar
+            return np.array([f, f]), grad
         assert self.fault == "huge_grad"  # finite entries whose norm overflows
         return f, grad * 1e300
+
+
+class CountingMatmul:
+    """Delegates ``@`` to a matrix and counts the products."""
+
+    def __init__(self, matrix):
+        self.matrix, self.count = matrix, 0
+
+    def __matmul__(self, other):
+        self.count += 1
+        return self.matrix @ other
+
+
+class CountingOcp(OcpControlProblem):
+    """Counts value_and_grad calls and, through the Laplacian, residual evaluations."""
+
+    def __init__(self, grid):
+        super().__init__(grid)
+        self.laplacian = CountingMatmul(self.laplacian)
+        self.calls = 0
+
+    def value_and_grad(self, u):
+        self.calls += 1
+        return super().value_and_grad(u)
 
 
 def run(problem_id, ls, m, mode, fault=None, at=0):
@@ -92,6 +123,23 @@ def test_overflowing_gradient_norm_stops_the_run(ls, mode):
     assert report.status == "nonfinite"
     assert report.reason == "nonfinite objective or gradient at iterate 1"
     assert report.grad_norm_final == math.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e4, 1e300])
+@pytest.mark.parametrize("ls", ["armijo", "mt"])
+def test_overflowing_control_ends_within_the_newton_budget(ls, scale):
+    # a control this large overflows exp(y) in the state's Newton iteration;
+    # each call may evaluate the residual once, then at most 41 damped trials
+    # (t = 1, ..., 2^-40) in each of newton_max = 50 steps
+    problem = CountingOcp(OcpGrid(M=8))
+    config = SolverConfig(cautious=CautiousParams(m=5), linesearch=ls, max_iter=MAX_ITER,
+                          keep_iterates=False)
+    report = minimize(problem, problem.space, np.full(problem.space.dim, scale), config)
+    assert report.status in ("eval_error", "nonfinite")
+    assert report.reason
+    assert problem.calls >= 1
+    assert problem.laplacian.count <= problem.calls * (problem.grid.newton_max * 41 + 1)
 
 
 @settings(max_examples=150, deadline=None)
