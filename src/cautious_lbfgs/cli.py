@@ -75,14 +75,12 @@ def emit(args, header: list[str], rows: list[list]) -> None:
 
 
 def write_trace(path, report: SolveReport) -> None:
-    """One JSON object per iteration; storage scalars included when recorded."""
+    """One JSON object per iteration: the record's fields that the run recorded."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        for i, record in enumerate(report.trace):
-            entry = dataclasses.asdict(record)
-            if report.storage_snapshots is not None:
-                entry["storage"] = report.storage_snapshots[i]
+        for record in report.trace:
+            entry = {k: v for k, v in dataclasses.asdict(record).items() if v is not None}
             fh.write(json.dumps(entry) + "\n")
 
 
@@ -117,7 +115,6 @@ def plan(args) -> tuple[list[tuple[Problem, np.ndarray]], list[SolverConfig]]:
         gll_memory=args.gll_mem,
     )
     default_tol = 1e-5 if args.problem == "pwquad" else 1e-9
-    oracle_checks = "off" if args.runs is not None else args.oracle_checks
     configs = [
         SolverConfig(
             cautious=CautiousParams(m=m, c0=args.c0, c1=args.c1, c2=args.c2),
@@ -126,7 +123,7 @@ def plan(args) -> tuple[list[tuple[Problem, np.ndarray]], list[SolverConfig]]:
             ls=ls_params,
             grad_tol=args.tol if args.tol is not None else default_tol,
             max_iter=args.max_iter,
-            oracle_checks={"auto": None, "on": True, "off": False}[oracle_checks],
+            oracle_checks=False,  # no output shows an audit
             keep_iterates=args.runs is None and args.table != "t5",
             keep_storage=args.trace is not None,
         )
@@ -317,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stpmin", type=float, default=0.0)
     parser.add_argument("--xtol", type=float, default=1e-7)
     parser.add_argument("--max-iter", type=int, default=50_000, dest="max_iter")
-    parser.add_argument("--oracle-checks", choices=["auto", "on", "off"], default="auto",
-                        dest="oracle_checks")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--runs", type=int, default=None,
                         help="run the random-start study with this many starts per config")

@@ -159,7 +159,8 @@ def linear_rate_check(
     if hinv_norms is None:
         if report.audits is None:
             raise ValueError("no norm audits in report; pass hinv_norms explicitly")
-        hinv_norms = [a.norm_h_inv for a in report.audits]
+        # a run that stopped inside an iteration audited it without a record
+        hinv_norms = [a.norm_h_inv for a in report.audits[:report.n_iter]]
     hinv_norms = np.asarray(hinv_norms, dtype=float)
     alphas = report.alphas()
     if len(hinv_norms) != len(alphas):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +49,9 @@ class CautiousParams:
         elif not self.c2 > 0.0:
             raise ValueError(f"c2 must be positive, got {self.c2}")
 
-    def rate_guard_bound(self, wolfe: bool) -> float:
-        """Largest c2 (exclusive) for which the linear-rate theory applies."""
-        return 1.0 / (2 * self.m + 2) if wolfe else 1.0 / (2 * self.m + 1)
-
     def warn_if_rate_guard_violated(self, wolfe: bool) -> None:
-        bound = self.rate_guard_bound(wolfe)
+        """Warn when c2 reaches the bound below which the linear-rate theory applies."""
+        bound = 1.0 / (2 * self.m + 2) if wolfe else 1.0 / (2 * self.m + 1)
         if self.c2 >= bound:
             warnings.warn(
                 f"c2 = {self.c2} >= {bound}; the linear-rate guarantee "
@@ -101,8 +99,7 @@ class SecantStore:
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        self.pairs: list[SecantPair] = []
+        self.pairs: deque[SecantPair] = deque(maxlen=capacity)
         self.gamma_minus = 0.0
         self.gamma_plus = math.inf
 
@@ -116,8 +113,8 @@ class SecantStore:
         and rho = 1/sy is finite; a subnormal sy passes sy > 0 and can
         fail both.
 
-        Acceptance appends the pair with its cached scalars, refreshes
-        (gamma_minus, gamma_plus) and evicts the oldest pair on overflow.
+        Acceptance appends the pair with its cached scalars, which evicts
+        the oldest pair on overflow, and refreshes (gamma_minus, gamma_plus).
         Rejection leaves the pair list untouched and resets the scaling
         interval to (0, inf).
         """
@@ -147,8 +144,6 @@ class SecantStore:
         lo, hi = sy / yy, ss / sy
         self.gamma_minus = min(lo, hi)
         self.gamma_plus = max(lo, hi)
-        if len(self.pairs) > self.capacity:
-            self.pairs.pop(0)
         return True
 
     def active(self, threshold: float) -> list[SecantPair]:
@@ -174,10 +169,11 @@ def choose_seed_scaling(store: SecantStore, threshold: float, fallback: float = 
 
     The preferred target is the latest gamma_minus; when the scaling
     interval is the degenerate (0, inf) pair (start of the run, or right
-    after a rejected pair) the unscaled seed ``fallback`` is targeted
-    instead.  Carrying a stale scaling across a rejected pair instead of
-    falling back turns the benchmark runs into a crawl, so the fallback
-    is deliberately a constant.  The target is clamped into
+    after a rejected pair) the caller's ``fallback`` is targeted instead;
+    the solver passes 1 at the first iteration and 1/||g_k||, the
+    unit-step gradient scaling, after a rejected pair.  Carrying a stale
+    scaling across a rejected pair instead of falling back turns the
+    benchmark runs into a crawl.  The target is clamped into
     [gamma_minus, gamma_plus] intersected with [threshold, 1/threshold]
     when that intersection is nonempty, and into [threshold, 1/threshold]
     otherwise, so the result always lies in the threshold interval.  At

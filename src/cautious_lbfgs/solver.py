@@ -79,12 +79,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Scalars describing one completed iteration k.
+    """What one completed iteration k did: the run's only per-iteration record.
 
     f and grad_norm are taken at the iterate the step departs from;
     n_stored counts the pairs available when the direction was formed and
     n_active how many of them passed the filter.  omega is the computed
     threshold in both modes, also where classical mode filters at 0.
+    ``storage`` is the store's scalar snapshot after the iteration's push,
+    kept when the config asks for it.  Fields that a run does not record
+    are None.
     """
 
     k: int
@@ -97,6 +100,7 @@ class IterationRecord:
     alpha: float
     pair_stored: bool
     n_feval_ls: int
+    storage: list[dict] | None = None
 
 
 @dataclass
@@ -116,9 +120,10 @@ class SolveReport:
     alpha_min: float
     alpha_max: float
     iterates: list[np.ndarray] | None = None
+    # an audit precedes its line search, so a run that stopped inside an
+    # iteration has one audit more than it has records
     audits: list[BoundReport] | None = None
-    bound_violations: int = 0
-    storage_snapshots: list[list[dict]] | None = None
+    bound_violations: int = 0  # audits whose bounds failed
     reason: str | None = None
 
     def f_values(self) -> np.ndarray:
@@ -185,15 +190,12 @@ class SolverState:
         self.space = space
         self.config = config
         self.x = space.check(x0).copy()
-        self.k = 0
         self.status: str | None = None
         self.reason: str | None = None
         self.store = SecantStore(config.cautious.m)
         self.trace: list[IterationRecord] = []
         self.n_feval = 0
         self.audits: list[BoundReport] = []
-        self.bound_violations = 0
-        self.storage_snapshots: list[list[dict]] = []
         auto = config.oracle_checks is None
         self.audit_enabled = config.mode == "cautious" if auto else config.oracle_checks
 
@@ -222,9 +224,10 @@ class SolverState:
         if self.grad_norm <= self.config.grad_tol:
             self._stop("converged")
             return None
-        if self.k >= self.config.max_iter:
+        k = len(self.trace)
+        if k >= self.config.max_iter:
             self._stop("max_iter", f"gradient norm {self.grad_norm} above "
-                                   f"{self.config.grad_tol} after {self.k} iterations")
+                                   f"{self.config.grad_tol} after {k} iterations")
             return None
 
         cfg = self.config
@@ -232,7 +235,7 @@ class SolverState:
         level = omega if cfg.mode == "cautious" else 0.0
         # Degenerate-interval target: plain unscaled seed on the very first
         # iteration, unit-step gradient scaling after a rejected pair.
-        fallback = 1.0 if self.k == 0 else 1.0 / self.grad_norm
+        fallback = 1.0 if k == 0 else 1.0 / self.grad_norm
         gamma = choose_seed_scaling(self.store, level, fallback)
         active = self.store.active(level)
         n_stored = len(self.store)
@@ -244,10 +247,7 @@ class SolverState:
 
         if self.audit_enabled:
             H = TwoLoopOperator(self.space, active, gamma)
-            report = cautious_bound_report(H, omega, cfg.cautious.m)
-            self.audits.append(report)
-            if not report.ok:
-                self.bound_violations += 1
+            self.audits.append(cautious_bound_report(H, omega, cfg.cautious.m))
 
         ray = _Ray(self.problem, self.space, self.x, d)
         try:
@@ -266,14 +266,14 @@ class SolverState:
         # a NaN or infinite entry, or finite entries whose norm overflows
         if not (math.isfinite(f_new) and math.isfinite(grad_norm_new)):
             self.x, self.f, self.grad, self.grad_norm = x_new, f_new, grad_new, grad_norm_new
-            self._stop("nonfinite", f"nonfinite objective or gradient at iterate {self.k + 1}")
+            self._stop("nonfinite", f"nonfinite objective or gradient at iterate {k + 1}")
             return None
 
         s = alpha * d
         y = grad_new - self.grad
-        stored = self.store.push(self.space, s, y, index=self.k)
+        stored = self.store.push(self.space, s, y, index=k)
         record = IterationRecord(
-            k=self.k,
+            k=k,
             f=self.f,
             grad_norm=self.grad_norm,
             omega=omega,
@@ -283,16 +283,14 @@ class SolverState:
             alpha=alpha,
             pair_stored=stored,
             n_feval_ls=outcome.n_feval,
+            storage=self.store.snapshot() if cfg.keep_storage else None,
         )
         self.trace.append(record)
-        if cfg.keep_storage:
-            self.storage_snapshots.append(self.store.snapshot())
 
         self.x, self.f, self.grad, self.grad_norm = x_new, f_new, grad_new, grad_norm_new
         self.f_history.append(f_new)
         if cfg.keep_iterates:
             self.iterates.append(x_new.copy())
-        self.k += 1
         return record
 
     def _search(self, ray: _Ray, dphi0: float) -> LineSearchOutcome:
@@ -322,8 +320,7 @@ class SolverState:
             alpha_max=max(alphas) if alphas else math.nan,
             iterates=list(self.iterates) if self.config.keep_iterates else None,
             audits=list(self.audits) if self.audit_enabled else None,
-            bound_violations=self.bound_violations,
-            storage_snapshots=list(self.storage_snapshots) if self.config.keep_storage else None,
+            bound_violations=sum(not a.ok for a in self.audits),
             reason=self.reason,
         )
 

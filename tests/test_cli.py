@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from cautious_lbfgs.cli import (
     parse_args,
     standard_normals,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def read_csv(path):
@@ -80,6 +83,7 @@ class TestSingleRuns:
         ["--problem", "pwquad", "--n", "0"], ["--problem", "ocp", "--mesh-j", "0"],
         ["--table", "t5", "--mesh-list", "4", "0"], ["--problem", "ocp", "--nu", "-1"],
         ["--runs", "0"], ["--table", "t2", "--trace", "t.jsonl"], ["--runs", "2", "--dump-grids", "g"],
+        ["--oracle-checks", "on"],
     ])
     def test_bad_parameter_is_usage_error_before_any_solve(self, tmp_path, monkeypatch, flags):
         # relative --trace and --dump-grids paths land in tmp_path, which must stay empty
@@ -103,6 +107,10 @@ class TestSingleRuns:
         lines = trace.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert len(records) >= 30
+        # the writer leaves out what a run did not record; a traced run keeps storage
+        for record in records:
+            assert "storage" in record
+            assert None not in record.values()
         first = records[0]
         assert set(first) >= {"k", "f", "grad_norm", "omega", "gamma", "n_active",
                               "n_stored", "alpha", "pair_stored", "n_feval_ls", "storage"}
@@ -193,6 +201,15 @@ class TestRandomStartStudy:
 
 
 class TestDeterminism:
+    def test_outputs_match_pinned_bytes(self, tmp_path):
+        # tests/data holds the files scripts/golden_outputs.py writes for these runs
+        main(["--table", "t2", "--csv", str(tmp_path / "t2.csv")])
+        stem = "trace_rosenbrock_armijo_m2"
+        main(["--problem", "rosenbrock", "--ls", "armijo", "--m", "2",
+              "--csv", str(tmp_path / f"{stem}.csv"), "--trace", str(tmp_path / f"{stem}.jsonl")])
+        for name in ("t2.csv", f"{stem}.csv", f"{stem}.jsonl"):
+            assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["--problem", "rosenbrock", "--m", "1", "--ls", "mt"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -221,10 +238,11 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("classic = true\n")
         assert parse_args(["--config", str(cfg)]).classic is True
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("nonsense = 1\n")
-        with pytest.raises(SystemExit):
-            parse_args(["--config", str(bad)])
+        for text in ("nonsense = 1\n", "oracle-checks = on\n"):
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(text)
+            with pytest.raises(SystemExit):
+                parse_args(["--config", str(bad)])
 
     def test_abbreviated_key_and_bad_choice_rejected(self, tmp_path):
         # "gll" would abbreviate --gll-mem on the command line; in a file it

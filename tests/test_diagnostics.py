@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from cautious_lbfgs import (
     CautiousParams,
+    LineSearchParams,
     PiecewiseQuadratic,
     RateConstants,
     Rosenbrock,
@@ -232,6 +233,29 @@ class TestLinearRateCheck:
         constants = RateConstants(mu=1.0, L=1.0, sigma=1e-4)
         with pytest.raises(ValueError):
             linear_rate_check(report, constants, 0.0, hinv_norms=[1.0])
+
+    @pytest.mark.parametrize("status", ["eval_error", "linesearch_failure"])
+    def test_run_stopped_inside_an_iteration(self, status):
+        # the stopped iteration was audited before its line search, so the
+        # report holds one audit more than it has records
+        from test_faults import Faulty
+
+        prob = Rosenbrock()
+        if status == "eval_error":
+            prob = Faulty(prob, "zero_division", at=30)
+            ls = LineSearchParams()
+        else:
+            ls = LineSearchParams(maxfev=1)
+        cfg = SolverConfig(cautious=CautiousParams(m=2), ls=ls)
+        report = minimize(prob, prob.space, np.array([-1.2, 1.0]), cfg)
+        assert report.status == status
+        assert len(report.audits) == report.n_iter + 1
+        constants = RateConstants(mu=0.5, L=1000.0, sigma=1e-4)
+        out = linear_rate_check(report, constants, 0.0)
+        expected = linear_rate_check(report, constants, 0.0,
+                                     hinv_norms=[a.norm_h_inv for a in report.audits[:-1]])
+        assert len(out.nu_values) == report.n_iter
+        assert np.array_equal(out.nu_values, expected.nu_values)
 
     def test_missing_norms(self):
         report = synthetic_report([1.0, 0.5])

@@ -252,6 +252,17 @@ class TestTraceInvariants:
             assert 0.0 < t.omega <= 1e-4
             assert t.omega <= t.gamma <= 1.0 / t.omega
 
+    def test_storage_recorded_only_when_kept(self, rosen_report):
+        assert all(t.storage is None for t in rosen_report.trace)
+        prob = Rosenbrock()
+        kept = minimize(prob, prob.space, ROSEN_X0, config(m=2, grad_tol=1e-9, keep_storage=True))
+        assert compare_traces(kept, rosen_report) is None
+        for t in kept.trace:
+            # the snapshot is taken after the iteration's push
+            assert len(t.storage) == min(2, t.n_stored + t.pair_stored)
+            if t.pair_stored:
+                assert t.storage[-1]["index"] == t.k
+
     def test_final_gradient_below_tolerance(self, rosen_report):
         assert rosen_report.grad_norm_final <= 1e-9
 
@@ -326,6 +337,13 @@ class TestAudits:
         assert report.bound_violations == 0
         for audit, t in zip(report.audits, report.trace):
             assert audit.norm_h_inv <= (2 + 1) / t.omega * (1 + 1e-9)
+
+    def test_bound_violations_count_failed_audits(self):
+        prob = PiecewiseQuadratic(10)
+        report = minimize(prob, prob.space, prob.b.copy(),
+                          SolverConfig(cautious=CautiousParams(m=5), grad_tol=1e-5))
+        assert report.audits
+        assert report.bound_violations == sum(not a.ok for a in report.audits)
 
     def test_coarse_pde_grid_audit_clean(self):
         problem = OcpControlProblem(OcpGrid(M=16))
