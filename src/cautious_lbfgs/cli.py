@@ -210,7 +210,7 @@ def dump_grids(args, problem: OcpControlProblem, report: SolveReport) -> None:
     out.mkdir(parents=True, exist_ok=True)
     n = problem.grid.M - 1
     control = report.x_final
-    state = problem.solve_state(control)
+    state, _ = problem.solve_state(control)
     np.savetxt(out / "target_state.csv", problem.target_state.reshape(n, n), delimiter=",")
     np.savetxt(out / "state.csv", state.reshape(n, n), delimiter=",")
     np.savetxt(out / "control.csv", control.reshape(n, n), delimiter=",")

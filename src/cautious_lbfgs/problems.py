@@ -10,6 +10,7 @@ from the vector of partial derivatives.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .space import Space, euclidean, make_grid_space
+
+# fill-reducing column ordering of every SuperLU factor of A + diag(exp(y))
+PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
 class Problem:
@@ -33,6 +37,11 @@ class Problem:
 
     def value_and_grad(self, x) -> tuple[float, np.ndarray]:
         raise NotImplementedError
+
+    def evaluator(self):
+        """value_and_grad for one run; a problem may carry work from one
+        evaluation of the run to the next, never between runs."""
+        return self.value_and_grad
 
 
 class Rosenbrock(Problem):
@@ -140,16 +149,27 @@ class OcpGrid:
             object.__setattr__(self, "target_state", y_d)
 
 
+class _LastEvaluation:
+    """A run's last successful evaluation: its state and its adjoint factor."""
+
+    start: tuple[np.ndarray, object] | None = None
+
+
 class OcpControlProblem(Problem):
     """Tracking objective constrained by -lap(y) + exp(y) = u, y = 0 on the boundary.
 
     f(u) = 0.5 ||y_u - y_d||^2 + nu/2 ||u||^2 in the grid inner product.
-    The state is solved by a damped Newton iteration from y = 0 and the
-    gradient nu*u + p comes from one linearized (self-adjoint) solve, so
-    one objective-plus-gradient evaluation costs one nonlinear and one
-    linear PDE solve.  The Jacobian at y = 0 is A + I, which is factored
-    once at construction; an evaluation costs one sparse LU factorization
-    per Newton step after the first, plus one for the adjoint.
+    The gradient nu*u + p comes from one linearized (self-adjoint) solve
+    with the Jacobian A + diag(exp(y)) at the state.  The state solve
+    steps with a factor it already holds: ``value_and_grad`` starts from
+    y = 0 with the factor of A + I built at construction, and the
+    evaluator of a run from the state and factor of the run's previous
+    evaluation, the exact sensitivity dy/du there (chord steps).  It
+    factors the Jacobian where a chord step fails to halve the residual,
+    which happens once the residual reaches its rounding floor, and that
+    factor also serves the adjoint solve and the next evaluation.  So an
+    evaluation costs at most one sparse LU factorization while the chord
+    steps converge, and none where the state is exactly y = 0.
     """
 
     def __init__(self, grid: OcpGrid):
@@ -165,7 +185,7 @@ class OcpControlProblem(Problem):
         rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
         self._diag_slots = np.flatnonzero(pattern.indices == rows)
         self._lap_diag = self.laplacian.diagonal()
-        self._lu_at_zero = spla.splu(pattern)
+        self._lu_at_zero = spla.splu(pattern, permc_spec=PERMC_SPEC)
 
     def _jacobian_lu(self, y: np.ndarray):
         """SuperLU factor of A + diag(exp(y)).
@@ -179,58 +199,92 @@ class OcpControlProblem(Problem):
             return self._lu_at_zero
         jac = self._jac_pattern.copy()
         jac.data[self._diag_slots] = self._lap_diag + np.exp(y)
-        return spla.splu(jac)
+        return spla.splu(jac, permc_spec=PERMC_SPEC)
 
-    def solve_state(self, u) -> np.ndarray:
-        """State y whose residual A y + exp(y) - u is below newton_tol.
+    def solve_state(self, u, start=None) -> tuple[np.ndarray, object]:
+        """State y whose residual A y + exp(y) - u is below newton_tol, and
+        the factor of the Jacobian A + diag(exp(y)) at y, or at the state
+        one final Newton step before it.
 
-        Full Newton steps, halved until the residual norm decreases.  The
-        residual is measured in the grid norm; the Euclidean norm of the
-        strong-form residual scales like 1/h^2 and would sit above any
-        fixed absolute tolerance on fine grids.
+        ``start`` is a state and the factor of the Jacobian there, as this
+        method returns them; the default is y = 0 with the factor of
+        A + I.  Each step solves with
+        the factor held.  A step on a factor taken at an earlier state (a
+        chord step) must halve the residual norm; otherwise the factor is
+        taken again at the current state and the step is a Newton step,
+        halved until the residual norm decreases.  Below newton_tol the
+        loop keeps stepping while a step halves the residual.  The first
+        Newton step that does not ends the solve, taken if it keeps the
+        residual below newton_tol: near its rounding floor the residual
+        norm no longer sees the state's error, which that step still
+        removes.  The residual is measured in the grid norm; the Euclidean
+        norm of the strong-form residual scales like 1/h^2 and would sit
+        above any fixed absolute tolerance on fine grids.
         """
         u = self.space.check(u)
-        y = np.zeros(self.space.dim)
+        if start is None:
+            zero = np.zeros(self.space.dim)
+            start = (zero, self._jacobian_lu(zero))
+        y, lu = start
+        at_y = True  # lu is the factor of the Jacobian at y
+
+        def trial(step):
+            y_trial = y + step
+            r_trial = self.laplacian @ y_trial + np.exp(y_trial) - u
+            return y_trial, r_trial, self.space.norm(r_trial)
+
         with np.errstate(over="ignore", invalid="ignore"):
             residual = self.laplacian @ y + np.exp(y) - u
             res_norm = self.space.norm(residual)
             for _ in range(self.grid.newton_max):
-                if res_norm <= self.grid.newton_tol:
-                    return y
-                delta = self._jacobian_lu(y).solve(-residual)
-                t = 1.0
-                while True:
-                    y_trial = y + t * delta
-                    r_trial = self.laplacian @ y_trial + np.exp(y_trial) - u
-                    r_norm = self.space.norm(r_trial)
-                    if r_norm < res_norm:
-                        break
-                    t *= 0.5
-                    if t < 2.0**-40:
-                        raise NewtonError("damping failed to reduce the state residual")
-                y, residual, res_norm = y_trial, r_trial, r_norm
+                delta = lu.solve(-residual)
+                y_trial, r_trial, r_norm = trial(delta)
+                if not r_norm < 0.5 * res_norm and not at_y:
+                    lu, at_y = self._jacobian_lu(y), True
+                    delta = lu.solve(-residual)
+                    y_trial, r_trial, r_norm = trial(delta)
+                if not r_norm < 0.5 * res_norm:
+                    if res_norm <= self.grid.newton_tol:
+                        return (y_trial, lu) if r_norm <= self.grid.newton_tol else (y, lu)
+                    t = 1.0
+                    while not r_norm < res_norm:
+                        t *= 0.5
+                        if t < 2.0**-40:
+                            raise NewtonError("damping failed to reduce the state residual")
+                        y_trial, r_trial, r_norm = trial(t * delta)
+                y, residual, res_norm, at_y = y_trial, r_trial, r_norm, False
             if res_norm <= self.grid.newton_tol:
-                return y
+                return y, self._jacobian_lu(y)
         raise NewtonError(
             f"state residual {res_norm} above {self.grid.newton_tol} "
             f"after {self.grid.newton_max} iterations"
         )
 
-    def solve_adjoint(self, y) -> np.ndarray:
-        """Solve (A + diag(exp(y))) p = y - y_d.
+    def solve_adjoint(self, y, lu=None) -> np.ndarray:
+        """Solve (A + diag(exp(y))) p = y - y_d, with ``lu`` as that matrix's factor if given.
 
         The linearized state operator is self-adjoint in the grid inner
         product, so the same matrix serves as its own adjoint.
         """
         y = self.space.check(y)
-        return self._jacobian_lu(y).solve(y - self.target_state)
+        if lu is None:
+            lu = self._jacobian_lu(y)
+        return lu.solve(y - self.target_state)
 
-    def value_and_grad(self, u):
+    def value_and_grad(self, u, last: _LastEvaluation | None = None):
+        """f and gradient at u; a state solve from ``last``, which the call then updates, if given."""
         u = self.space.check(u)
-        y = self.solve_state(u)
+        y, lu = self.solve_state(u, None if last is None else last.start)
         mismatch = y - self.target_state
         f = 0.5 * self.space.inner(mismatch, mismatch) + 0.5 * self.grid.nu * self.space.inner(u, u)
-        return f, self.grid.nu * u + self.solve_adjoint(y)
+        grad = self.grid.nu * u + self.solve_adjoint(y, lu)
+        if last is not None:
+            last.start = (y, lu)
+        return f, grad
+
+    def evaluator(self):
+        """value_and_grad warm-started at the run's previous successful evaluation."""
+        return functools.partial(self.value_and_grad, last=_LastEvaluation())
 
 
 def fd_gradient_check(problem: Problem, x, n_directions: int = 5,

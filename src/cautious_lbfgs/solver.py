@@ -141,10 +141,10 @@ class _EvalFailure(Exception):
     """An objective evaluation raised one of EVAL_ERRORS; the message names it."""
 
 
-def _evaluate(problem: Problem, space: Space, x: np.ndarray) -> tuple[float, np.ndarray]:
+def _evaluate(evaluate, space: Space, x: np.ndarray) -> tuple[float, np.ndarray]:
     """f and gradient at x, each checked once: f is a float, the gradient a vector of the space."""
     try:
-        f, grad = problem.value_and_grad(x)
+        f, grad = evaluate(x)
         return float(f), space.check(grad)
     except EVAL_ERRORS as exc:
         raise _EvalFailure(f"{type(exc).__name__}: {exc}") from exc
@@ -158,8 +158,8 @@ class _Ray:
     search ``point``, ``f`` and ``grad`` are the values there.
     """
 
-    def __init__(self, problem: Problem, space: Space, x: np.ndarray, d: np.ndarray):
-        self.problem = problem
+    def __init__(self, evaluate, space: Space, x: np.ndarray, d: np.ndarray):
+        self.evaluate = evaluate
         self.space = space
         self.x = x
         self.d = d
@@ -170,7 +170,7 @@ class _Ray:
         if alpha != self.alpha:
             self.n_feval += 1
             self.point = self.x + alpha * self.d
-            self.f, self.grad = _evaluate(self.problem, self.space, self.point)
+            self.f, self.grad = _evaluate(self.evaluate, self.space, self.point)
             self.alpha = alpha
 
     def phi(self, alpha: float) -> float:
@@ -183,10 +183,15 @@ class _Ray:
 
 
 class SolverState:
-    """Owns one run; ``step`` performs a single iteration of the loop body."""
+    """Owns one run; ``step`` performs a single iteration of the loop body.
+
+    Every evaluation of the run goes through the one evaluator the
+    problem returns for it, so a run's results depend only on its own
+    evaluations, also where problems carry work between them.
+    """
 
     def __init__(self, problem: Problem, space: Space, x0, config: SolverConfig):
-        self.problem = problem
+        self.evaluate = problem.evaluator()
         self.space = space
         self.config = config
         self.x = space.check(x0).copy()
@@ -201,7 +206,7 @@ class SolverState:
 
         self.iterates: list[np.ndarray] = [self.x.copy()] if config.keep_iterates else []
         try:
-            self.f, self.grad = _evaluate(problem, space, self.x)
+            self.f, self.grad = _evaluate(self.evaluate, space, self.x)
         except _EvalFailure as err:
             self.f, self.grad = math.nan, np.full(space.dim, math.nan)
             self._stop("eval_error", str(err))
@@ -249,7 +254,7 @@ class SolverState:
             H = TwoLoopOperator(self.space, active, gamma)
             self.audits.append(cautious_bound_report(H, omega, cfg.cautious.m))
 
-        ray = _Ray(self.problem, self.space, self.x, d)
+        ray = _Ray(self.evaluate, self.space, self.x, d)
         try:
             outcome = self._search(ray, dphi0)
         except LineSearchError as err:
