@@ -185,23 +185,32 @@ def run_table(args) -> int:
     A single run is a one-row table that may also write ``--trace`` and
     ``--dump-grids``; it exits 1 unless it converged.  The reference
     solution is computed once, when the first converged run needs it.
+    If that solve fails, the rows keep their q-factor columns empty, the
+    failure goes to stderr, and the exit code is 1.
     """
     [(problem, x0)] = args.problems
-    reference = None
+    reference = failure = None
     rows = []
     for config in args.configs:
         report = minimize(problem, problem.space, x0, config)
         rates = None
-        if report.status == "converged" and report.n_iter >= 1:
+        if report.status == "converged" and report.n_iter >= 1 and failure is None:
             if reference is None:
-                reference = reference_solution(problem)
-            rates = q_factors(report, *reference, problem.space)
+                try:
+                    reference = reference_solution(problem)
+                except RuntimeError as err:
+                    failure = str(err)
+            if reference is not None:
+                rates = q_factors(report, *reference, problem.space)
         rows.append(summary_row(args.problem, config, report, rates))
     emit(args, SUMMARY_COLUMNS, rows)
     if args.trace:
         write_trace(args.trace, report)
     if args.dump_grids:
         dump_grids(args, problem, report)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return 1
     return 0 if args.table is not None or report.status == "converged" else 1
 
 
@@ -210,7 +219,7 @@ def dump_grids(args, problem: OcpControlProblem, report: SolveReport) -> None:
     out.mkdir(parents=True, exist_ok=True)
     n = problem.grid.M - 1
     control = report.x_final
-    state, _ = problem.solve_state(control)
+    state = problem.solve_state(control)
     np.savetxt(out / "target_state.csv", problem.target_state.reshape(n, n), delimiter=",")
     np.savetxt(out / "state.csv", state.reshape(n, n), delimiter=",")
     np.savetxt(out / "control.csv", control.reshape(n, n), delimiter=",")

@@ -61,7 +61,7 @@ class SolverConfig:
     ls: LineSearchParams = field(default_factory=LineSearchParams)
     grad_tol: float = 1e-9
     max_iter: int = 50_000
-    oracle_checks: bool | None = None  # None: auto (on in cautious mode)
+    oracle_checks: bool = False
     keep_iterates: bool = True
     keep_storage: bool = False
 
@@ -141,10 +141,10 @@ class _EvalFailure(Exception):
     """An objective evaluation raised one of EVAL_ERRORS; the message names it."""
 
 
-def _evaluate(evaluate, space: Space, x: np.ndarray) -> tuple[float, np.ndarray]:
+def _evaluate(problem: Problem, space: Space, x: np.ndarray) -> tuple[float, np.ndarray]:
     """f and gradient at x, each checked once: f is a float, the gradient a vector of the space."""
     try:
-        f, grad = evaluate(x)
+        f, grad = problem.value_and_grad(x)
         return float(f), space.check(grad)
     except EVAL_ERRORS as exc:
         raise _EvalFailure(f"{type(exc).__name__}: {exc}") from exc
@@ -158,8 +158,8 @@ class _Ray:
     search ``point``, ``f`` and ``grad`` are the values there.
     """
 
-    def __init__(self, evaluate, space: Space, x: np.ndarray, d: np.ndarray):
-        self.evaluate = evaluate
+    def __init__(self, problem: Problem, space: Space, x: np.ndarray, d: np.ndarray):
+        self.problem = problem
         self.space = space
         self.x = x
         self.d = d
@@ -170,7 +170,7 @@ class _Ray:
         if alpha != self.alpha:
             self.n_feval += 1
             self.point = self.x + alpha * self.d
-            self.f, self.grad = _evaluate(self.evaluate, self.space, self.point)
+            self.f, self.grad = _evaluate(self.problem, self.space, self.point)
             self.alpha = alpha
 
     def phi(self, alpha: float) -> float:
@@ -185,13 +185,12 @@ class _Ray:
 class SolverState:
     """Owns one run; ``step`` performs a single iteration of the loop body.
 
-    Every evaluation of the run goes through the one evaluator the
-    problem returns for it, so a run's results depend only on its own
-    evaluations, also where problems carry work between them.
+    Every evaluation is a call of ``problem.value_and_grad``; the dense
+    audit of each direction runs only where the config asks for it.
     """
 
     def __init__(self, problem: Problem, space: Space, x0, config: SolverConfig):
-        self.evaluate = problem.evaluator()
+        self.problem = problem
         self.space = space
         self.config = config
         self.x = space.check(x0).copy()
@@ -201,12 +200,10 @@ class SolverState:
         self.trace: list[IterationRecord] = []
         self.n_feval = 0
         self.audits: list[BoundReport] = []
-        auto = config.oracle_checks is None
-        self.audit_enabled = config.mode == "cautious" if auto else config.oracle_checks
 
         self.iterates: list[np.ndarray] = [self.x.copy()] if config.keep_iterates else []
         try:
-            self.f, self.grad = _evaluate(self.evaluate, space, self.x)
+            self.f, self.grad = _evaluate(problem, space, self.x)
         except _EvalFailure as err:
             self.f, self.grad = math.nan, np.full(space.dim, math.nan)
             self._stop("eval_error", str(err))
@@ -250,11 +247,11 @@ class SolverState:
             self._stop("non_descent", f"direction is not a descent direction: dphi0 = {dphi0}")
             return None
 
-        if self.audit_enabled:
+        if cfg.oracle_checks:
             H = TwoLoopOperator(self.space, active, gamma)
             self.audits.append(cautious_bound_report(H, omega, cfg.cautious.m))
 
-        ray = _Ray(self.evaluate, self.space, self.x, d)
+        ray = _Ray(self.problem, self.space, self.x, d)
         try:
             outcome = self._search(ray, dphi0)
         except LineSearchError as err:
@@ -324,7 +321,7 @@ class SolverState:
             alpha_min=min(alphas) if alphas else math.nan,
             alpha_max=max(alphas) if alphas else math.nan,
             iterates=list(self.iterates) if self.config.keep_iterates else None,
-            audits=list(self.audits) if self.audit_enabled else None,
+            audits=list(self.audits) if self.config.oracle_checks else None,
             bound_violations=sum(not a.ok for a in self.audits),
             reason=self.reason,
         )

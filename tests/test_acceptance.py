@@ -46,7 +46,8 @@ def rosenbrock_runs():
     prob = Rosenbrock()
     runs = {}
     for ls, m in TABLE2:
-        config = SolverConfig(cautious=CautiousParams(m=m), linesearch=ls, grad_tol=1e-9)
+        config = SolverConfig(cautious=CautiousParams(m=m), linesearch=ls, grad_tol=1e-9,
+                              oracle_checks=True)
         start = time.perf_counter()
         report = minimize(prob, prob.space, ROSEN_X0, config)
         runs[(ls, m)] = (report, time.perf_counter() - start)
@@ -59,7 +60,8 @@ def pwquad_runs():
     prob = PiecewiseQuadratic(100)
     runs = {}
     for ls, m in TABLE3:
-        config = SolverConfig(cautious=CautiousParams(m=m), linesearch=ls, grad_tol=1e-5)
+        config = SolverConfig(cautious=CautiousParams(m=m), linesearch=ls, grad_tol=1e-5,
+                              oracle_checks=True)
         runs[(ls, m)] = minimize(prob, prob.space, prob.b.copy(), config)
     return prob, runs
 

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cautious_lbfgs import cli
 from cautious_lbfgs.cli import (
     SUMMARY_COLUMNS,
     format_value,
@@ -70,6 +72,24 @@ class TestSingleRuns:
         assert code == 1
         record = dict(zip(*read_csv(out)))
         assert record["status"] == "max_iter"
+
+    def test_failed_reference_leaves_q_columns_empty(self, tmp_path, monkeypatch, capsys):
+        solve = cli.minimize
+
+        def failing_reference(problem, space, x0, config):
+            report = solve(problem, space, x0, config)
+            if config.grad_tol == 1e-12:  # the reference solve behind the q-factors
+                report = dataclasses.replace(report, status="linesearch_failure", reason="forced")
+            return report
+
+        monkeypatch.setattr(cli, "minimize", failing_reference)
+        out = tmp_path / "row.csv"
+        code = main(["--problem", "ocp", "--mesh-j", "3", "--m", "5", "--csv", str(out)])
+        assert code == 1
+        record = dict(zip(*read_csv(out)))
+        assert record["status"] == "converged"
+        assert [record[c] for c in ("qf", "qf3", "qx", "qx3", "qg", "qg3")] == [""] * 6
+        assert capsys.readouterr().err == "reference solve failed: linesearch_failure: forced\n"
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -209,7 +209,7 @@ class TestLinearRateCheck:
         from test_solver import SphereProblem
 
         prob = SphereProblem()
-        cfg = SolverConfig(cautious=CautiousParams(m=1), grad_tol=1e-12)
+        cfg = SolverConfig(cautious=CautiousParams(m=1), grad_tol=1e-12, oracle_checks=True)
         report = minimize(prob, prob.space, np.array([1.0, 1.0]), cfg)
         constants = RateConstants(mu=1.0, L=1.0, sigma=1e-4)
         out = linear_rate_check(report, constants, f_star=0.0, k1=0,
@@ -219,7 +219,7 @@ class TestLinearRateCheck:
 
     def test_pwquad_contraction_holds_everywhere(self):
         prob = PiecewiseQuadratic(100)
-        cfg = SolverConfig(cautious=CautiousParams(m=0), grad_tol=1e-5)
+        cfg = SolverConfig(cautious=CautiousParams(m=0), grad_tol=1e-5, oracle_checks=True)
         report = minimize(prob, prob.space, prob.b.copy(), cfg)
         constants = RateConstants(mu=prob.mu, L=prob.lipschitz, sigma=1e-4)
         out = linear_rate_check(report, constants, prob.f_star, k1=0,
@@ -246,7 +246,7 @@ class TestLinearRateCheck:
             ls = LineSearchParams()
         else:
             ls = LineSearchParams(maxfev=1)
-        cfg = SolverConfig(cautious=CautiousParams(m=2), ls=ls)
+        cfg = SolverConfig(cautious=CautiousParams(m=2), ls=ls, oracle_checks=True)
         report = minimize(prob, prob.space, np.array([-1.2, 1.0]), cfg)
         assert report.status == status
         assert len(report.audits) == report.n_iter + 1

@@ -71,7 +71,7 @@ class Faulty(Problem):
 
 
 class CountingMatmul:
-    """Delegates ``@`` to a matrix and counts the products."""
+    """Delegates ``@`` to a matrix and counts the products; ``+`` (assembling a Jacobian) is not counted."""
 
     def __init__(self, matrix):
         self.matrix, self.count = matrix, 0
@@ -79,6 +79,9 @@ class CountingMatmul:
     def __matmul__(self, other):
         self.count += 1
         return self.matrix @ other
+
+    def __add__(self, other):
+        return self.matrix + other
 
 
 class CountingOcp(OcpControlProblem):
@@ -89,9 +92,9 @@ class CountingOcp(OcpControlProblem):
         self.laplacian = CountingMatmul(self.laplacian)
         self.calls = 0
 
-    def value_and_grad(self, u, last=None):
+    def value_and_grad(self, u):
         self.calls += 1
-        return super().value_and_grad(u, last)
+        return super().value_and_grad(u)
 
 
 def run(problem_id, ls, m, mode, fault=None, at=0):
@@ -129,18 +132,23 @@ def test_overflowing_gradient_norm_stops_the_run(ls, mode):
 @pytest.mark.parametrize("scale", [1e4, 1e300])
 @pytest.mark.parametrize("ls", ["armijo", "mt"])
 def test_overflowing_control_ends_within_the_newton_budget(ls, scale):
-    # a control this large overflows exp(y) in the state's Newton iteration;
-    # each call evaluates the residual once, then in each of newton_max = 50
-    # steps at most one chord trial that fails to halve it and 41 Newton
-    # trials (t = 1, ..., 2^-40)
+    # a control this large overflows exp(y) in the state solve, which ends
+    # the run at its first evaluation with a NewtonError.  A call evaluates
+    # the residual once at y = 0 and then, in each of newton_max = 50 steps,
+    # once at the full step and at most 40 times more while damping halves
+    # it (t = 1/2, ..., 2^-40).  Whether a step is the chord step or, where
+    # that fails to halve its predecessor, the Newton step on a fresh factor
+    # is decided from the step sizes before any residual is evaluated, so a
+    # call that raises makes at most 1 + 41 * newton_max products with the
+    # Laplacian (the adjoint's products follow only a state solve that returns)
     problem = CountingOcp(OcpGrid(M=8))
     config = SolverConfig(cautious=CautiousParams(m=5), linesearch=ls, max_iter=MAX_ITER,
                           keep_iterates=False)
     report = minimize(problem, problem.space, np.full(problem.space.dim, scale), config)
-    assert report.status in ("eval_error", "nonfinite")
-    assert report.reason
+    assert report.status == "eval_error"
+    assert report.reason.startswith("NewtonError")
     assert problem.calls >= 1
-    assert problem.laplacian.count <= problem.calls * (problem.grid.newton_max * 42 + 1)
+    assert problem.laplacian.count <= problem.calls * (problem.grid.newton_max * 41 + 1)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,13 +19,11 @@ from cautious_lbfgs import (
     PiecewiseQuadratic,
     Rosenbrock,
     SolverConfig,
-    compare_traces,
     fd_gradient_check,
     minimize,
     problems,
 )
 from cautious_lbfgs.problems import laplacian_5pt
-from cautious_lbfgs.solver import SolverState
 
 
 def hessian_spectrum_scan(lo=-0.5, hi=1.4, n=41) -> tuple[float, float]:
@@ -169,19 +172,19 @@ class TestOcpGrid:
 class TestOcpState:
     def test_single_node_forced_solution(self):
         # 16*0 + exp(0) = 1, so u = 1 gives y = 0
-        y, _ = OcpControlProblem(OcpGrid(M=2)).solve_state(np.array([1.0]))
+        y = OcpControlProblem(OcpGrid(M=2)).solve_state(np.array([1.0]))
         assert_allclose(y, [0.0], atol=1e-13)
 
     def test_manufactured_single_node(self):
         c = 0.37
         u = np.array([16.0 * c + np.exp(c)])
-        y, _ = OcpControlProblem(OcpGrid(M=2)).solve_state(u)
+        y = OcpControlProblem(OcpGrid(M=2)).solve_state(u)
         assert_allclose(y, [c], atol=1e-12)
 
     def test_residual_postcondition(self):
         grid = OcpGrid(M=16)
         prob = OcpControlProblem(grid)
-        y, _ = prob.solve_state(np.zeros(prob.space.dim))
+        y = prob.solve_state(np.zeros(prob.space.dim))
         residual = prob.laplacian @ y + np.exp(y) - 0.0
         assert prob.space.norm(residual) <= 1e-12
 
@@ -191,7 +194,7 @@ class TestOcpState:
         rng = np.random.default_rng(4)
         y_target = rng.uniform(-1, 1, size=prob.space.dim)
         u = prob.laplacian @ y_target + np.exp(y_target)
-        y, _ = prob.solve_state(u)
+        y = prob.solve_state(u)
         assert_allclose(y, y_target, atol=1e-10)
 
     def test_iteration_cap(self):
@@ -253,17 +256,47 @@ class TestOcpObjective:
 
 
 class ReassemblingOcp(OcpControlProblem):
-    """Oracle that assembles and factors A + diag(exp(y)) wherever a factor is needed.
+    """Oracle that assembles and factors A + diag(exp(y)) at every Newton step and for the adjoint.
 
-    It never reuses the factor of A + I built at construction nor writes
-    a diagonal into the shared pattern, so the problem must agree with it
-    bit for bit.  splu is looked up on ``problems.spla`` so that counting
-    views patched there see these calls too.
+    Its state solve is damped Newton from y = 0 that, once the residual is
+    below newton_tol, takes two more full steps, which carry a quadratic
+    iteration to its rounding floor; it never solves with the factor of
+    A + I built at construction.  splu is looked up on ``problems.spla``
+    so that counting views patched there see these calls too.
     """
 
-    def _jacobian_lu(self, y):
+    def _factor(self, y):
         jac = (self.laplacian + sp.diags(np.exp(y))).tocsc()
         return problems.spla.splu(jac, permc_spec=problems.PERMC_SPEC)
+
+    def _residual(self, y, u):
+        residual = self.laplacian @ y + np.exp(y) - u
+        return residual, self.space.norm(residual)
+
+    def solve_state(self, u):
+        tol = self.grid.newton_tol
+        y = np.zeros(self.space.dim)
+        residual, res_norm = self._residual(y, u)
+        extra = 2
+        for _ in range(self.grid.newton_max):
+            if res_norm <= tol:
+                if extra == 0:
+                    return y
+                extra -= 1
+            delta = self._factor(y).solve(-residual)
+            t = 1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_trial, r_norm = self._residual(y + delta, u)
+                while res_norm > tol and not r_norm < res_norm:
+                    t *= 0.5
+                    if t < 2.0**-40:
+                        raise NewtonError("oracle damping failed")
+                    r_trial, r_norm = self._residual(y + t * delta, u)
+            y, residual, res_norm = y + t * delta, r_trial, r_norm
+        raise NewtonError("oracle Newton solve unfinished")
+
+    def solve_adjoint(self, y):
+        return self._factor(y).solve(y - self.target_state)
 
 
 def _controls(M):
@@ -299,8 +332,9 @@ class TestOcpFactorReuse:
         for u in _controls(M):
             f, grad = prob.value_and_grad(u)
             f_ref, grad_ref = oracle.value_and_grad(u)
-            assert np.array_equal(f, f_ref)
-            assert np.array_equal(grad, grad_ref)
+            # measured at most 9.1e-16 relative on the gradient here (8.6e-15 at M = 64)
+            assert abs(f - f_ref) <= 1e-13 * abs(f_ref)
+            assert np.linalg.norm(grad - grad_ref) <= 1e-13 * np.linalg.norm(grad_ref)
 
     @pytest.mark.parametrize("ls", ["armijo", "mt"])
     @pytest.mark.parametrize("m", [0, 5, 10])
@@ -313,19 +347,18 @@ class TestOcpFactorReuse:
             runs.append(minimize(prob, prob.space, np.zeros(prob.space.dim), config))
         ours, ref = runs
         assert ours.status == ref.status == "converged"
-        assert compare_traces(ours, ref, fields=("f", "grad_norm", "gamma", "alpha", "n_active")) is None
-        assert ours.x_final.tobytes() == ref.x_final.tobytes()
+        assert (ours.n_iter, ours.n_feval, ours.n_unit_steps) == (ref.n_iter, ref.n_feval, ref.n_unit_steps)
+        assert_allclose(ours.x_final, ref.x_final, rtol=0, atol=1e-10 * np.max(np.abs(ref.x_final)))
 
     @pytest.mark.parametrize("M", [2, 4, 32])
     def test_at_most_one_factorization_per_evaluation(self, M, splu_calls):
         prob = OcpControlProblem(OcpGrid(M=M))
+        del splu_calls[:]
         for u in _controls(M):
-            del splu_calls[:]
             prob.value_and_grad(u)
-            # the state solve steps on the factor of A + I; at u = 1 the state
-            # is exactly y = 0, so the adjoint reuses that factor too
-            assert len(splu_calls) <= 1
-            assert (len(splu_calls) == 0) == np.array_equal(u, np.ones_like(u))
+        # none at all after construction: both solves step on the factor of
+        # A + I built with the problem
+        assert splu_calls == []
 
     def test_evaluations_leave_no_state_behind(self):
         grid = OcpGrid(M=8)
@@ -341,45 +374,22 @@ class TestOcpFactorReuse:
 
 
 OCP8 = OcpControlProblem(OcpGrid(M=8))
-CONTROLS8 = hnp.arrays(float, OCP8.space.dim, elements=st.floats(-50.0, 50.0))
+ORACLE8 = ReassemblingOcp(OcpGrid(M=8))
+CONTROLS8 = hnp.arrays(float, OCP8.space.dim, elements=st.floats(-500.0, 500.0))
 
 
 class TestOcpEvaluator:
-    def test_runs_interleaved_on_one_problem_match_runs_on_fresh_problems(self):
-        grid = OcpGrid(M=16)
-        shared = OcpControlProblem(grid)
-        rng = np.random.default_rng(6)
-        runs = [
-            (SolverConfig(cautious=CautiousParams(m=5), linesearch="armijo", grad_tol=1e-8,
-                          oracle_checks=False), np.zeros(shared.space.dim)),
-            (SolverConfig(cautious=CautiousParams(m=10), linesearch="mt", grad_tol=1e-8,
-                          oracle_checks=False), 1e-2 * rng.standard_normal(shared.space.dim)),
-        ]
-        states = [SolverState(shared, shared.space, x0, config) for config, x0 in runs]
-        # one iteration of each run in turn, so every evaluation of one run
-        # follows an evaluation of the other on the same problem
-        while not all(state.terminated for state in states):
-            for state in states:
-                state.step()
-        for state, (config, x0) in zip(states, runs):
-            fresh = OcpControlProblem(grid)
-            ref = minimize(fresh, fresh.space, x0, config)
-            ours = state.report()
-            assert ours.status == ref.status == "converged"
-            assert compare_traces(ours, ref, fields=("f", "grad_norm", "gamma", "alpha", "n_active")) is None
-            assert ours.x_final.tobytes() == ref.x_final.tobytes()
-
     @settings(max_examples=40, deadline=None)
-    @given(CONTROLS8, CONTROLS8, st.floats(0.0, 1.0))
-    def test_warm_state_solve_matches_cold(self, u1, v, t):
-        prob = OCP8
-        u2 = u1 + t * v
-        start = prob.solve_state(u1)
-        y_warm, _ = prob.solve_state(u2, start=start)
-        y_cold, _ = prob.solve_state(u2)
-        residual = prob.laplacian @ y_warm + np.exp(y_warm) - u2
-        assert prob.space.norm(residual) <= prob.grid.newton_tol
-        assert np.max(np.abs(y_warm - y_cold)) <= 1e-10
+    @given(CONTROLS8)
+    def test_cold_state_matches_newton_oracle(self, u):
+        # where u is large, exp(y) - 1 exceeds the smallest eigenvalue of
+        # A + I (about 20), the chord steps stop halving, and the solve
+        # falls back to Newton steps on fresh factors: 6-12 of them per
+        # solve for uniform draws from this range
+        y = OCP8.solve_state(u)
+        residual = OCP8.laplacian @ y + np.exp(y) - u
+        assert OCP8.space.norm(residual) <= OCP8.grid.newton_tol
+        assert np.max(np.abs(y - ORACLE8.solve_state(u))) <= 1e-12
 
     @pytest.mark.parametrize("j", [5, 6, 7])
     def test_tight_reference_solve_converges(self, j, splu_calls):
@@ -394,3 +404,25 @@ class TestOcpEvaluator:
         report = minimize(prob, prob.space, np.zeros(prob.space.dim), config)
         assert report.status == "converged"
         assert len(splu_calls) <= 1.3 * report.n_geval
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_tight_reference_solve_converges_at_either_blas_thread_count(self, threads):
+        # the BLAS thread count changes the summation order of every inner
+        # product of the run, and so the last bits of its iterates; it is
+        # read when the BLAS loads, hence one process per count
+        code = (
+            "import numpy as np\n"
+            "from cautious_lbfgs import CautiousParams, OcpControlProblem, OcpGrid, SolverConfig, minimize\n"
+            "prob = OcpControlProblem(OcpGrid(M=2**7))\n"
+            "config = SolverConfig(cautious=CautiousParams(m=10), linesearch='armijo', grad_tol=1e-12,\n"
+            "                      max_iter=500, keep_iterates=False)\n"
+            "report = minimize(prob, prob.space, np.zeros(prob.space.dim), config)\n"
+            "print(report.status, report.n_iter, report.n_geval, report.reason)\n"
+        )
+        src = str(Path(problems.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split()[0] == "converged", run.stdout

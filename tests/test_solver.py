@@ -331,7 +331,8 @@ class TestAudits:
     def test_audit_reports_present_and_clean(self):
         prob = Rosenbrock()
         report = minimize(prob, prob.space, ROSEN_X0,
-                          SolverConfig(cautious=CautiousParams(m=2), grad_tol=1e-9))
+                          SolverConfig(cautious=CautiousParams(m=2), grad_tol=1e-9,
+                                       oracle_checks=True))
         assert report.audits is not None
         assert len(report.audits) == report.n_iter
         assert report.bound_violations == 0
@@ -341,14 +342,16 @@ class TestAudits:
     def test_bound_violations_count_failed_audits(self):
         prob = PiecewiseQuadratic(10)
         report = minimize(prob, prob.space, prob.b.copy(),
-                          SolverConfig(cautious=CautiousParams(m=5), grad_tol=1e-5))
+                          SolverConfig(cautious=CautiousParams(m=5), grad_tol=1e-5,
+                                       oracle_checks=True))
         assert report.audits
         assert report.bound_violations == sum(not a.ok for a in report.audits)
 
     def test_coarse_pde_grid_audit_clean(self):
         problem = OcpControlProblem(OcpGrid(M=16))
         report = minimize(problem, problem.space, np.zeros(problem.space.dim),
-                          SolverConfig(cautious=CautiousParams(m=5), grad_tol=1e-9))
+                          SolverConfig(cautious=CautiousParams(m=5), grad_tol=1e-9,
+                                       oracle_checks=True))
         assert report.status == "converged"
         assert report.audits is not None
         assert report.bound_violations == 0
@@ -376,10 +379,11 @@ class TestAudits:
             assert compare_traces(on, off) is None
             assert np.array_equal(on.x_final, off.x_final)
 
-    def test_auto_audit_at_every_dimension(self):
+    def test_audit_at_every_dimension(self):
         prob = PiecewiseQuadratic(200)  # dim 600
         report = minimize(prob, prob.space, prob.b.copy(),
-                          SolverConfig(cautious=CautiousParams(m=5), grad_tol=1e-5))
+                          SolverConfig(cautious=CautiousParams(m=5), grad_tol=1e-5,
+                                       oracle_checks=True))
         assert report.status == "converged"
         assert report.audits is not None and len(report.audits) == report.n_iter
         assert report.bound_violations == 0
@@ -390,6 +394,12 @@ class TestAudits:
                           SolverConfig(cautious=CautiousParams(m=2), mode="classical",
                                        grad_tol=1e-9))
         assert report.audits is None
+
+    def test_audit_off_by_default(self):
+        prob = Rosenbrock()
+        report = minimize(prob, prob.space, ROSEN_X0,
+                          SolverConfig(cautious=CautiousParams(m=2), grad_tol=1e-9))
+        assert report.audits is None and report.bound_violations == 0
 
 
 class TestModes:
@@ -418,7 +428,7 @@ class TestModes:
         assert div is not None
         assert div >= 0
 
-    @pytest.mark.parametrize("audit", [None, False])
+    @pytest.mark.parametrize("audit", [True, False])
     def test_underflowing_threshold_filters_at_level_zero(self, audit):
         # c2 = 100 drives omega below the smallest float near the solution
         prob = Rosenbrock()
