@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Byte-identity pin: write the 22 reference CLI outputs into OUTDIR.
+"""Byte-identity pin: write the 26 reference CLI outputs into OUTDIR.
 
 The files are the benchmark tables t2/t3/t4 in both modes, the t5 mesh
 study, a 20-start random-start study, JSONL traces with their summary
-CSVs for three single solves in both modes, and the stdout of one single
+CSVs for four single solves in both modes, and the stdout of one single
 solve and of one table.  Two trees agree on every output when ``diff -r``
 of their OUTDIRs is empty:
 
@@ -19,6 +19,7 @@ from cautious_lbfgs.cli import main
 TRACES = [
     ("rosenbrock", "armijo", 2),
     ("rosenbrock", "mt", 3),
+    ("rosenbrock", "gll", 0),
     ("pwquad", "wolfe", 5),
 ]
 STDOUT = {

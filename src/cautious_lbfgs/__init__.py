@@ -8,8 +8,7 @@ oracles to test them, and convergence-rate diagnostics.
 The names below are the package's API.  The building blocks (the
 two-loop recursion and the dense oracles in ``direction``, the four
 line searches in ``linesearch``, the filter helpers in
-``secant_store``, ``SolverState`` in ``solver``) are imported from
-their submodules.
+``secant_store``) are imported from their submodules.
 """
 
 from .diagnostics import (

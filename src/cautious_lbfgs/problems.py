@@ -164,6 +164,7 @@ class OcpControlProblem(Problem):
         self.space = make_grid_space(grid.M)
         self.laplacian = laplacian_5pt(grid.M)
         self.target_state = grid.target_state
+        self._abs_laplacian = abs(self.laplacian)
         self._lu_at_zero = self._jacobian_lu(np.zeros(self.space.dim))
 
     def _jacobian_lu(self, y: np.ndarray):
@@ -185,7 +186,10 @@ class OcpControlProblem(Problem):
         newton_tol and the step below 4 eps ||y||.  The residual is measured
         in the grid norm; the Euclidean norm of the strong-form residual
         scales like 1/h^2 and would sit above any fixed absolute tolerance
-        on fine grids.
+        on fine grids.  For a large control its rounding floor, about
+        eps || |A| |y| + exp(y) + |u| ||, lies above newton_tol: where
+        damping fails or the steps run out, a finite residual within
+        8 times that floor returns y, and any other raises NewtonError.
         """
         u = self.space.check(u)
         tol = self.grid.newton_tol
@@ -196,6 +200,12 @@ class OcpControlProblem(Problem):
             y_trial = y + step
             r_trial = self.laplacian @ y_trial + np.exp(y_trial) - u
             return y_trial, r_trial, self.space.norm(r_trial)
+
+        def at_rounding_floor():
+            if not np.isfinite(res_norm):
+                return False
+            terms = self._abs_laplacian @ np.abs(y) + np.exp(y) + np.abs(u)
+            return res_norm <= 8.0 * EPS * self.space.norm(terms)
 
         with np.errstate(over="ignore", invalid="ignore"):
             y, residual, res_norm = trial(0.0)
@@ -215,9 +225,13 @@ class OcpControlProblem(Problem):
                 while res_norm > tol and not r_norm < res_norm:
                     t *= 0.5
                     if t < 2.0**-40:
+                        if at_rounding_floor():
+                            return y
                         raise NewtonError("damping failed to reduce the state residual")
                     y_trial, r_trial, r_norm = trial(t * delta)
                 y, residual, res_norm, step_norm = y_trial, r_trial, r_norm, t * delta_norm
+            if at_rounding_floor():
+                return y
         raise NewtonError(
             f"state solve unfinished after {self.grid.newton_max} steps, "
             f"residual {res_norm} (tolerance {tol})"

@@ -51,6 +51,8 @@ LINE_SEARCHES = ("armijo", "wolfe", "mt", "gll")
 # ArithmeticErrors; a malformed result fails its check with a ValueError
 # (wrong gradient shape) or a TypeError (an f that is not a scalar)
 EVAL_ERRORS = (ArithmeticError, RuntimeError, TypeError, ValueError)
+# the iterate-defining scalars of an IterationRecord, compared by compare_traces
+TRACE_FIELDS = ("gamma", "alpha", "n_active")
 
 
 @dataclass
@@ -182,178 +184,125 @@ class _Ray:
         return self.space.inner(self.grad, self.d)
 
 
-class SolverState:
-    """Owns one run; ``step`` performs a single iteration of the loop body.
-
-    Every evaluation is a call of ``problem.value_and_grad``; the dense
-    audit of each direction runs only where the config asks for it.
-    """
-
-    def __init__(self, problem: Problem, space: Space, x0, config: SolverConfig):
-        self.problem = problem
-        self.space = space
-        self.config = config
-        self.x = space.check(x0).copy()
-        self.status: str | None = None
-        self.reason: str | None = None
-        self.store = SecantStore(config.cautious.m)
-        self.trace: list[IterationRecord] = []
-        self.n_feval = 0
-        self.audits: list[BoundReport] = []
-
-        self.iterates: list[np.ndarray] = [self.x.copy()] if config.keep_iterates else []
-        try:
-            self.f, self.grad = _evaluate(problem, space, self.x)
-        except _EvalFailure as err:
-            self.f, self.grad = math.nan, np.full(space.dim, math.nan)
-            self._stop("eval_error", str(err))
-        self.grad_norm = space.norm(self.grad)
-        self.f_history: deque[float] = deque([self.f], maxlen=config.ls.gll_memory)
-        if self.status is None and not (math.isfinite(self.f) and math.isfinite(self.grad_norm)):
-            self._stop("nonfinite", "nonfinite objective or gradient at the starting point")
-
-    @property
-    def terminated(self) -> bool:
-        return self.status is not None
-
-    def _stop(self, status: str, reason: str | None = None) -> None:
-        self.status, self.reason = status, reason
-
-    def step(self) -> IterationRecord | None:
-        """Run one iteration; return its record, or None on a termination event."""
-        if self.status is not None:
-            return None
-        if self.grad_norm <= self.config.grad_tol:
-            self._stop("converged")
-            return None
-        k = len(self.trace)
-        if k >= self.config.max_iter:
-            self._stop("max_iter", f"gradient norm {self.grad_norm} above "
-                                   f"{self.config.grad_tol} after {k} iterations")
-            return None
-
-        cfg = self.config
-        omega = cautious_threshold(self.grad_norm, cfg.cautious)
-        level = omega if cfg.mode == "cautious" else 0.0
-        # Degenerate-interval target: plain unscaled seed on the very first
-        # iteration, unit-step gradient scaling after a rejected pair.
-        fallback = 1.0 if k == 0 else 1.0 / self.grad_norm
-        gamma = choose_seed_scaling(self.store, level, fallback)
-        active = self.store.active(level)
-        n_stored = len(self.store)
-        d = two_loop(self.space, active, gamma, self.grad)
-        dphi0 = self.space.inner(self.grad, d)
-        if not dphi0 < 0.0:
-            self._stop("non_descent", f"direction is not a descent direction: dphi0 = {dphi0}")
-            return None
-
-        if cfg.oracle_checks:
-            H = TwoLoopOperator(self.space, active, gamma)
-            self.audits.append(cautious_bound_report(H, omega, cfg.cautious.m))
-
-        ray = _Ray(self.problem, self.space, self.x, d)
-        try:
-            outcome = self._search(ray, dphi0)
-        except LineSearchError as err:
-            self._stop("linesearch_failure", str(err))
-            return None
-        except _EvalFailure as err:
-            self._stop("eval_error", str(err))
-            return None
-        finally:
-            # the trials of a failed search happened too
-            self.n_feval += ray.n_feval
-        alpha, x_new, f_new, grad_new = outcome.alpha, ray.point, outcome.f_new, ray.grad
-        grad_norm_new = self.space.norm(grad_new)
-        # a NaN or infinite entry, or finite entries whose norm overflows
-        if not (math.isfinite(f_new) and math.isfinite(grad_norm_new)):
-            self.x, self.f, self.grad, self.grad_norm = x_new, f_new, grad_new, grad_norm_new
-            self._stop("nonfinite", f"nonfinite objective or gradient at iterate {k + 1}")
-            return None
-
-        s = alpha * d
-        y = grad_new - self.grad
-        stored = self.store.push(self.space, s, y, index=k)
-        record = IterationRecord(
-            k=k,
-            f=self.f,
-            grad_norm=self.grad_norm,
-            omega=omega,
-            gamma=gamma,
-            n_active=len(active),
-            n_stored=n_stored,
-            alpha=alpha,
-            pair_stored=stored,
-            n_feval_ls=outcome.n_feval,
-            storage=self.store.snapshot() if cfg.keep_storage else None,
-        )
-        self.trace.append(record)
-
-        self.x, self.f, self.grad, self.grad_norm = x_new, f_new, grad_new, grad_norm_new
-        self.f_history.append(f_new)
-        if cfg.keep_iterates:
-            self.iterates.append(x_new.copy())
-        return record
-
-    def _search(self, ray: _Ray, dphi0: float) -> LineSearchOutcome:
-        cfg = self.config
-        if cfg.linesearch == "armijo":
-            return armijo_backtrack(ray.phi, self.f, dphi0, cfg.ls)
-        if cfg.linesearch == "gll":
-            return gll_nonmonotone(ray.phi, dphi0, self.f_history, cfg.ls)
-        if cfg.linesearch == "wolfe":
-            return wolfe_weak(ray.phi, ray.dphi, cfg.ls, phi0=self.f, dphi0=dphi0)
-        return more_thuente(ray.phi, ray.dphi, cfg.ls, phi0=self.f, dphi0=dphi0)
-
-    def report(self) -> SolveReport:
-        alphas = [r.alpha for r in self.trace]
-        return SolveReport(
-            status=self.status if self.status is not None else "running",
-            x_final=self.x.copy(),
-            f_final=self.f,
-            grad_norm_final=self.grad_norm,
-            trace=list(self.trace),
-            n_iter=len(self.trace),
-            n_feval=self.n_feval,
-            n_geval=self.n_feval + 1,
-            n_pairs_stored=sum(r.pair_stored for r in self.trace),
-            n_unit_steps=sum(r.alpha == 1.0 for r in self.trace),
-            alpha_min=min(alphas) if alphas else math.nan,
-            alpha_max=max(alphas) if alphas else math.nan,
-            iterates=list(self.iterates) if self.config.keep_iterates else None,
-            audits=list(self.audits) if self.config.oracle_checks else None,
-            bound_violations=sum(not a.ok for a in self.audits),
-            reason=self.reason,
-        )
+def _search(config: SolverConfig, ray: _Ray, f: float, dphi0: float,
+            f_history: deque[float]) -> LineSearchOutcome:
+    """The configured line search along ``ray`` from the value f and slope dphi0."""
+    if config.linesearch == "armijo":
+        return armijo_backtrack(ray.phi, f, dphi0, config.ls)
+    if config.linesearch == "gll":
+        return gll_nonmonotone(ray.phi, dphi0, f_history, config.ls)
+    if config.linesearch == "wolfe":
+        return wolfe_weak(ray.phi, ray.dphi, config.ls, phi0=f, dphi0=dphi0)
+    return more_thuente(ray.phi, ray.dphi, config.ls, phi0=f, dphi0=dphi0)
 
 
 def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveReport:
-    """Drive :class:`SolverState` until a termination event fires.
+    """Iterate from x0 until a termination event fires, and report the run.
 
-    On ``converged`` the final gradient norm is at or below grad_tol.  A
+    Every evaluation is a call of ``problem.value_and_grad``; the dense
+    audit of each direction runs only where the config asks for it.  On
+    ``converged`` the final gradient norm is at or below grad_tol.  A
     line-search failure, a nonfinite or failed evaluation, or a direction
     without descent ends the run with the corresponding status, its
     reason, and the trace collected so far; none of them raises.
     """
-    state = SolverState(problem, space, x0, config)
-    while not state.terminated:
-        state.step()
-    return state.report()
+    x = space.check(x0).copy()
+    status = reason = None
+    store = SecantStore(config.cautious.m)
+    trace: list[IterationRecord] = []
+    audits: list[BoundReport] = []
+    iterates = [x.copy()] if config.keep_iterates else None
+    n_feval = 0
+    try:
+        f, grad = _evaluate(problem, space, x)
+    except _EvalFailure as err:
+        f, grad = math.nan, np.full(space.dim, math.nan)
+        status, reason = "eval_error", str(err)
+    grad_norm = space.norm(grad)
+    f_history: deque[float] = deque([f], maxlen=config.ls.gll_memory)
+    if status is None and not (math.isfinite(f) and math.isfinite(grad_norm)):
+        status, reason = "nonfinite", "nonfinite objective or gradient at the starting point"
+
+    while status is None:
+        if grad_norm <= config.grad_tol:
+            status = "converged"
+            break
+        k = len(trace)
+        if k >= config.max_iter:
+            status = "max_iter"
+            reason = f"gradient norm {grad_norm} above {config.grad_tol} after {k} iterations"
+            break
+
+        omega = cautious_threshold(grad_norm, config.cautious)
+        level = omega if config.mode == "cautious" else 0.0
+        # Degenerate-interval target: plain unscaled seed on the very first
+        # iteration, unit-step gradient scaling after a rejected pair.
+        fallback = 1.0 if k == 0 else 1.0 / grad_norm
+        gamma = choose_seed_scaling(store, level, fallback)
+        active = store.active(level)
+        n_stored = len(store)
+        d = two_loop(space, active, gamma, grad)
+        dphi0 = space.inner(grad, d)
+        if not dphi0 < 0.0:
+            status, reason = "non_descent", f"direction is not a descent direction: dphi0 = {dphi0}"
+            break
+
+        if config.oracle_checks:
+            audits.append(cautious_bound_report(TwoLoopOperator(space, active, gamma), omega,
+                                                config.cautious.m))
+
+        ray = _Ray(problem, space, x, d)
+        try:
+            outcome = _search(config, ray, f, dphi0, f_history)
+        except LineSearchError as err:
+            status, reason = "linesearch_failure", str(err)
+            break
+        except _EvalFailure as err:
+            status, reason = "eval_error", str(err)
+            break
+        finally:
+            # the trials of a failed search happened too
+            n_feval += ray.n_feval
+        alpha, x_new, f_new, grad_new = outcome.alpha, ray.point, outcome.f_new, ray.grad
+        grad_norm_new = space.norm(grad_new)
+        # a NaN or infinite entry, or finite entries whose norm overflows
+        if not (math.isfinite(f_new) and math.isfinite(grad_norm_new)):
+            x, f, grad, grad_norm = x_new, f_new, grad_new, grad_norm_new
+            status, reason = "nonfinite", f"nonfinite objective or gradient at iterate {k + 1}"
+            break
+
+        stored = store.push(space, alpha * d, grad_new - grad, index=k)
+        trace.append(IterationRecord(
+            k=k, f=f, grad_norm=grad_norm, omega=omega, gamma=gamma, n_active=len(active),
+            n_stored=n_stored, alpha=alpha, pair_stored=stored, n_feval_ls=outcome.n_feval,
+            storage=store.snapshot() if config.keep_storage else None,
+        ))
+        x, f, grad, grad_norm = x_new, f_new, grad_new, grad_norm_new
+        f_history.append(f)
+        if iterates is not None:
+            iterates.append(x.copy())
+
+    alphas = [r.alpha for r in trace]
+    return SolveReport(
+        status=status, x_final=x, f_final=f, grad_norm_final=grad_norm, trace=trace,
+        n_iter=len(trace), n_feval=n_feval, n_geval=n_feval + 1,
+        n_pairs_stored=sum(r.pair_stored for r in trace),
+        n_unit_steps=sum(r.alpha == 1.0 for r in trace),
+        alpha_min=min(alphas, default=math.nan), alpha_max=max(alphas, default=math.nan),
+        iterates=iterates, audits=audits if config.oracle_checks else None,
+        bound_violations=sum(not a.ok for a in audits), reason=reason,
+    )
 
 
-def compare_traces(
-    a: SolveReport,
-    b: SolveReport,
-    fields: tuple[str, ...] = ("gamma", "alpha", "n_active"),
-) -> int | None:
+def compare_traces(a: SolveReport, b: SolveReport) -> int | None:
     """First iteration index at which two runs differ, or None if identical.
 
-    Compares the iterate-defining scalars exactly (no tolerance) and the
+    Compares the TRACE_FIELDS of each record exactly (no tolerance) and the
     final iterates elementwise; a length mismatch diverges at the end of
     the shorter trace.
     """
     for i, (ra, rb) in enumerate(zip(a.trace, b.trace)):
-        for name in fields:
+        for name in TRACE_FIELDS:
             if getattr(ra, name) != getattr(rb, name):
                 return i
     if len(a.trace) != len(b.trace):

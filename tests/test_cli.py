@@ -223,11 +223,13 @@ class TestRandomStartStudy:
 class TestDeterminism:
     def test_outputs_match_pinned_bytes(self, tmp_path):
         # tests/data holds the files scripts/golden_outputs.py writes for these runs
-        main(["--table", "t2", "--csv", str(tmp_path / "t2.csv")])
+        for table in ("t2", "t3"):
+            main(["--table", table, "--csv", str(tmp_path / f"{table}.csv")])
+        main(["--runs", "20", "--seed", "0", "--csv", str(tmp_path / "runs20_seed0.csv")])
         stem = "trace_rosenbrock_armijo_m2"
         main(["--problem", "rosenbrock", "--ls", "armijo", "--m", "2",
               "--csv", str(tmp_path / f"{stem}.csv"), "--trace", str(tmp_path / f"{stem}.jsonl")])
-        for name in ("t2.csv", f"{stem}.csv", f"{stem}.jsonl"):
+        for name in ("t2.csv", "t3.csv", "runs20_seed0.csv", f"{stem}.csv", f"{stem}.jsonl"):
             assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
     def test_byte_identical_reruns(self, tmp_path):

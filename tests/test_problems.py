@@ -391,6 +391,22 @@ class TestOcpEvaluator:
         assert OCP8.space.norm(residual) <= OCP8.grid.newton_tol
         assert np.max(np.abs(y - ORACLE8.solve_state(u))) <= 1e-12
 
+    @pytest.mark.parametrize(("j", "level"), [(7, 10.0), (7, -10.0), (5, 300.0), (5, -300.0),
+                                              (3, 3000.0), (3, -3000.0)])
+    def test_large_constant_control_evaluates_at_the_rounding_floor(self, j, level):
+        # the residual's rounding floor, about eps || |A| |y| + exp(y) + |u| ||,
+        # lies above newton_tol for these controls (j = 7 is a grid of the
+        # mesh study, whose optimum reaches amplitude 12), so the state solve
+        # returns there; the oracle's tolerance is scaled with the control
+        prob = OcpControlProblem(OcpGrid(M=2**j))
+        u = np.full(prob.space.dim, level)
+        f, grad = prob.value_and_grad(u)
+        assert np.isfinite(f) and np.all(np.isfinite(grad))
+        y = prob.solve_state(u)
+        y_ref = ReassemblingOcp(OcpGrid(M=2**j, newton_tol=1e-10 * abs(level))).solve_state(u)
+        # measured at most 3.4e-14
+        assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
+
     @pytest.mark.parametrize("j", [5, 6, 7])
     def test_tight_reference_solve_converges(self, j, splu_calls):
         # m = 10 Armijo to 1e-12 from u = 0: the reference solution of the

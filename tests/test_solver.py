@@ -19,7 +19,6 @@ from cautious_lbfgs import (
     fd_gradient_check,
     minimize,
 )
-from cautious_lbfgs.solver import SolverState
 
 ROSEN_X0 = np.array([-1.2, 1.0])
 
@@ -117,9 +116,10 @@ class TestMinimizeBasics:
         assert report.n_feval > 0  # the failed search's trials still count
 
     def test_eval_error_status(self):
-        # the damped Newton state solve fails at this start instead of raising
+        # the damped Newton state solve fails at this start instead of raising:
+        # the norm of the state residual overflows
         prob = OcpControlProblem(OcpGrid(M=8))
-        report = minimize(prob, prob.space, np.full(49, 1e4),
+        report = minimize(prob, prob.space, np.full(49, 1e300),
                           config(m=5, linesearch="wolfe", grad_tol=1e-9))
         assert report.status == "eval_error"
         assert report.reason == "NewtonError: damping failed to reduce the state residual"
@@ -290,17 +290,19 @@ class TestTraceInvariants:
 
 
 class TestStep:
-    def test_no_step_after_termination(self):
+    def test_start_at_minimiser_converges_with_empty_trace(self):
         prob = SphereProblem()
-        state = SolverState(prob, prob.space, np.zeros(2), config(m=1, grad_tol=1e-9))
-        assert state.step() is None
-        assert state.status == "converged"
-        assert state.step() is None
+        report = minimize(prob, prob.space, np.zeros(2), config(m=1, grad_tol=1e-9))
+        assert report.status == "converged"
+        assert report.reason is None
+        assert report.trace == []
+        assert (report.n_iter, report.n_feval, report.n_geval) == (0, 0, 1)
 
     def test_first_rosenbrock_step_uses_seed_only(self):
         prob = Rosenbrock()
-        state = SolverState(prob, prob.space, ROSEN_X0, config(m=2, grad_tol=1e-9))
-        record = state.step()
+        report = minimize(prob, prob.space, ROSEN_X0, config(m=2, grad_tol=1e-9, max_iter=1))
+        assert report.status == "max_iter"
+        [record] = report.trace
         assert record.k == 0
         assert record.n_active == 0
         assert record.gamma == 1.0
@@ -318,13 +320,14 @@ class TestStep:
                 return self.value(x), np.array([-x[0] ** 2 - 1.0])
 
         prob = Valley()
-        state = SolverState(prob, prob.space, np.array([0.0]), config(m=2, grad_tol=1e-12))
-        record = state.step()
-        assert record is not None
-        assert not record.pair_stored
-        assert state.store.gamma_minus == 0.0
-        assert math.isinf(state.store.gamma_plus)
-        assert len(state.store.pairs) == 0
+        report = minimize(prob, prob.space, np.array([0.0]),
+                          config(m=2, grad_tol=1e-12, max_iter=2, keep_storage=True))
+        first, second = report.trace
+        assert not first.pair_stored
+        assert first.storage == []
+        # the rejected pair left the scaling interval degenerate, so the
+        # next seed falls back to unit-step gradient scaling
+        assert second.gamma == 1.0 / second.grad_norm
 
 
 class TestAudits:
