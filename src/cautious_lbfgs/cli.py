@@ -22,7 +22,7 @@ from .diagnostics import q_factors
 from .linesearch import LineSearchParams
 from .problems import OcpControlProblem, OcpGrid, PiecewiseQuadratic, Problem, Rosenbrock
 from .secant_store import CautiousParams
-from .solver import SolveReport, SolverConfig, minimize
+from .solver import LINE_SEARCHES, SolveReport, SolverConfig, minimize
 
 SUMMARY_COLUMNS = [
     "problem", "ls", "m", "mode", "status",
@@ -51,8 +51,6 @@ def format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     x = float(v)
-    if math.isnan(x):
-        return "nan"
     if x == 0.0:
         return "0"
     if abs(x) < 1e-3:
@@ -114,7 +112,7 @@ def plan(args) -> tuple[list[tuple[Problem, np.ndarray]], list[SolverConfig]]:
         xtol=args.xtol,
         gll_memory=args.gll_mem,
     )
-    default_tol = 1e-5 if args.problem == "pwquad" else 1e-9
+    default_tol = 1e-5 if args.problem == "pwquad" else SolverConfig.grad_tol
     configs = [
         SolverConfig(
             cautious=CautiousParams(m=m, c0=args.c0, c1=args.c1, c2=args.c2),
@@ -291,6 +289,8 @@ def load_config_file(path) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The flags; a flag the library has a default or choices for takes them from it."""
+    ls = LineSearchParams
     parser = argparse.ArgumentParser(
         prog="cautious-lbfgs",
         description="Limited-memory quasi-Newton solver with cautious pair filtering",
@@ -302,33 +302,33 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of 3-blocks of the piecewise quadratic")
     parser.add_argument("--mesh-j", type=int, default=6, dest="mesh_j",
                         help="grid exponent of the control problem (M = 2^j)")
-    parser.add_argument("--nu", type=float, default=1e-3, help="control penalty weight")
+    parser.add_argument("--nu", type=float, default=OcpGrid.nu, help="control penalty weight")
     parser.add_argument("--m", type=int, default=2, help="memory size")
-    parser.add_argument("--ls", choices=["armijo", "wolfe", "mt", "gll"], default="armijo")
-    parser.add_argument("--gll-mem", type=int, default=10, dest="gll_mem")
+    parser.add_argument("--ls", choices=LINE_SEARCHES, default="armijo")
+    parser.add_argument("--gll-mem", type=int, default=ls.gll_memory, dest="gll_mem")
     parser.add_argument("--tol", type=float, default=None,
                         help="gradient-norm tolerance (default per problem)")
-    parser.add_argument("--c0", type=float, default=1e-4)
-    parser.add_argument("--c1", type=float, default=1.0)
+    parser.add_argument("--c0", type=float, default=CautiousParams.c0)
+    parser.add_argument("--c1", type=float, default=CautiousParams.c1)
     parser.add_argument("--c2", type=float, default=None,
                         help="default 1/(2m+3)")
     parser.add_argument("--classic", action="store_true",
                         help="classical L-BFGS/BB: the same iteration at filter level 0")
-    parser.add_argument("--sigma", type=float, default=1e-4, help="sufficient-decrease slope")
-    parser.add_argument("--eta", type=float, default=0.9)
-    parser.add_argument("--beta", type=float, default=0.5,
+    parser.add_argument("--sigma", type=float, default=ls.sigma, help="sufficient-decrease slope")
+    parser.add_argument("--eta", type=float, default=ls.eta)
+    parser.add_argument("--beta", type=float, default=ls.beta1,
                         help="backtracking contraction factor")
-    parser.add_argument("--maxfev", type=int, default=20)
-    parser.add_argument("--stpmax", type=float, default=1000.0)
-    parser.add_argument("--stpmin", type=float, default=0.0)
-    parser.add_argument("--xtol", type=float, default=1e-7)
-    parser.add_argument("--max-iter", type=int, default=50_000, dest="max_iter")
+    parser.add_argument("--maxfev", type=int, default=ls.maxfev)
+    parser.add_argument("--stpmax", type=float, default=ls.stpmax)
+    parser.add_argument("--stpmin", type=float, default=ls.stpmin)
+    parser.add_argument("--xtol", type=float, default=ls.xtol)
+    parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--runs", type=int, default=None,
                         help="run the random-start study with this many starts per config")
     parser.add_argument("--csv", default=None, help="summary CSV path (default stdout)")
     parser.add_argument("--trace", default=None, help="JSONL trace path")
-    parser.add_argument("--table", choices=["t2", "t3", "t4", "t5"], default=None)
+    parser.add_argument("--table", choices=TABLES, default=None)
     parser.add_argument("--mesh-list", type=int, nargs="+", default=[4, 5, 6, 7],
                         dest="mesh_list", help="grid exponents of the mesh study")
     parser.add_argument("--dump-grids", default=None, dest="dump_grids",

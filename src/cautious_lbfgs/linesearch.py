@@ -24,9 +24,8 @@ class LineSearchParams:
 
     sigma is the sufficient-decrease slope, eta the curvature constant
     (sigma < eta < 1 for the Wolfe modes), and [beta1, beta2] the
-    backtracking contraction window; beta1 == beta2 selects a fixed
-    contraction factor, otherwise quadratic interpolation clipped to the
-    window is used.
+    backtracking contraction window of the quadratic interpolation step,
+    a fixed contraction factor where beta1 == beta2.
     """
 
     sigma: float = 1e-4
@@ -72,10 +71,30 @@ class LineSearchError(RuntimeError):
         self.trials = trials or []
 
 
-def _backtrack(phi, phi0: float, dphi0: float, params: LineSearchParams,
-               reference: float) -> LineSearchOutcome:
+def armijo_backtrack(phi, phi0: float, dphi0: float, params: LineSearchParams) -> LineSearchOutcome:
+    """Backtracking from alpha = 1 until the sufficient-decrease test holds.
+
+    This is :func:`gll_nonmonotone` with the one-entry history [phi0].
+    """
+    return gll_nonmonotone(phi, dphi0, [phi0], params)
+
+
+def gll_nonmonotone(phi, dphi0: float, f_history, params: LineSearchParams) -> LineSearchOutcome:
+    """Nonmonotone Armijo backtracking: decrease is measured against max(f_history).
+
+    ``f_history`` holds the most recent objective values, oldest first,
+    with the current value phi(0) last; a one-entry history is the
+    Armijo rule.  Backtracking starts at alpha = 1.  Each later trial
+    minimizes the quadratic through (0, phi(0)) with slope dphi0 and the
+    last trial, clipped to [beta1, beta2] times that trial's step; with
+    beta1 == beta2 the window has no width and the contraction is fixed.
+    """
+    history = list(f_history)
+    if not history:
+        raise ValueError("f_history must be nonempty")
     if not dphi0 < 0.0:
         raise ValueError(f"descent derivative required, got dphi0 = {dphi0}")
+    phi0, reference = history[-1], max(history)
     alpha = 1.0
     trials: list[tuple[float, float]] = []
     for _ in range(params.maxfev):
@@ -83,43 +102,16 @@ def _backtrack(phi, phi0: float, dphi0: float, params: LineSearchParams,
         trials.append((alpha, f))
         if f <= reference + params.sigma * alpha * dphi0:
             return LineSearchOutcome(alpha=alpha, f_new=f, n_feval=len(trials))
-        if params.beta1 == params.beta2:
-            alpha *= params.beta1
-        else:
-            # quadratic model through (0, phi0), slope dphi0 and (alpha, f),
-            # clipped into the admissible contraction window
-            denom = 2.0 * (f - phi0 - dphi0 * alpha)
-            trial = -dphi0 * alpha * alpha / denom if denom > 0.0 else math.inf
-            if not math.isfinite(trial):
-                trial = params.beta2 * alpha
-            alpha = min(max(trial, params.beta1 * alpha), params.beta2 * alpha)
+        denom = 2.0 * (f - phi0 - dphi0 * alpha)
+        trial = -dphi0 * alpha * alpha / denom if denom > 0.0 else math.inf
+        if not math.isfinite(trial):
+            trial = params.beta2 * alpha
+        alpha = min(max(trial, params.beta1 * alpha), params.beta2 * alpha)
     raise LineSearchError(
         "maxfev",
         f"no sufficient decrease within {params.maxfev} trials",
         trials,
     )
-
-
-def armijo_backtrack(phi, phi0: float, dphi0: float, params: LineSearchParams) -> LineSearchOutcome:
-    """Backtracking from alpha = 1 until the sufficient-decrease test holds.
-
-    Every trial after the first lies within [beta1, beta2] times its
-    predecessor.
-    """
-    return _backtrack(phi, phi0, dphi0, params, reference=phi0)
-
-
-def gll_nonmonotone(phi, dphi0: float, f_history, params: LineSearchParams) -> LineSearchOutcome:
-    """Nonmonotone Armijo: decrease is measured against max(f_history).
-
-    ``f_history`` holds the most recent objective values, oldest first,
-    with the current value last.  With a single-entry history this is
-    exactly :func:`armijo_backtrack`.
-    """
-    history = list(f_history)
-    if not history:
-        raise ValueError("f_history must be nonempty")
-    return _backtrack(phi, history[-1], dphi0, params, reference=max(history))
 
 
 def wolfe_weak(phi, dphi, params: LineSearchParams,

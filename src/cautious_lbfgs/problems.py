@@ -187,9 +187,10 @@ class OcpControlProblem(Problem):
         in the grid norm; the Euclidean norm of the strong-form residual
         scales like 1/h^2 and would sit above any fixed absolute tolerance
         on fine grids.  For a large control its rounding floor, about
-        eps || |A| |y| + exp(y) + |u| ||, lies above newton_tol: where
-        damping fails or the steps run out, a finite residual within
-        8 times that floor returns y, and any other raises NewtonError.
+        eps || |A| |y| + exp(y) + |u| ||, lies above newton_tol.  Where the
+        full step first fails to reduce the residual, or the steps run out,
+        a finite residual within 8 times that floor returns y; a solve that
+        ends elsewhere above newton_tol raises NewtonError.
         """
         u = self.space.check(u)
         tol = self.grid.newton_tol
@@ -223,10 +224,10 @@ class OcpControlProblem(Problem):
                 y_trial, r_trial, r_norm = trial(delta)
                 t = 1.0
                 while res_norm > tol and not r_norm < res_norm:
+                    if t == 1.0 and at_rounding_floor():
+                        return y
                     t *= 0.5
                     if t < 2.0**-40:
-                        if at_rounding_floor():
-                            return y
                         raise NewtonError("damping failed to reduce the state residual")
                     y_trial, r_trial, r_norm = trial(t * delta)
                 y, residual, res_norm, step_norm = y_trial, r_trial, r_norm, t * delta_norm

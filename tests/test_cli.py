@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,8 @@ class TestFormatting:
         assert format_value(0.0009765625) == "9.765625e-04"
         assert format_value(0.5) == "0.5"
         assert format_value(float("nan")) == "nan"
+        assert format_value(math.copysign(math.nan, -1.0)) == "nan"
+        assert format_value(-0.0) == "0"
         assert format_value("converged") == "converged"
 
 
@@ -223,13 +226,13 @@ class TestRandomStartStudy:
 class TestDeterminism:
     def test_outputs_match_pinned_bytes(self, tmp_path):
         # tests/data holds the files scripts/golden_outputs.py writes for these runs
-        for table in ("t2", "t3"):
+        for table in ("t2", "t3", "t4"):
             main(["--table", table, "--csv", str(tmp_path / f"{table}.csv")])
         main(["--runs", "20", "--seed", "0", "--csv", str(tmp_path / "runs20_seed0.csv")])
         stem = "trace_rosenbrock_armijo_m2"
         main(["--problem", "rosenbrock", "--ls", "armijo", "--m", "2",
               "--csv", str(tmp_path / f"{stem}.csv"), "--trace", str(tmp_path / f"{stem}.jsonl")])
-        for name in ("t2.csv", "t3.csv", "runs20_seed0.csv", f"{stem}.csv", f"{stem}.jsonl"):
+        for name in ("t2.csv", "t3.csv", "t4.csv", "runs20_seed0.csv", f"{stem}.csv", f"{stem}.jsonl"):
             assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
     def test_byte_identical_reruns(self, tmp_path):

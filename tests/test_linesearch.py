@@ -83,6 +83,18 @@ class TestArmijo:
             assert 0.3 * prev <= nxt <= 0.8 * prev
         assert out.alpha == alphas[-1]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_fixed_factor_ladder_through_nonfinite_values(self, bad):
+        # beta1 == beta2 leaves the interpolation window no width, so each
+        # trial is beta times the last, whatever phi returned there
+        phi = counted(lambda a: bad if a > 0.01 else 1.0 - a)
+        out = armijo_backtrack(phi, 1.0, -1.0, LineSearchParams(beta1=0.3, beta2=0.3))
+        ladder = [1.0]
+        while ladder[-1] > 0.01:
+            ladder.append(ladder[-1] * 0.3)
+        assert [a for a, _ in phi.calls] == ladder
+        assert out.alpha == ladder[-1]
+
     def test_certificate_reverifies_by_direct_evaluation(self):
         # the reference level of the Armijo rule is phi(0), taken here from
         # phi itself rather than from anything the search reports

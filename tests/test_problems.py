@@ -24,6 +24,7 @@ from cautious_lbfgs import (
     problems,
 )
 from cautious_lbfgs.problems import laplacian_5pt
+from test_faults import CountingMatmul
 
 
 def hessian_spectrum_scan(lo=-0.5, hi=1.4, n=41) -> tuple[float, float]:
@@ -402,7 +403,12 @@ class TestOcpEvaluator:
         u = np.full(prob.space.dim, level)
         f, grad = prob.value_and_grad(u)
         assert np.isfinite(f) and np.all(np.isfinite(grad))
+        # the floor is tested where the full step first fails, not after
+        # 40 halvings: 10-32 residual evaluations, where halving to 2^-40
+        # took 50-88
+        prob.laplacian = CountingMatmul(prob.laplacian)
         y = prob.solve_state(u)
+        assert prob.laplacian.count <= 35
         y_ref = ReassemblingOcp(OcpGrid(M=2**j, newton_tol=1e-10 * abs(level))).solve_state(u)
         # measured at most 3.4e-14
         assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
