@@ -63,11 +63,11 @@ def _quotients(errors: np.ndarray, l: int = 1) -> tuple[np.ndarray, int]:
 
 
 def _x_errors(report: SolveReport, x_star, space: Space) -> np.ndarray:
-    """||x_k - x_star|| along the run's iterates."""
+    """||x_k - x_star|| along the run's iterates, which minimize built from its checked start."""
     if report.iterates is None:
         raise ValueError("report was produced without keep_iterates")
     x_star = space.check(x_star)
-    return np.array([space.norm(x - x_star) for x in report.iterates])
+    return np.array([space.norm_unchecked(x - x_star) for x in report.iterates])
 
 
 def error_sequences(report: SolveReport, f_star: float, x_star, space: Space):

@@ -43,18 +43,20 @@ def _recursion(weight: float, pairs: Sequence, gamma: float, q: np.ndarray) -> n
 
     Each pair has attributes s, y and sy = inner(s, y), oldest first; s
     and y are coordinates whose inner product is ``weight`` times the dot
-    product.  q is a vector or a block of columns; ``np.multiply.outer``
-    makes each rank-one correction a scaled vector or an outer product.
+    product.  q is a vector or a block of columns, and each rank-one
+    correction a scaled vector or an outer product: for a scalar
+    coefficient the two products agree bit for bit.
     """
+    scaled = np.multiply if q.ndim == 1 else np.multiply.outer
     coeffs = []
     for pair in reversed(pairs):
         a = weight * np.dot(pair.s, q) / pair.sy
         coeffs.append(a)
-        q -= np.multiply.outer(pair.y, a)
+        q -= scaled(pair.y, a)
     r = gamma * q
     for pair, a in zip(pairs, reversed(coeffs)):
         b = weight * np.dot(pair.y, r) / pair.sy
-        r += np.multiply.outer(pair.s, a - b)
+        r += scaled(pair.s, a - b)
     return r
 
 

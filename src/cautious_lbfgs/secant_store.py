@@ -120,9 +120,9 @@ class SecantStore:
         """
         s = space.check(s)
         y = space.check(y)
-        sy = space.inner(s, y)
-        ss = space.inner(s, s)
-        yy = space.inner(y, y)
+        sy = space.inner_unchecked(s, y)
+        ss = space.inner_unchecked(s, s)
+        yy = space.inner_unchecked(y, y)
         # ss/yy can underflow to zero for subnormal vectors even when sy > 0
         quality = min(sy / ss, sy / yy) if ss != 0.0 and yy != 0.0 else 0.0
         if not quality > 0.0 or not math.isfinite(1.0 / sy):

@@ -181,7 +181,7 @@ class _Ray:
 
     def dphi(self, alpha: float) -> float:
         self._evaluate(alpha)
-        return self.space.inner(self.grad, self.d)
+        return self.space.inner_unchecked(self.grad, self.d)
 
 
 def _search(config: SolverConfig, ray: _Ray, f: float, dphi0: float,
@@ -205,6 +205,10 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
     line-search failure, a nonfinite or failed evaluation, or a direction
     without descent ends the run with the corresponding status, its
     reason, and the trace collected so far; none of them raises.
+
+    x0 and each evaluation's result are checked once, where they enter;
+    the arithmetic after that trusts them and takes the space's unchecked
+    products.
     """
     x = space.check(x0).copy()
     status = reason = None
@@ -218,7 +222,7 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
     except _EvalFailure as err:
         f, grad = math.nan, np.full(space.dim, math.nan)
         status, reason = "eval_error", str(err)
-    grad_norm = space.norm(grad)
+    grad_norm = space.norm_unchecked(grad)
     f_history: deque[float] = deque([f], maxlen=config.ls.gll_memory)
     if status is None and not (math.isfinite(f) and math.isfinite(grad_norm)):
         status, reason = "nonfinite", "nonfinite objective or gradient at the starting point"
@@ -242,7 +246,7 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
         active = store.active(level)
         n_stored = len(store)
         d = two_loop(space, active, gamma, grad)
-        dphi0 = space.inner(grad, d)
+        dphi0 = space.inner_unchecked(grad, d)
         if not dphi0 < 0.0:
             status, reason = "non_descent", f"direction is not a descent direction: dphi0 = {dphi0}"
             break
@@ -264,7 +268,7 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
             # the trials of a failed search happened too
             n_feval += ray.n_feval
         alpha, x_new, f_new, grad_new = outcome.alpha, ray.point, outcome.f_new, ray.grad
-        grad_norm_new = space.norm(grad_new)
+        grad_norm_new = space.norm_unchecked(grad_new)
         # a NaN or infinite entry, or finite entries whose norm overflows
         if not (math.isfinite(f_new) and math.isfinite(grad_norm_new)):
             x, f, grad, grad_norm = x_new, f_new, grad_new, grad_norm_new

@@ -15,6 +15,11 @@ class Space:
     Euclidean space has weight 1, a uniform grid approximating L2 on the
     unit square has weight h^2.  Instances are immutable and safe to share
     across concurrent solver runs.
+
+    :meth:`inner` and :meth:`norm` check their arguments; the unchecked
+    forms hold the same formulas for arithmetic on vectors already
+    checked where they entered, such as ``minimize`` on its start and on
+    each evaluation's gradient.
     """
 
     dim: int
@@ -34,13 +39,22 @@ class Space:
 
     def inner(self, u, v) -> float:
         """Weighted scalar product sum_i weight * u_i * v_i."""
-        u = self.check(u)
-        v = self.check(v)
-        return float(self.weight * np.dot(u, v))
+        return self.inner_unchecked(self.check(u), self.check(v))
 
     def norm(self, u) -> float:
         """Norm induced by :meth:`inner`; zero iff u is the zero vector."""
-        u = self.check(u)
+        return self.norm_unchecked(self.check(u))
+
+    def inner_unchecked(self, u: np.ndarray, v: np.ndarray) -> float:
+        """:meth:`inner` of two vectors of the space, taken without checking them."""
+        return float(self.weight * np.dot(u, v))
+
+    def norm_unchecked(self, u: np.ndarray) -> float:
+        """:meth:`norm` of a vector of the space, taken without checking it.
+
+        ``np.linalg.norm`` copies a strided view before its dot product,
+        so sqrt(np.dot(u, u)) would differ from it in the last bit there.
+        """
         return float(np.sqrt(self.weight) * np.linalg.norm(u))
 
 

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from cautious_lbfgs import (
@@ -67,7 +70,48 @@ def random_instance(rng, dim=None, max_pairs=5, weighted=True):
     return space, store, gamma
 
 
+def reference_two_loop(space, pairs, gamma, grad):
+    """The two-loop recursion with checked products and outer-product corrections throughout."""
+    q = space.check(grad).copy()
+    coeffs = []
+    for pair in reversed(pairs):
+        a = space.inner(pair.s, q) / pair.sy
+        coeffs.append(a)
+        q -= np.multiply.outer(pair.y, a)
+    r = gamma * q
+    for pair, a in zip(pairs, reversed(coeffs)):
+        b = space.inner(pair.y, r) / pair.sy
+        r += np.multiply.outer(pair.s, a - b)
+    return -r
+
+
+@st.composite
+def two_loop_inputs(draw):
+    """Space, store of up to 10 pairs, seed scaling and gradient.
+
+    Each y scales its s by positive per-coordinate curvatures, so every
+    pair with a nonzero s has positive curvature.
+    """
+    n = draw(st.integers(1, 40))
+    space = Space(dim=n, weight=draw(st.sampled_from([1.0, 1.0 / 32**2])))
+    coords = st.floats(-10.0, 10.0, allow_subnormal=False)
+    k = draw(st.integers(0, 10))
+    steps = draw(hnp.arrays(float, (k, n), elements=coords))
+    curvatures = draw(hnp.arrays(float, (k, n), elements=st.floats(1e-2, 1e2)))
+    store = SecantStore(capacity=10)
+    for i in range(k):
+        store.push(space, steps[i], curvatures[i] * steps[i], index=i)
+    gamma = draw(st.floats(1e-3, 1e3))
+    return space, store, gamma, draw(hnp.arrays(float, n, elements=coords))
+
+
 class TestTwoLoop:
+    @given(two_loop_inputs())
+    def test_bit_identical_to_reference_recursion(self, inputs):
+        space, store, gamma, grad = inputs
+        expected = reference_two_loop(space, store.pairs, gamma, grad)
+        assert np.array_equal(two_loop(space, store.pairs, gamma, grad), expected)
+
     def test_no_pairs_scales_negative_gradient(self):
         space = euclidean(2)
         d = two_loop(space, [], 2.0, np.array([1.0, -1.0]))

@@ -3,7 +3,8 @@
 A wrapper objective fires one fault at a chosen evaluation and behaves
 like the wrapped problem at every other one.  Every run must end with a
 documented status, and every iteration that completed before the fault
-fired must match the fault-free run exactly.
+fired must match the fault-free run exactly.  A gradient returned as a
+list is well formed: that run matches the fault-free run throughout.
 """
 
 import functools
@@ -28,7 +29,7 @@ from cautious_lbfgs import (
 
 STATUSES = {"converged", "max_iter", "linesearch_failure", "nonfinite", "eval_error", "non_descent"}
 FAULTS = ("nan_f", "inf_f", "nan_grad", "newton_error", "zero_division", "repeat_grad", "huge_grad",
-          "short_grad", "array_f")
+          "short_grad", "array_f", "list_grad")
 PROBLEMS = {"rosenbrock": Rosenbrock(), "pwquad": PiecewiseQuadratic(3)}
 STARTS = {"rosenbrock": np.array([-1.2, 1.0]), "pwquad": PROBLEMS["pwquad"].b + 0.3}
 MAX_ITER = 150
@@ -66,6 +67,8 @@ class Faulty(Problem):
             return f, grad[:-1]
         if self.fault == "array_f":  # a malformed result: f is not a scalar
             return np.array([f, f]), grad
+        if self.fault == "list_grad":  # a well-formed result that is not an array
+            return f, grad.tolist()
         assert self.fault == "huge_grad"  # finite entries whose norm overflows
         return f, grad * 1e300
 
@@ -173,3 +176,14 @@ def test_minimize_survives_any_evaluation_fault(problem_id, ls, m, mode, fault, 
     completed = np.cumsum([1] + [r.n_feval_ls for r in clean.trace])[1:]
     n_before = int(np.sum(completed < at))
     assert report.trace[:n_before] == clean.trace[:n_before]
+    if at > clean.n_geval:  # the fault never fired
+        return
+    if fault == "list_grad":
+        # minimize converts the gradient where it checks it, and its
+        # arithmetic reads only the converted array
+        assert (report.status, report.reason, report.trace) == (clean.status, clean.reason, clean.trace)
+        assert (report.f_final, report.grad_norm_final) == (clean.f_final, clean.grad_norm_final)
+        assert report.n_feval == clean.n_feval
+        assert np.array_equal(report.x_final, clean.x_final)
+    elif fault in ("short_grad", "array_f"):
+        assert report.status == "eval_error"

@@ -231,6 +231,27 @@ class TestEvaluations:
         assert report.status == "converged"
 
 
+class TestValidation:
+    @pytest.mark.parametrize("m", [0, 5])
+    @pytest.mark.parametrize("ls", ["armijo", "wolfe", "mt", "gll"])
+    def test_each_array_checked_once_where_it_enters(self, monkeypatch, ls, m):
+        # x0 once; each evaluation twice (the problem's x, then minimize's
+        # gradient); each iteration three times (two_loop's gradient, then
+        # push's s and y).  Everything else trusts arrays already checked.
+        prob = PiecewiseQuadratic(100)
+        x0 = np.random.default_rng(7).standard_normal(prob.space.dim)
+        calls = dict.fromkeys(("check", "inner", "norm"), 0)
+        for name in calls:
+            def counted(self, *args, _name=name, _method=getattr(Space, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(Space, name, counted)
+        report = minimize(prob, prob.space, x0, config(m=m, linesearch=ls, grad_tol=1e-5))
+        assert report.status == "converged"
+        assert calls["check"] == 1 + 2 * report.n_geval + 3 * report.n_iter
+        assert calls["inner"] == calls["norm"] == 0
+
+
 class TestTraceInvariants:
     def test_objective_strictly_decreasing(self, rosen_report):
         f = rosen_report.f_values()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from cautious_lbfgs import Space, euclidean, make_grid_space
@@ -105,3 +106,21 @@ def test_grid_inner_of_ones_approaches_unit_area(M):
     # interior-node Riemann sum of the constant 1 over the unit square
     assert_allclose(space.inner(ones, ones), (1 - 1 / M) ** 2, rtol=1e-12)
     assert abs(space.inner(ones, ones) - 1.0) < 2.0 / M
+
+
+@given(
+    hnp.arrays(float, st.integers(1, 256), elements=st.floats(-1e6, 1e6)),
+    st.sampled_from([1.0, 1.0 / 32**2]) | st.floats(min_value=1e-6, max_value=1e3),
+)
+def test_checked_forms_equal_unchecked_bit_for_bit(u, weight):
+    # on contiguous vectors and on strided views; np.linalg.norm copies a
+    # view before its dot, so sqrt(inner(v, v)) would differ from norm(v)
+    # in the last bit on strided views
+    v = u[::-1] + 1.0
+    for a, b in ((u, v), (u[::2], v[::2]), (u[1::3], v[1::3])):
+        if len(a) == 0:
+            continue
+        space = Space(dim=len(a), weight=weight)
+        assert space.inner(a, b) == space.inner_unchecked(a, b)
+        assert space.norm(a) == space.norm_unchecked(a)
+        assert space.norm(a) == np.sqrt(weight) * np.linalg.norm(a)
