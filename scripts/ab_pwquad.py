@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Interleaved A/B timing of two source trees on the piecewise quadratic.
+
+Each tree's package is imported under its own name, so both share one
+process and its speed drift.  Both solve PiecewiseQuadratic(100) at
+grad_tol 1e-5, armijo and wolfe at m = 0, 5, 10, in batches of 25 seeded
+normal starts, timing ``minimize`` then ``q_factors``.  The trees take
+turns going first, and each batch must give the same x_final and q-factor
+bits in both.  Prints us per iteration per config and the NEW / OLD ratio
+of the total times:
+
+    python3 scripts/ab_pwquad.py OLD_SRC NEW_SRC [--rounds 4] [--seed 1]
+"""
+
+import argparse
+import importlib.util
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+CONFIGS = [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "wolfe")]
+BATCH = 25
+
+
+def load(src: str, alias: str):
+    """The cautious_lbfgs package under ``src``, imported as ``alias``."""
+    pkg = Path(src) / "cautious_lbfgs"
+    spec = importlib.util.spec_from_file_location(
+        alias, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def batch(lib, config, starts):
+    """(ns, iterations, result bits) of one batch of solves."""
+    problem = lib.PiecewiseQuadratic(100)
+    cfg = lib.SolverConfig(cautious=lib.CautiousParams(m=config[1]), linesearch=config[0], grad_tol=1e-5)
+    ns, iters, bits = 0, 0, []
+    for x0 in starts:
+        t0 = time.perf_counter_ns()
+        report = lib.minimize(problem, problem.space, x0, cfg)
+        rates = lib.q_factors(report, problem.f_star, problem.x_star, problem.space)
+        ns += time.perf_counter_ns() - t0
+        iters += report.n_iter
+        bits.append((report.x_final.tobytes(), repr(rates)))
+    return ns, iters, bits
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--rounds", type=int, default=4, help="batches per config and tree")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    libs = {"old": load(args.old_src, "ab_old"), "new": load(args.new_src, "ab_new")}
+    rng = np.random.default_rng(args.seed)
+    totals = {(tree, c): np.zeros(2) for tree in libs for c in CONFIGS}  # ns, iterations
+    for r in range(args.rounds):
+        for i, config in enumerate(CONFIGS):
+            starts = [rng.standard_normal(300) for _ in range(BATCH)]
+            order = ("old", "new") if (r + i) % 2 == 0 else ("new", "old")
+            results = {tree: batch(libs[tree], config, starts) for tree in order}
+            assert results["old"][2] == results["new"][2], f"bits differ: round {r}, {config}"
+            for tree, (ns, iters, _) in results.items():
+                totals[tree, config] += (ns, iters)
+    print("config,old_us_per_iter,new_us_per_iter,iters")
+    for ls, m in CONFIGS:
+        old, new = (totals[t, (ls, m)] for t in ("old", "new"))
+        print(f"{ls} m={m},{old[0] / 1e3 / old[1]:.1f},{new[0] / 1e3 / new[1]:.1f},{new[1]:.0f}")
+    old, new = (sum(v[0] for (tree, _), v in totals.items() if tree == t) for t in ("old", "new"))
+    print(f"total time ratio new/old: {new / old:.3f}")
+
+if __name__ == "__main__":
+    main()

@@ -14,6 +14,7 @@ not the Euclidean one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
@@ -45,17 +46,18 @@ def _recursion(weight: float, pairs: Sequence, gamma: float, q: np.ndarray) -> n
     and y are coordinates whose inner product is ``weight`` times the dot
     product.  q is a vector or a block of columns, and each rank-one
     correction a scaled vector or an outer product: for a scalar
-    coefficient the two products agree bit for bit.
+    coefficient the two products agree bit for bit.  ``ndarray.dot`` is
+    the routine ``np.dot`` dispatches to, called without the dispatch.
     """
-    scaled = np.multiply if q.ndim == 1 else np.multiply.outer
+    scaled = operator.mul if q.ndim == 1 else np.multiply.outer
     coeffs = []
     for pair in reversed(pairs):
-        a = weight * np.dot(pair.s, q) / pair.sy
+        a = weight * pair.s.dot(q) / pair.sy
         coeffs.append(a)
         q -= scaled(pair.y, a)
     r = gamma * q
     for pair, a in zip(pairs, reversed(coeffs)):
-        b = weight * np.dot(pair.y, r) / pair.sy
+        b = weight * pair.y.dot(r) / pair.sy
         r += scaled(pair.s, a - b)
     return r
 

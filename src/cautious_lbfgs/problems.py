@@ -13,14 +13,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .space import Space, euclidean, make_grid_space
 
 # fill-reducing column ordering of every SuperLU factor of A + diag(exp(y))
 PERMC_SPEC = "MMD_AT_PLUS_A"
 EPS = np.finfo(float).eps
+
+
+def _sparse(name: str):
+    """``sp`` (scipy.sparse) or ``spla`` (scipy.sparse.linalg), imported on first use.
+
+    Only the control problem needs them, and they are most of the
+    package's import time.  Once imported both are module globals, so
+    ``problems.spla`` reads, and can be replaced, like any attribute.
+    """
+    if name not in globals():
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        globals().setdefault("sp", scipy.sparse)
+        globals().setdefault("spla", scipy.sparse.linalg)
+    return globals()[name]
+
+
+def __getattr__(name: str):
+    """``problems.sp`` and ``problems.spla`` read before their first use here."""
+    if name in ("sp", "spla"):
+        return _sparse(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Problem:
@@ -109,6 +130,7 @@ def laplacian_5pt(M: int) -> sp.csr_matrix:
 
     Scaled by 1/h^2; node ordering is lexicographic, x1-major.
     """
+    sp = _sparse("sp")
     n = M - 1
     T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
     eye = sp.identity(n)
@@ -169,8 +191,8 @@ class OcpControlProblem(Problem):
 
     def _jacobian_lu(self, y: np.ndarray):
         """SuperLU factor of the Jacobian A + diag(exp(y))."""
-        jac = (self.laplacian + sp.diags(np.exp(y))).tocsc()
-        return spla.splu(jac, permc_spec=PERMC_SPEC)
+        jac = (self.laplacian + _sparse("sp").diags(np.exp(y))).tocsc()
+        return _sparse("spla").splu(jac, permc_spec=PERMC_SPEC)
 
     def solve_state(self, u) -> np.ndarray:
         """State y from y = 0 whose residual A y + exp(y) - u is below newton_tol.

@@ -60,13 +60,15 @@ class CautiousParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SecantPair:
     """One curvature pair with its cached scalar products.
 
     s is the accepted step, y the gradient difference across it, and
     ``quality`` the curvature quality min(sy/ss, sy/yy).  ``index``
-    records the iteration the pair originated from.
+    records the iteration the pair originated from.  The store builds one
+    per accepted pair, so it is a slot dataclass rather than a frozen one,
+    whose construction costs more; callers treat it as read-only.
     """
 
     s: np.ndarray

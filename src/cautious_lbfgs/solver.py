@@ -79,7 +79,7 @@ class SolverConfig:
         self.cautious.warn_if_rate_guard_violated(wolfe=self.linesearch in ("wolfe", "mt"))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IterationRecord:
     """What one completed iteration k did: the run's only per-iteration record.
 
@@ -89,7 +89,9 @@ class IterationRecord:
     threshold in both modes, also where classical mode filters at 0.
     ``storage`` is the store's scalar snapshot after the iteration's push,
     kept when the config asks for it.  Fields that a run does not record
-    are None.
+    are None.  One is built per iteration, so it is a slot dataclass
+    rather than a frozen one, whose construction costs more; callers
+    treat it as read-only.
     """
 
     k: int

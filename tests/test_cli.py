@@ -229,10 +229,14 @@ class TestDeterminism:
         for table in ("t2", "t3", "t4"):
             main(["--table", table, "--csv", str(tmp_path / f"{table}.csv")])
         main(["--runs", "20", "--seed", "0", "--csv", str(tmp_path / "runs20_seed0.csv")])
-        stem = "trace_rosenbrock_armijo_m2"
-        main(["--problem", "rosenbrock", "--ls", "armijo", "--m", "2",
-              "--csv", str(tmp_path / f"{stem}.csv"), "--trace", str(tmp_path / f"{stem}.jsonl")])
-        for name in ("t2.csv", "t3.csv", "t4.csv", "runs20_seed0.csv", f"{stem}.csv", f"{stem}.jsonl"):
+        names = ["t2.csv", "t3.csv", "t4.csv", "runs20_seed0.csv"]
+        # Rosenbrock at n = 2, and the piecewise quadratic, whose two-loop runs on 300-vectors
+        for problem, ls, m in (("rosenbrock", "armijo", 2), ("pwquad", "wolfe", 5)):
+            stem = f"trace_{problem}_{ls}_m{m}"
+            main(["--problem", problem, "--ls", ls, "--m", str(m),
+                  "--csv", str(tmp_path / f"{stem}.csv"), "--trace", str(tmp_path / f"{stem}.jsonl")])
+            names += [f"{stem}.csv", f"{stem}.jsonl"]
+        for name in names:
             assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
     def test_byte_identical_reruns(self, tmp_path):

@@ -448,3 +448,21 @@ class TestOcpEvaluator:
                              timeout=300)
         assert run.returncode == 0, run.stderr
         assert run.stdout.split()[0] == "converged", run.stdout
+
+
+def test_scipy_sparse_imported_on_first_use():
+    # only the control problem needs scipy.sparse, most of the package's
+    # import time; a fresh process shows what importing the CLI loads
+    code = (
+        "import sys\n"
+        "import cautious_lbfgs.cli\n"
+        "from cautious_lbfgs import problems\n"
+        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported with the package'\n"
+        "problems.OcpControlProblem(problems.OcpGrid(M=4))\n"
+        "assert problems.sp is sys.modules['scipy.sparse']\n"
+        "assert problems.spla is sys.modules['scipy.sparse.linalg']\n"
+    )
+    src = str(Path(problems.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

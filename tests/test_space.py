@@ -113,11 +113,14 @@ def test_grid_inner_of_ones_approaches_unit_area(M):
     st.sampled_from([1.0, 1.0 / 32**2]) | st.floats(min_value=1e-6, max_value=1e3),
 )
 def test_checked_forms_equal_unchecked_bit_for_bit(u, weight):
-    # on contiguous vectors and on strided views; np.linalg.norm copies a
-    # view before its dot, so sqrt(inner(v, v)) would differ from norm(v)
-    # in the last bit on strided views
+    # on contiguous vectors and on strided and negative-stride views, every
+    # layout that ravel(order="K") copies; np.linalg.norm copies such a view
+    # before its dot, so sqrt(inner(v, v)) would differ from norm(v) in the
+    # last bit there
     v = u[::-1] + 1.0
-    for a, b in ((u, v), (u[::2], v[::2]), (u[1::3], v[1::3])):
+    views = (slice(None), slice(None, None, 2), slice(1, None, 3),
+             slice(None, None, -1), slice(-1, None, -2))
+    for a, b in ((u[view], v[view]) for view in views):
         if len(a) == 0:
             continue
         space = Space(dim=len(a), weight=weight)
