@@ -1,19 +1,32 @@
 #!/usr/bin/env python3
-"""Byte-identity pin: write the 26 reference CLI outputs into OUTDIR.
+"""Byte-identity pin: write the 28 reference outputs into OUTDIR.
 
 The files are the benchmark tables t2/t3/t4 in both modes, the t5 mesh
 study, a 20-start random-start study, JSONL traces with their summary
-CSVs for four single solves in both modes, and the stdout of one single
-solve and of one table.  Two trees agree on every output when ``diff -r``
-of their OUTDIRs is empty:
+CSVs for four single solves in both modes, the stdout of one single
+solve and of one table, and the norm audits of two solves, one
+``BoundReport`` per line.  ``tests/data/`` holds these files, and
+Tier-1 (``test_cli.py::TestDeterminism``) compares a fresh
+:func:`write_all` against them byte for byte:
 
     PYTHONPATH=src python3 scripts/golden_outputs.py OUTDIR
 """
 
 import contextlib
+import dataclasses
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from cautious_lbfgs import (
+    CautiousParams,
+    PiecewiseQuadratic,
+    Rosenbrock,
+    SolverConfig,
+    minimize,
+)
 from cautious_lbfgs.cli import main
 
 TRACES = [
@@ -49,10 +62,18 @@ def runs(out: Path):
         yield argv, [out / name], out / name
 
 
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUTDIR")
-    out = Path(sys.argv[1])
+def audits():
+    """(file name, problem, start, config) of each audited solve; no CLI output shows an audit."""
+    pwquad = PiecewiseQuadratic(100)
+    yield ("audits_rosenbrock_armijo_m2.jsonl", Rosenbrock(), np.array([-1.2, 1.0]),
+           SolverConfig(cautious=CautiousParams(m=2), linesearch="armijo", oracle_checks=True))
+    yield ("audits_pwquad_wolfe_m5.jsonl", pwquad, pwquad.b.copy(),
+           SolverConfig(cautious=CautiousParams(m=5), linesearch="wolfe", grad_tol=1e-5,
+                        oracle_checks=True))
+
+
+def write_all(out: Path) -> list[Path]:
+    """Write every pinned output under ``out`` and return the paths written."""
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for argv, files, capture in runs(out):
@@ -63,7 +84,19 @@ if __name__ == "__main__":
             with open(capture, "w") as fh, contextlib.redirect_stdout(fh):
                 main(argv)
         written += files
+    for name, problem, x0, config in audits():
+        report = minimize(problem, problem.space, x0, config)
+        path = out / name
+        path.write_text("".join(json.dumps(dataclasses.asdict(a)) + "\n" for a in report.audits))
+        written.append(path)
+    return written
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUTDIR")
+    written = write_all(Path(sys.argv[1]))
     missing = [str(p) for p in written if not p.is_file()]
     if missing:
         sys.exit(f"not written: {missing}")
-    print(f"wrote {len(written)} files under {out}")
+    print(f"wrote {len(written)} files under {sys.argv[1]}")

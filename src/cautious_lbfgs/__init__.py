@@ -21,7 +21,7 @@ from .diagnostics import (
     neighborhood_entry,
     q_factors,
 )
-from .direction import BoundReport, TwoLoopOperator, cautious_bound_report
+from .direction import BoundReport, cautious_bound_report, two_loop_norms
 from .linesearch import LineSearchError, LineSearchParams
 from .problems import (
     NewtonError,
@@ -55,7 +55,6 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "Space",
-    "TwoLoopOperator",
     "cautious_bound_report",
     "compare_traces",
     "error_sequences",
@@ -67,4 +66,5 @@ __all__ = [
     "minimize",
     "neighborhood_entry",
     "q_factors",
+    "two_loop_norms",
 ]

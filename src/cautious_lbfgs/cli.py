@@ -46,8 +46,6 @@ def format_value(v) -> str:
     """Fixed CSV number formatting: '.' decimal, scientific below 1e-3."""
     if isinstance(v, str):
         return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     x = float(v)

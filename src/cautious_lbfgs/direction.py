@@ -1,14 +1,14 @@
 """Search directions via the two-loop recursion, plus operator norms.
 
-The two-loop recursion is the production path.  :class:`TwoLoopOperator`
+The two-loop recursion is the production path.  :func:`two_loop_norms`
 gives the exact norms of the operator it applies, ||H|| and ||H^{-1}||,
 from an eigenproblem of size at most 2k x 2k on the span of the k
-active pairs, at O(n k^2 + k^3) cost; the solver audits the norm bounds
-with it at run time.  The dense builders materialize the same operator
-(and its inverse) as explicit n x n matrices, at O(k n^3) cost, and
-serve as test oracles for both.  All adjoints and outer products are
-taken with respect to the weighted inner product of the supplied space,
-not the Euclidean one.
+active pairs, at O(n k^2 + k^3) cost; :func:`cautious_bound_report`
+audits the norm bounds with it at run time.  The dense builders return
+the same operator (and its inverse) as explicit n x n matrices, at
+O(k n^3) cost, and serve as test oracles for both.  All adjoints and
+outer products are taken with respect to the weighted inner product of
+the supplied space, not the Euclidean one.
 """
 
 from __future__ import annotations
@@ -62,38 +62,8 @@ def _recursion(weight: float, pairs: Sequence, gamma: float, q: np.ndarray) -> n
     return r
 
 
-def _norms(eigenvalues: np.ndarray) -> tuple[float, float]:
-    """(||H||, ||H^{-1}||) of a self-adjoint operator from its eigenvalues.
-
-    The norms are the largest and the inverse of the smallest eigenvalue
-    modulus; a singular operator has an infinite inverse norm.
-    """
-    magnitudes = np.abs(eigenvalues)
-    smallest = float(magnitudes.min())
-    return float(magnitudes.max()), 1.0 / smallest if smallest > 0.0 else math.inf
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """Explicit matrix of a self-adjoint operator on ``space``.
-
-    ``matrix`` maps coordinate vectors; self-adjointness is with respect
-    to the weighted inner product.  The weight is one scalar for every
-    coordinate, so a self-adjoint operator has a symmetric matrix and its
-    weighted operator norm is the Euclidean matrix 2-norm, which lets the
-    norms come from ``eigvalsh``.
-    """
-
-    space: Space
-    matrix: np.ndarray
-
-    def norms(self) -> tuple[float, float]:
-        """(||H||, ||H^{-1}||) from one ``eigvalsh``."""
-        return _norms(np.linalg.eigvalsh(self.matrix))
-
-
-class TwoLoopOperator:
-    """The operator :func:`two_loop` applies, with exact norms at low cost.
+def two_loop_norms(space: Space, pairs: Sequence[SecantPair], gamma: float) -> tuple[float, float]:
+    """(||H||, ||H^{-1}||) of the operator :func:`two_loop` applies, exactly and at low cost.
 
     The recursion maps a vector orthogonal to every s and y of ``pairs``
     to gamma times itself.  H is self-adjoint, so any subspace containing
@@ -109,29 +79,23 @@ class TwoLoopOperator:
     Nor does gamma need adding when m < n: H^{-1} - I/gamma is k
     positive semidefinite rank-one terms minus k others, so on m > k
     dimensions it has an eigenvalue of each sign or a zero one, and the
-    extremes of the compression bracket gamma already.
+    extremes of the compression bracket gamma already.  The norms are
+    the largest and the inverse of the smallest eigenvalue modulus; a
+    singular operator has an infinite inverse norm.
 
     For k pairs this costs O(n k^2 + k^3), against O(k n^3) for
     :func:`dense_hessian_inverse`; without pairs the norms are gamma and
     1/gamma with no LAPACK call.
     """
-
-    def __init__(self, space: Space, pairs: Sequence[SecantPair], gamma: float):
-        _validate_operator_inputs(pairs, gamma)
-        self.space = space
-        self.pairs = pairs
-        self.gamma = gamma
-
-    def norms(self) -> tuple[float, float]:
-        """(||H||, ||H^{-1}||) from one eigenvalue computation."""
-        gamma = self.gamma
-        if not self.pairs:
-            return gamma, 1.0 / gamma
-        k = len(self.pairs)
-        R = np.linalg.qr(np.column_stack([p.s for p in self.pairs] + [p.y for p in self.pairs]), mode="r")
-        coords = [SimpleNamespace(s=R[:, i], y=R[:, k + i], sy=p.sy) for i, p in enumerate(self.pairs)]
-        compression = _recursion(self.space.weight, coords, gamma, np.eye(R.shape[0]))
-        return _norms(np.linalg.eigvalsh(compression))
+    _validate_operator_inputs(pairs, gamma)
+    if not pairs:
+        return gamma, 1.0 / gamma
+    k = len(pairs)
+    R = np.linalg.qr(np.column_stack([p.s for p in pairs] + [p.y for p in pairs]), mode="r")
+    coords = [SimpleNamespace(s=R[:, i], y=R[:, k + i], sy=p.sy) for i, p in enumerate(pairs)]
+    magnitudes = np.abs(np.linalg.eigvalsh(_recursion(space.weight, coords, gamma, np.eye(R.shape[0]))))
+    smallest = float(magnitudes.min())
+    return float(magnitudes.max()), 1.0 / smallest if smallest > 0.0 else math.inf
 
 
 def _validate_dense_inputs(space: Space, pairs: Sequence[SecantPair], gamma: float) -> None:
@@ -148,12 +112,14 @@ def _validate_operator_inputs(pairs: Sequence[SecantPair], gamma: float) -> None
             raise ValueError(f"pair {pair.index} has nonpositive curvature {pair.sy}")
 
 
-def dense_hessian_inverse(space: Space, pairs: Sequence[SecantPair], gamma: float) -> DenseOperator:
+def dense_hessian_inverse(space: Space, pairs: Sequence[SecantPair], gamma: float) -> np.ndarray:
     """Explicit inverse-Hessian approximation built by the update recursion.
 
     Starts from gamma * identity and applies the rank-two update for each
     pair, oldest first.  Outer products v w^T act as u -> v * inner(w, u),
-    so in coordinates they carry the weight of the space.
+    so in coordinates they carry the weight of the space.  The weight is
+    one scalar for every coordinate, so the matrix of this self-adjoint
+    operator is symmetric and its weighted norm the matrix 2-norm.
     """
     _validate_dense_inputs(space, pairs, gamma)
     n = space.dim
@@ -165,10 +131,10 @@ def dense_hessian_inverse(space: Space, pairs: Sequence[SecantPair], gamma: floa
         V = eye - rho * np.outer(pair.y, w * pair.s)
         V_adj = eye - rho * np.outer(pair.s, w * pair.y)
         H = V_adj @ H @ V + rho * np.outer(pair.s, w * pair.s)
-    return DenseOperator(space=space, matrix=H)
+    return H
 
 
-def dense_hessian(space: Space, pairs: Sequence[SecantPair], gamma: float) -> DenseOperator:
+def dense_hessian(space: Space, pairs: Sequence[SecantPair], gamma: float) -> np.ndarray:
     """Explicit Hessian approximation; inverse of :func:`dense_hessian_inverse`.
 
     Built from gamma^{-1} * identity by the direct rank-two recursion.  A
@@ -185,7 +151,7 @@ def dense_hessian(space: Space, pairs: Sequence[SecantPair], gamma: float) -> De
         if not sBs > 0.0:
             raise ValueError(f"inner(B s, s) = {sBs} <= 0 at pair {pair.index}")
         B = B - np.outer(Bs, w * Bs) / sBs + np.outer(pair.y, w * pair.y) / pair.sy
-    return DenseOperator(space=space, matrix=B)
+    return B
 
 
 @dataclass(frozen=True)
@@ -204,17 +170,18 @@ class BoundReport:
         return self.norm_h <= self.bound_h * slack and self.norm_h_inv <= self.bound_h_inv * slack
 
 
-def cautious_bound_report(H: TwoLoopOperator | DenseOperator, threshold: float, m: int) -> BoundReport:
-    """Audit against the threshold-based bounds of the cautious method.
+def cautious_bound_report(space: Space, pairs: Sequence[SecantPair], gamma: float,
+                          threshold: float, m: int) -> BoundReport:
+    """Audit the operator of :func:`two_loop` against the cautious method's bounds.
 
     With every applied pair passing the quality filter at ``threshold``
     and the seed scaling confined to [threshold, 1/threshold], the
     operator norms obey ||H^{-1}|| <= (m+1)/threshold and
     ||H|| <= 5^m * max(1, threshold^-(2m+1)).  At threshold 0 both
     bounds are +inf, and so is a bound beyond the float range, which an
-    underflowing threshold gives; such a bound always holds.  ``H`` is a
-    :class:`TwoLoopOperator` or a :class:`DenseOperator`; its norms are
-    computed here.
+    underflowing threshold gives; such a bound always holds.  The norms
+    of the operator built from ``pairs`` and ``gamma`` are computed here,
+    by :func:`two_loop_norms`.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
@@ -222,7 +189,7 @@ def cautious_bound_report(H: TwoLoopOperator | DenseOperator, threshold: float, 
         bound_h = 5.0**m * max(1.0, threshold ** -(2 * m + 1))
     except (OverflowError, ZeroDivisionError):
         bound_h = math.inf
-    norm_h, norm_h_inv = H.norms()
+    norm_h, norm_h_inv = two_loop_norms(space, pairs, gamma)
     return BoundReport(
         norm_h=norm_h,
         norm_h_inv=norm_h_inv,

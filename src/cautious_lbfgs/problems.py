@@ -18,6 +18,10 @@ from .space import Space, euclidean, make_grid_space
 
 # fill-reducing column ordering of every SuperLU factor of A + diag(exp(y))
 PERMC_SPEC = "MMD_AT_PLUS_A"
+# grid-norm residual below which the control problem's state solve may
+# stop, and its cap on steps
+NEWTON_TOL = 1e-12
+NEWTON_MAX = 50
 EPS = np.finfo(float).eps
 
 
@@ -149,8 +153,6 @@ class OcpGrid:
     M: int
     nu: float = 1e-3
     target_state: np.ndarray | None = None
-    newton_tol: float = 1e-12
-    newton_max: int = 50
 
     def __post_init__(self) -> None:
         if self.M < 2 or self.M & (self.M - 1) != 0:
@@ -176,7 +178,7 @@ class OcpControlProblem(Problem):
     factor of A + I built at construction, judging its contraction by the
     size of their corrections.  They factor the Jacobian at the current
     state only where a correction fails to halve the one before while the
-    residual is above newton_tol.  Where exp(y) - 1 stays small against
+    residual is above NEWTON_TOL.  Where exp(y) - 1 stays small against
     the smallest eigenvalue of A + I (about 2 pi^2 + 1), as for the
     benchmark's controls, an evaluation makes no factorization at all.
     """
@@ -195,27 +197,27 @@ class OcpControlProblem(Problem):
         return _sparse("spla").splu(jac, permc_spec=PERMC_SPEC)
 
     def solve_state(self, u) -> np.ndarray:
-        """State y from y = 0 whose residual A y + exp(y) - u is below newton_tol.
+        """State y from y = 0 whose residual A y + exp(y) - u is below NEWTON_TOL.
 
         Each step solves with the factor held, at first that of A + I (a
         chord step; Kelley 1995).  The chord's contraction is judged by the
         size of its steps, Deuflhard's natural monotonicity test: where a
         step fails to halve the one before, the solve ends if the residual
-        is below newton_tol (the steps have reached their rounding floor),
+        is below NEWTON_TOL (the steps have reached their rounding floor),
         and otherwise factors the Jacobian at the current state and takes a
-        Newton step.  Above newton_tol a step is halved until the residual
+        Newton step.  Above NEWTON_TOL a step is halved until the residual
         norm decreases.  The solve also ends where the residual is below
-        newton_tol and the step below 4 eps ||y||.  The residual is measured
+        NEWTON_TOL and the step below 4 eps ||y||.  The residual is measured
         in the grid norm; the Euclidean norm of the strong-form residual
         scales like 1/h^2 and would sit above any fixed absolute tolerance
         on fine grids.  For a large control its rounding floor, about
-        eps || |A| |y| + exp(y) + |u| ||, lies above newton_tol.  Where the
+        eps || |A| |y| + exp(y) + |u| ||, lies above NEWTON_TOL.  Where the
         full step first fails to reduce the residual, or the steps run out,
         a finite residual within 8 times that floor returns y; a solve that
-        ends elsewhere above newton_tol raises NewtonError.
+        ends elsewhere above NEWTON_TOL raises NewtonError.
         """
         u = self.space.check(u)
-        tol = self.grid.newton_tol
+        tol = NEWTON_TOL
         y = np.zeros(self.space.dim)
         lu = self._lu_at_zero
 
@@ -233,7 +235,7 @@ class OcpControlProblem(Problem):
         with np.errstate(over="ignore", invalid="ignore"):
             y, residual, res_norm = trial(0.0)
             step_norm = np.inf
-            for _ in range(self.grid.newton_max):
+            for _ in range(NEWTON_MAX):
                 delta = lu.solve(-residual)
                 delta_norm = self.space.norm_unchecked(delta)
                 halves = delta_norm <= 0.5 * step_norm
@@ -256,7 +258,7 @@ class OcpControlProblem(Problem):
             if at_rounding_floor():
                 return y
         raise NewtonError(
-            f"state solve unfinished after {self.grid.newton_max} steps, "
+            f"state solve unfinished after {NEWTON_MAX} steps, "
             f"residual {res_norm} (tolerance {tol})"
         )
 
@@ -267,7 +269,7 @@ class OcpControlProblem(Problem):
         the exact matrix (Higham, Accuracy and Stability of Numerical
         Algorithms, ch. 12), until a correction falls below 4 eps ||p||.
         A correction that fails to halve the one before ends the
-        refinement if the residual is below newton_tol, and otherwise the
+        refinement if the residual is below NEWTON_TOL, and otherwise the
         matrix is factored at y.  The linearized state operator is
         self-adjoint in the grid inner product, so it is its own adjoint.
         """
@@ -281,7 +283,7 @@ class OcpControlProblem(Problem):
             correction = self._lu_at_zero.solve(residual)
             size = self.space.norm_unchecked(correction)
             if not size <= 0.5 * previous:
-                if self.space.norm_unchecked(residual) <= self.grid.newton_tol:
+                if self.space.norm_unchecked(residual) <= NEWTON_TOL:
                     return p
                 return self._jacobian_lu(y).solve(rhs)
             p = p + correction

@@ -21,7 +21,6 @@ import numpy as np
 # module for tools that wrap the solver's calls by name (bench/tracing.py)
 from .direction import (
     BoundReport,
-    TwoLoopOperator,
     cautious_bound_report,
     dense_hessian_inverse,
     two_loop,
@@ -254,8 +253,7 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
             break
 
         if config.oracle_checks:
-            audits.append(cautious_bound_report(TwoLoopOperator(space, active, gamma), omega,
-                                                config.cautious.m))
+            audits.append(cautious_bound_report(space, active, gamma, omega, config.cautious.m))
 
         ray = _Ray(problem, space, x, d)
         try:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -18,6 +19,15 @@ from cautious_lbfgs.cli import (
 )
 
 DATA = Path(__file__).parent / "data"
+GOLDEN_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_outputs.py"
+
+
+def golden_outputs():
+    """The script that writes the pinned outputs, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("golden_outputs", GOLDEN_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def read_csv(path):
@@ -30,6 +40,8 @@ class TestFormatting:
         assert format_value(0.0) == "0"
         assert format_value(42) == "42"
         assert format_value(True) == "1"
+        assert format_value(np.True_) == "1"
+        assert format_value(np.False_) == "0"
         assert format_value(0.0009765625) == "9.765625e-04"
         assert format_value(0.5) == "0.5"
         assert format_value(float("nan")) == "nan"
@@ -225,19 +237,11 @@ class TestRandomStartStudy:
 
 class TestDeterminism:
     def test_outputs_match_pinned_bytes(self, tmp_path):
-        # tests/data holds the files scripts/golden_outputs.py writes for these runs
-        for table in ("t2", "t3", "t4"):
-            main(["--table", table, "--csv", str(tmp_path / f"{table}.csv")])
-        main(["--runs", "20", "--seed", "0", "--csv", str(tmp_path / "runs20_seed0.csv")])
-        names = ["t2.csv", "t3.csv", "t4.csv", "runs20_seed0.csv"]
-        # Rosenbrock at n = 2, and the piecewise quadratic, whose two-loop runs on 300-vectors
-        for problem, ls, m in (("rosenbrock", "armijo", 2), ("pwquad", "wolfe", 5)):
-            stem = f"trace_{problem}_{ls}_m{m}"
-            main(["--problem", problem, "--ls", ls, "--m", str(m),
-                  "--csv", str(tmp_path / f"{stem}.csv"), "--trace", str(tmp_path / f"{stem}.jsonl")])
-            names += [f"{stem}.csv", f"{stem}.jsonl"]
-        for name in names:
-            assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+        # tests/data holds exactly the files scripts/golden_outputs.py writes
+        written = golden_outputs().write_all(tmp_path)
+        assert {p.name for p in written} == {p.name for p in DATA.iterdir()}
+        for path in written:
+            assert path.read_bytes() == (DATA / path.name).read_bytes(), path.name
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["--problem", "rosenbrock", "--m", "1", "--ls", "mt"]

@@ -12,22 +12,34 @@ from cautious_lbfgs import (
     BoundReport,
     SecantStore,
     Space,
-    TwoLoopOperator,
     cautious_bound_report,
     euclidean,
+    two_loop_norms,
 )
 from cautious_lbfgs.direction import dense_hessian, dense_hessian_inverse, two_loop
 
 
+def dense_norms(matrix) -> tuple[float, float]:
+    """(||H||, ||H^{-1}||) of a symmetric matrix from one ``eigvalsh``.
+
+    The weight of a space is one scalar for every coordinate, so a
+    self-adjoint operator has a symmetric matrix and its weighted norm
+    is the matrix 2-norm.
+    """
+    magnitudes = np.abs(np.linalg.eigvalsh(matrix))
+    smallest = float(magnitudes.min())
+    return float(magnitudes.max()), 1.0 / smallest if smallest > 0.0 else math.inf
+
+
 def check_bounds(H, gamma, kappa1, kappa2, n_pairs) -> BoundReport:
-    """Audit ||H|| and ||H^{-1}|| against the update-count bounds.
+    """Audit ||H|| and ||H^{-1}|| of the matrix H against the update-count bounds.
 
     kappa1 and kappa2 must bound the pairs used (sy/ss >= 1/kappa1 and
     sy/yy >= 1/kappa2).  The inverse norm is bounded by
     1/gamma + n_pairs * kappa2 and the norm itself by
     5^n_pairs * max(1, gamma) * max(1, kappa1^n_pairs, (kappa1*kappa2)^n_pairs).
     """
-    norm_h, norm_h_inv = H.norms()
+    norm_h, norm_h_inv = dense_norms(H)
     return BoundReport(
         norm_h=norm_h,
         norm_h_inv=norm_h_inv,
@@ -36,16 +48,16 @@ def check_bounds(H, gamma, kappa1, kappa2, n_pairs) -> BoundReport:
     )
 
 
-def self_adjoint_defect(H, n_probes=8, seed=0) -> float:
-    """max |inner(Mu, v) - inner(u, Mv)| over random unit probes of a DenseOperator."""
+def self_adjoint_defect(space, H, n_probes=8, seed=0) -> float:
+    """max |inner(Hu, v) - inner(u, Hv)| in ``space`` over random unit probes of the matrix H."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
-        u = rng.standard_normal(H.space.dim)
-        v = rng.standard_normal(H.space.dim)
+        u = rng.standard_normal(space.dim)
+        v = rng.standard_normal(space.dim)
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        worst = max(worst, abs(H.space.inner(H.matrix @ u, v) - H.space.inner(u, H.matrix @ v)))
+        worst = max(worst, abs(space.inner(H @ u, v) - space.inner(u, H @ v)))
     return worst
 
 
@@ -143,7 +155,7 @@ class TestTwoLoop:
             grad = rng.standard_normal(space.dim)
             d = two_loop(space, store.pairs, gamma, grad)
             H = dense_hessian_inverse(space, store.pairs, gamma)
-            expected = -H.matrix @ grad
+            expected = -H @ grad
             assert_allclose(d, expected, rtol=1e-12, atol=1e-13)
 
     def test_descent_direction(self):
@@ -160,18 +172,18 @@ class TestTwoLoop:
 class TestDenseOperators:
     def test_inverse_hessian_without_pairs(self):
         H = dense_hessian_inverse(euclidean(2), [], 3.0)
-        assert_allclose(H.matrix, 3.0 * np.eye(2), rtol=0, atol=0)
+        assert_allclose(H, 3.0 * np.eye(2), rtol=0, atol=0)
 
     def test_hessian_without_pairs(self):
         B = dense_hessian(euclidean(2), [], 4.0)
-        assert_allclose(B.matrix, 0.25 * np.eye(2), rtol=0, atol=0)
+        assert_allclose(B, 0.25 * np.eye(2), rtol=0, atol=0)
 
     def test_unit_pair_preserves_identity(self):
         space = euclidean(2)
         store = SecantStore(capacity=1)
         store.push(space, [1.0, 0.0], [1.0, 0.0], index=0)
-        assert_allclose(dense_hessian_inverse(space, store.pairs, 1.0).matrix, np.eye(2), atol=1e-15)
-        assert_allclose(dense_hessian(space, store.pairs, 1.0).matrix, np.eye(2), atol=1e-15)
+        assert_allclose(dense_hessian_inverse(space, store.pairs, 1.0), np.eye(2), atol=1e-15)
+        assert_allclose(dense_hessian(space, store.pairs, 1.0), np.eye(2), atol=1e-15)
 
     def test_mutual_inverses_on_random_instances(self):
         rng = np.random.default_rng(77)
@@ -179,7 +191,7 @@ class TestDenseOperators:
             space, store, gamma = random_instance(rng)
             H = dense_hessian_inverse(space, store.pairs, gamma)
             B = dense_hessian(space, store.pairs, gamma)
-            assert_allclose(H.matrix @ B.matrix, np.eye(space.dim), rtol=0, atol=1e-10)
+            assert_allclose(H @ B, np.eye(space.dim), rtol=0, atol=1e-10)
 
     def test_secant_property_for_most_recent_pair(self):
         rng = np.random.default_rng(5)
@@ -189,21 +201,21 @@ class TestDenseOperators:
                 continue
             H = dense_hessian_inverse(space, store.pairs, gamma)
             newest = store.pairs[-1]
-            assert_allclose(H.matrix @ newest.y, newest.s, rtol=1e-9, atol=1e-11)
+            assert_allclose(H @ newest.y, newest.s, rtol=1e-9, atol=1e-11)
 
     def test_self_adjoint_in_weighted_product(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             space, store, gamma = random_instance(rng)
             H = dense_hessian_inverse(space, store.pairs, gamma)
-            scale = max(1.0, H.norms()[0])
-            assert self_adjoint_defect(H) <= 1e-12 * scale
+            scale = max(1.0, dense_norms(H)[0])
+            assert self_adjoint_defect(space, H) <= 1e-12 * scale
 
     def test_positive_definite(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             space, store, gamma = random_instance(rng)
-            eigs = np.linalg.eigvalsh(dense_hessian_inverse(space, store.pairs, gamma).matrix)
+            eigs = np.linalg.eigvalsh(dense_hessian_inverse(space, store.pairs, gamma))
             assert eigs.min() > 0.0
 
     def test_dim_guard(self):
@@ -217,8 +229,8 @@ class TestDenseOperators:
         for _ in range(30):
             space, store, gamma = random_instance(rng)
             H = dense_hessian_inverse(space, store.pairs, gamma)
-            eigs = np.linalg.eigvalsh(H.matrix)
-            norm_h, norm_h_inv = H.norms()
+            eigs = np.linalg.eigvalsh(H)
+            norm_h, norm_h_inv = dense_norms(H)
             assert_allclose(norm_h, eigs.max(), rtol=1e-12)
             assert_allclose(norm_h_inv, 1.0 / eigs.min(), rtol=1e-12)
             assert norm_h <= eigs.max() * (1 + 1e-12)
@@ -226,8 +238,8 @@ class TestDenseOperators:
 
 
 def assert_norms_match_dense(space, pairs, gamma):
-    eigs = np.linalg.eigvalsh(dense_hessian_inverse(space, pairs, gamma).matrix)
-    norm_h, norm_h_inv = TwoLoopOperator(space, pairs, gamma).norms()
+    eigs = np.linalg.eigvalsh(dense_hessian_inverse(space, pairs, gamma))
+    norm_h, norm_h_inv = two_loop_norms(space, pairs, gamma)
     assert_allclose(norm_h, eigs.max(), rtol=1e-10)
     assert_allclose(norm_h_inv, 1.0 / eigs.min(), rtol=1e-10)
 
@@ -277,17 +289,17 @@ class TestTwoLoopOperator:
 
         for name in ("qr", "svd", "eigvalsh", "eigh"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        assert TwoLoopOperator(euclidean(300), [], 0.3).norms() == (0.3, 1.0 / 0.3)
+        assert two_loop_norms(euclidean(300), [], 0.3) == (0.3, 1.0 / 0.3)
 
     def test_rejects_bad_inputs(self):
         space = euclidean(2)
         with pytest.raises(ValueError):
-            TwoLoopOperator(space, [], 0.0)
+            two_loop_norms(space, [], 0.0)
         store = SecantStore(capacity=1)
         store.push(space, [1.0, 0.0], [1.0, 0.0], index=0)
         object.__setattr__(store.pairs[0], "sy", -1.0)
         with pytest.raises(ValueError):
-            TwoLoopOperator(space, store.pairs, 1.0)
+            two_loop_norms(space, store.pairs, 1.0)
 
     def test_exact_where_power_iteration_underestimates(self):
         # dim 300, k = 5: 200 steps of power iteration from a fixed start
@@ -332,23 +344,22 @@ class TestBoundChecks:
             assert report.ok
 
     def test_cautious_report_uses_threshold_bounds(self):
-        H = dense_hessian_inverse(euclidean(2), [], 1.0)
-        report = cautious_bound_report(H, threshold=0.5, m=1)
+        space = euclidean(2)
+        report = cautious_bound_report(space, [], 1.0, threshold=0.5, m=1)
         assert report.bound_h_inv == 4.0
         assert report.bound_h == 5.0 * 2.0**3
         assert report.ok
         with pytest.raises(ValueError):
-            cautious_bound_report(H, threshold=2.0, m=1)
+            cautious_bound_report(space, [], 1.0, threshold=2.0, m=1)
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-200])
     def test_cautious_report_infinite_bounds(self, threshold):
         # level 0, and a level whose bound on ||H|| leaves the float range
         space, store = euclidean(2), SecantStore(capacity=2)
         store.push(space, [1.0, 0.0], [2.0, 0.5], index=0)
-        H = TwoLoopOperator(space, store.pairs, gamma=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = cautious_bound_report(H, threshold=threshold, m=2)
+            report = cautious_bound_report(space, store.pairs, 0.5, threshold=threshold, m=2)
         assert report.bound_h == math.inf
         assert math.isinf(report.bound_h_inv) == (threshold == 0.0)
         assert report.ok

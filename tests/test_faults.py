@@ -25,6 +25,7 @@ from cautious_lbfgs import (
     Rosenbrock,
     SolverConfig,
     minimize,
+    problems,
 )
 
 STATUSES = {"converged", "max_iter", "linesearch_failure", "nonfinite", "eval_error", "non_descent"}
@@ -139,12 +140,12 @@ def test_overflowing_control_ends_within_the_newton_budget(ls, scale):
     # at y = 0, so no damped step can reduce it and the residual is not a
     # finite one at its rounding floor: the state solve ends the run at its
     # first evaluation with a NewtonError.  A call evaluates
-    # the residual once at y = 0 and then, in each of newton_max = 50 steps,
+    # the residual once at y = 0 and then, in each of NEWTON_MAX = 50 steps,
     # once at the full step and at most 40 times more while damping halves
     # it (t = 1/2, ..., 2^-40).  Whether a step is the chord step or, where
     # that fails to halve its predecessor, the Newton step on a fresh factor
     # is decided from the step sizes before any residual is evaluated, so a
-    # call that raises makes at most 1 + 41 * newton_max products with the
+    # call that raises makes at most 1 + 41 * NEWTON_MAX products with the
     # Laplacian (the adjoint's products follow only a state solve that returns)
     problem = CountingOcp(OcpGrid(M=8))
     config = SolverConfig(cautious=CautiousParams(m=5), linesearch=ls, max_iter=MAX_ITER,
@@ -153,7 +154,7 @@ def test_overflowing_control_ends_within_the_newton_budget(ls, scale):
     assert report.status == "eval_error"
     assert report.reason.startswith("NewtonError")
     assert problem.calls >= 1
-    assert problem.laplacian.count <= problem.calls * (problem.grid.newton_max * 41 + 1)
+    assert problem.laplacian.count <= problem.calls * (problems.NEWTON_MAX * 41 + 1)
 
 
 @settings(max_examples=150, deadline=None)

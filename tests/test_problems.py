@@ -198,10 +198,10 @@ class TestOcpState:
         y = prob.solve_state(u)
         assert_allclose(y, y_target, atol=1e-10)
 
-    def test_iteration_cap(self):
-        grid = OcpGrid(M=4, newton_max=1)
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(problems, "NEWTON_MAX", 1)
         with pytest.raises(NewtonError):
-            OcpControlProblem(grid).solve_state(np.full(9, 50.0))
+            OcpControlProblem(OcpGrid(M=4)).solve_state(np.full(9, 50.0))
 
 
 class TestOcpAdjoint:
@@ -260,11 +260,15 @@ class ReassemblingOcp(OcpControlProblem):
     """Oracle that assembles and factors A + diag(exp(y)) at every Newton step and for the adjoint.
 
     Its state solve is damped Newton from y = 0 that, once the residual is
-    below newton_tol, takes two more full steps, which carry a quadratic
-    iteration to its rounding floor; it never solves with the factor of
-    A + I built at construction.  splu is looked up on ``problems.spla``
+    below ``newton_tol`` (by default the library's NEWTON_TOL), takes two
+    more full steps, which carry a quadratic iteration to its rounding
+    floor; it never solves with the factor of A + I built at construction.  splu is looked up on ``problems.spla``
     so that counting views patched there see these calls too.
     """
+
+    def __init__(self, grid, newton_tol=problems.NEWTON_TOL):
+        super().__init__(grid)
+        self.newton_tol = newton_tol
 
     def _factor(self, y):
         jac = (self.laplacian + sp.diags(np.exp(y))).tocsc()
@@ -275,11 +279,11 @@ class ReassemblingOcp(OcpControlProblem):
         return residual, self.space.norm(residual)
 
     def solve_state(self, u):
-        tol = self.grid.newton_tol
+        tol = self.newton_tol
         y = np.zeros(self.space.dim)
         residual, res_norm = self._residual(y, u)
         extra = 2
-        for _ in range(self.grid.newton_max):
+        for _ in range(problems.NEWTON_MAX):
             if res_norm <= tol:
                 if extra == 0:
                     return y
@@ -389,14 +393,14 @@ class TestOcpEvaluator:
         # solve for uniform draws from this range
         y = OCP8.solve_state(u)
         residual = OCP8.laplacian @ y + np.exp(y) - u
-        assert OCP8.space.norm(residual) <= OCP8.grid.newton_tol
+        assert OCP8.space.norm(residual) <= problems.NEWTON_TOL
         assert np.max(np.abs(y - ORACLE8.solve_state(u))) <= 1e-12
 
     @pytest.mark.parametrize(("j", "level"), [(7, 10.0), (7, -10.0), (5, 300.0), (5, -300.0),
                                               (3, 3000.0), (3, -3000.0)])
     def test_large_constant_control_evaluates_at_the_rounding_floor(self, j, level):
         # the residual's rounding floor, about eps || |A| |y| + exp(y) + |u| ||,
-        # lies above newton_tol for these controls (j = 7 is a grid of the
+        # lies above NEWTON_TOL for these controls (j = 7 is a grid of the
         # mesh study, whose optimum reaches amplitude 12), so the state solve
         # returns there; the oracle's tolerance is scaled with the control
         prob = OcpControlProblem(OcpGrid(M=2**j))
@@ -409,7 +413,7 @@ class TestOcpEvaluator:
         prob.laplacian = CountingMatmul(prob.laplacian)
         y = prob.solve_state(u)
         assert prob.laplacian.count <= 35
-        y_ref = ReassemblingOcp(OcpGrid(M=2**j, newton_tol=1e-10 * abs(level))).solve_state(u)
+        y_ref = ReassemblingOcp(OcpGrid(M=2**j), newton_tol=1e-10 * abs(level)).solve_state(u)
         # measured at most 3.4e-14
         assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
 
