@@ -131,7 +131,7 @@ def plan(args) -> tuple[list[tuple[Problem, np.ndarray]], list[SolverConfig]]:
         pwquad = PiecewiseQuadratic(args.n)
         problems = [(pwquad, pwquad.b.copy())]
     else:
-        # a problem holds no per-run state, so each mesh is built (and A + I factored) once
+        # a problem holds no per-run state, so each mesh is built once
         meshes = args.mesh_list if args.table == "t5" else [args.mesh_j]
         ocps = [OcpControlProblem(OcpGrid(M=2**j, nu=args.nu)) for j in meshes]
         problems = [(ocp, np.zeros(ocp.space.dim)) for ocp in ocps]

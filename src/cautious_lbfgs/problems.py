@@ -10,6 +10,7 @@ from the vector of partial derivatives.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,27 +24,26 @@ PERMC_SPEC = "MMD_AT_PLUS_A"
 NEWTON_TOL = 1e-12
 NEWTON_MAX = 50
 EPS = np.finfo(float).eps
+_SPARSE_MODULES = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
 
 
 def _sparse(name: str):
-    """``sp`` (scipy.sparse) or ``spla`` (scipy.sparse.linalg), imported on first use.
+    """``sp`` (scipy.sparse) or ``spla`` (scipy.sparse.linalg), each imported on first use.
 
-    Only the control problem needs them, and they are most of the
-    package's import time.  Once imported both are module globals, so
-    ``problems.spla`` reads, and can be replaced, like any attribute.
+    Only the control problem needs scipy.sparse, and only its Newton
+    fallback and its adjoint's direct solve need scipy.sparse.linalg;
+    they are most of the package's import time.  Once imported each is a
+    module global, so ``problems.spla`` reads, and can be replaced, like
+    any attribute.
     """
     if name not in globals():
-        import scipy.sparse
-        import scipy.sparse.linalg
-
-        globals().setdefault("sp", scipy.sparse)
-        globals().setdefault("spla", scipy.sparse.linalg)
+        globals()[name] = importlib.import_module(_SPARSE_MODULES[name])
     return globals()[name]
 
 
 def __getattr__(name: str):
     """``problems.sp`` and ``problems.spla`` read before their first use here."""
-    if name in ("sp", "spla"):
+    if name in _SPARSE_MODULES:
         return _sparse(name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -174,13 +174,23 @@ class OcpControlProblem(Problem):
     f(u) = 0.5 ||y_u - y_d||^2 + nu/2 ||u||^2 in the grid inner product.
     The gradient nu*u + p comes from one linearized (self-adjoint) solve
     with the Jacobian A + diag(exp(y)) at the state.  Every evaluation is
-    cold: the state solve starts at y = 0, and both solves step with the
-    factor of A + I built at construction, judging its contraction by the
-    size of their corrections.  They factor the Jacobian at the current
-    state only where a correction fails to halve the one before while the
-    residual is above NEWTON_TOL.  Where exp(y) - 1 stays small against
-    the smallest eigenvalue of A + I (about 2 pi^2 + 1), as for the
-    benchmark's controls, an evaluation makes no factorization at all.
+    cold: the state solve starts at y = 0, and both solves step with A + I
+    solved in its eigenbasis, judging its contraction by the size of their
+    corrections.  They factor the Jacobian at the current state only where
+    a correction fails to halve the one before while the residual is above
+    NEWTON_TOL.  Where exp(y) - 1 stays small against the smallest
+    eigenvalue of A + I (about 2 pi^2 + 1), as for the benchmark's
+    controls, an evaluation makes no factorization at all, and neither
+    does construction.
+
+    A is the 5-point Laplacian, which the orthogonal, symmetric sine
+    matrix V[k, l] = sqrt(2/M) sin(k l pi / M) diagonalizes in each grid
+    direction with eigenvalues lambda_k = (2 M sin(k pi / 2M))^2.  A solve
+    with A + I is then four dense products with V and one division by
+    lambda_i + lambda_j + 1 (the fast diagonalization method; Lynch, Rice &
+    Thomas, Numer. Math. 6, 1964).  At M >= 128 the BLAS threads these
+    products, and the last bits of the solve, hence of every evaluation,
+    then depend on its thread count.
     """
 
     def __init__(self, grid: OcpGrid):
@@ -189,7 +199,17 @@ class OcpControlProblem(Problem):
         self.laplacian = laplacian_5pt(grid.M)
         self.target_state = grid.target_state
         self._abs_laplacian = abs(self.laplacian)
-        self._lu_at_zero = self._jacobian_lu(np.zeros(self.space.dim))
+        k = np.arange(1, grid.M)
+        # k l reduced mod 2M: sin is most accurate below 2 pi, and V is then
+        # orthogonal to 4e-16 at M = 128 (6e-15 unreduced)
+        self._sine = np.sqrt(2.0 / grid.M) * np.sin(np.outer(k, k) % (2 * grid.M) * (np.pi / grid.M))
+        lam = (2.0 * grid.M * np.sin(k * (np.pi / (2 * grid.M)))) ** 2
+        self._eigenvalues = lam[:, None] + lam + 1.0
+
+    def _solve_at_zero(self, r: np.ndarray) -> np.ndarray:
+        """Solve (A + I) x = r in the sine basis of A."""
+        V = self._sine
+        return (V @ ((V @ r.reshape(V.shape) @ V) / self._eigenvalues) @ V).ravel()
 
     def _jacobian_lu(self, y: np.ndarray):
         """SuperLU factor of the Jacobian A + diag(exp(y))."""
@@ -199,14 +219,15 @@ class OcpControlProblem(Problem):
     def solve_state(self, u) -> np.ndarray:
         """State y from y = 0 whose residual A y + exp(y) - u is below NEWTON_TOL.
 
-        Each step solves with the factor held, at first that of A + I (a
-        chord step; Kelley 1995).  The chord's contraction is judged by the
-        size of its steps, Deuflhard's natural monotonicity test: where a
-        step fails to halve the one before, the solve ends if the residual
-        is below NEWTON_TOL (the steps have reached their rounding floor),
-        and otherwise factors the Jacobian at the current state and takes a
-        Newton step.  Above NEWTON_TOL a step is halved until the residual
-        norm decreases.  The solve also ends where the residual is below
+        Each step solves with A + I in its sine basis (a chord step; Kelley
+        1995), whose last bits depend on the BLAS thread count at M >= 128.
+        The chord's contraction is judged by the size of its steps,
+        Deuflhard's natural monotonicity test: where a step fails to halve
+        the one before, the solve ends if the residual is below NEWTON_TOL
+        (the steps have reached their rounding floor), and otherwise
+        factors the Jacobian at the current state and takes a Newton step.
+        Above NEWTON_TOL a step is halved until the residual norm
+        decreases.  The solve also ends where the residual is below
         NEWTON_TOL and the step below 4 eps ||y||.  The residual is measured
         in the grid norm; the Euclidean norm of the strong-form residual
         scales like 1/h^2 and would sit above any fixed absolute tolerance
@@ -219,7 +240,7 @@ class OcpControlProblem(Problem):
         u = self.space.check(u)
         tol = NEWTON_TOL
         y = np.zeros(self.space.dim)
-        lu = self._lu_at_zero
+        solve = self._solve_at_zero
 
         def trial(step):
             y_trial = y + step
@@ -236,14 +257,14 @@ class OcpControlProblem(Problem):
             y, residual, res_norm = trial(0.0)
             step_norm = np.inf
             for _ in range(NEWTON_MAX):
-                delta = lu.solve(-residual)
+                delta = solve(-residual)
                 delta_norm = self.space.norm_unchecked(delta)
                 halves = delta_norm <= 0.5 * step_norm
                 if res_norm <= tol and (not halves or delta_norm <= 4.0 * EPS * self.space.norm_unchecked(y)):
                     return y
                 if not halves:
-                    lu = self._jacobian_lu(y)
-                    delta = lu.solve(-residual)
+                    solve = self._jacobian_lu(y).solve
+                    delta = solve(-residual)
                     delta_norm = self.space.norm_unchecked(delta)
                 y_trial, r_trial, r_norm = trial(delta)
                 t = 1.0
@@ -263,11 +284,13 @@ class OcpControlProblem(Problem):
         )
 
     def solve_adjoint(self, y) -> np.ndarray:
-        """Solve (A + diag(exp(y))) p = y - y_d by iterative refinement on the factor of A + I.
+        """Solve (A + diag(exp(y))) p = y - y_d by iterative refinement with A + I.
 
-        Each correction solves with that factor for the residual against
-        the exact matrix (Higham, Accuracy and Stability of Numerical
-        Algorithms, ch. 12), until a correction falls below 4 eps ||p||.
+        Each correction solves with A + I in its sine basis, whose last bits
+        depend on the BLAS thread count at M >= 128, for the residual
+        against the exact matrix (Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 12), until a correction falls below
+        4 eps ||p||.
         A correction that fails to halve the one before ends the
         refinement if the residual is below NEWTON_TOL, and otherwise the
         matrix is factored at y.  The linearized state operator is
@@ -280,7 +303,7 @@ class OcpControlProblem(Problem):
         previous = np.inf
         while True:
             residual = rhs - (self.laplacian @ p + exp_y * p)
-            correction = self._lu_at_zero.solve(residual)
+            correction = self._solve_at_zero(residual)
             size = self.space.norm_unchecked(correction)
             if not size <= 0.5 * previous:
                 if self.space.norm_unchecked(residual) <= NEWTON_TOL:

@@ -190,7 +190,7 @@ def test_criterion_6_mesh_independence():
     start = time.perf_counter()
     patterns = {0: 14, 5: 10, 10: 8}
     counts = {}
-    # a problem holds no per-run state, so each mesh is built (and A + I factored) once
+    # a problem holds no per-run state, so each mesh is built once
     meshes = {j: OcpControlProblem(OcpGrid(M=2**j)) for j in (4, 5, 6, 7)}
     for ls in ("armijo", "mt"):
         for m in (0, 5, 10):

@@ -262,8 +262,9 @@ class ReassemblingOcp(OcpControlProblem):
     Its state solve is damped Newton from y = 0 that, once the residual is
     below ``newton_tol`` (by default the library's NEWTON_TOL), takes two
     more full steps, which carry a quadratic iteration to its rounding
-    floor; it never solves with the factor of A + I built at construction.  splu is looked up on ``problems.spla``
-    so that counting views patched there see these calls too.
+    floor; it never solves with A + I in its sine basis.  splu is looked up
+    on ``problems.spla`` so that counting views patched there see these
+    calls too.
     """
 
     def __init__(self, grid, newton_tol=problems.NEWTON_TOL):
@@ -358,12 +359,32 @@ class TestOcpFactorReuse:
     @pytest.mark.parametrize("M", [2, 4, 32])
     def test_at_most_one_factorization_per_evaluation(self, M, splu_calls):
         prob = OcpControlProblem(OcpGrid(M=M))
-        del splu_calls[:]
         for u in _controls(M):
             prob.value_and_grad(u)
-        # none at all after construction: both solves step on the factor of
-        # A + I built with the problem
+        # none at all, construction included: both solves step with A + I
+        # in its sine basis, which needs no factor
         assert splu_calls == []
+
+    @pytest.mark.parametrize("M", [2, 4, 16, 64, 128])
+    def test_sine_basis_solve_matches_superlu(self, M):
+        prob = OcpControlProblem(OcpGrid(M=M))
+        matrix = (prob.laplacian + sp.identity(prob.space.dim)).tocsc()
+        lu = problems.spla.splu(matrix, permc_spec=problems.PERMC_SPEC)
+        exact = matrix.astype(np.longdouble)
+        rng = np.random.default_rng(M)
+        for _ in range(3):
+            r = rng.standard_normal(prob.space.dim)
+            x = prob._solve_at_zero(r)
+            # SuperLU's own forward error reaches 1.3e-13 at M = 128 (the
+            # condition number of A + I grows like M^2), so the oracle is its
+            # solution refined twice on residuals in long double
+            x_ref = lu.solve(r)
+            for _ in range(2):
+                x_ref = x_ref + lu.solve((r - exact @ x_ref).astype(float))
+            # measured at most 3.5e-14 relative residual and 1.7e-15 relative
+            # difference (M = 128)
+            assert np.linalg.norm(matrix @ x - r) <= 1e-13 * np.linalg.norm(r)
+            assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
 
     def test_evaluations_leave_no_state_behind(self):
         grid = OcpGrid(M=8)
@@ -456,14 +477,18 @@ class TestOcpEvaluator:
 
 def test_scipy_sparse_imported_on_first_use():
     # only the control problem needs scipy.sparse, most of the package's
-    # import time; a fresh process shows what importing the CLI loads
+    # import time, and only a factored Jacobian needs scipy.sparse.linalg;
+    # a fresh process shows what importing the CLI and evaluating load
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "import cautious_lbfgs.cli\n"
         "from cautious_lbfgs import problems\n"
         "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported with the package'\n"
-        "problems.OcpControlProblem(problems.OcpGrid(M=4))\n"
+        "prob = problems.OcpControlProblem(problems.OcpGrid(M=4))\n"
+        "prob.value_and_grad(np.zeros(prob.space.dim))\n"
         "assert problems.sp is sys.modules['scipy.sparse']\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules, 'scipy.sparse.linalg imported by an evaluation'\n"
         "assert problems.spla is sys.modules['scipy.sparse.linalg']\n"
     )
     src = str(Path(problems.__file__).parents[1])
