@@ -13,8 +13,6 @@ Tier-1 (``test_cli.py::TestDeterminism``) compares a fresh
 """
 
 import contextlib
-import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -27,7 +25,7 @@ from cautious_lbfgs import (
     SolverConfig,
     minimize,
 )
-from cautious_lbfgs.cli import main
+from cautious_lbfgs.cli import main, write_jsonl
 
 TRACES = [
     ("rosenbrock", "armijo", 2),
@@ -86,9 +84,8 @@ def write_all(out: Path) -> list[Path]:
         written += files
     for name, problem, x0, config in audits():
         report = minimize(problem, problem.space, x0, config)
-        path = out / name
-        path.write_text("".join(json.dumps(dataclasses.asdict(a)) + "\n" for a in report.audits))
-        written.append(path)
+        write_jsonl(out / name, report.audits)
+        written.append(out / name)
     return written
 
 

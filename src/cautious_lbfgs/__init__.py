@@ -18,7 +18,6 @@ from .diagnostics import (
     error_sequences,
     linear_rate_check,
     lstep_qlinear,
-    neighborhood_entry,
     q_factors,
 )
 from .direction import BoundReport, cautious_bound_report, two_loop_norms
@@ -34,7 +33,7 @@ from .problems import (
 )
 from .secant_store import CautiousParams, SecantStore
 from .solver import IterationRecord, SolveReport, SolverConfig, compare_traces, minimize
-from .space import Space, euclidean, make_grid_space
+from .space import Space, make_grid_space
 
 __all__ = [
     "BoundReport",
@@ -58,13 +57,11 @@ __all__ = [
     "cautious_bound_report",
     "compare_traces",
     "error_sequences",
-    "euclidean",
     "fd_gradient_check",
     "linear_rate_check",
     "lstep_qlinear",
     "make_grid_space",
     "minimize",
-    "neighborhood_entry",
     "q_factors",
     "two_loop_norms",
 ]

@@ -70,12 +70,12 @@ def emit(args, header: list[str], rows: list[list]) -> None:
         writer.writerows([format_value(v) for v in row] for row in rows)
 
 
-def write_trace(path, report: SolveReport) -> None:
-    """One JSON object per iteration: the record's fields that the run recorded."""
+def write_jsonl(path, records) -> None:
+    """One JSON object per dataclass record: its fields that are not None."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        for record in report.trace:
+        for record in records:
             entry = {k: v for k, v in dataclasses.asdict(record).items() if v is not None}
             fh.write(json.dumps(entry) + "\n")
 
@@ -201,7 +201,7 @@ def run_table(args) -> int:
         rows.append(summary_row(args.problem, config, report, rates))
     emit(args, SUMMARY_COLUMNS, rows)
     if args.trace:
-        write_trace(args.trace, report)
+        write_jsonl(args.trace, report.trace)
     if args.dump_grids:
         dump_grids(args, problem, report)
     if failure is not None:

@@ -92,20 +92,6 @@ def q_factors(report: SolveReport, f_star: float, x_star, space: Space) -> RateR
     return RateReport(qf=qf, qx=qx, qg=qg, qf3=qf3, qx3=qx3, qg3=qg3, n_skipped=n_skipped)
 
 
-def neighborhood_entry(report: SolveReport, x_star, radius: float, space: Space) -> int:
-    """First index from which every iterate stays within ``radius`` of x_star.
-
-    This is how the local-phase start indices fed to
-    :func:`linear_rate_check` are obtained from a run.  Raises when even
-    the final iterate sits outside the ball.
-    """
-    inside = _x_errors(report, x_star, space) <= radius
-    if not inside[-1]:
-        raise ValueError(f"no iterate stays within radius {radius}")
-    outside = np.flatnonzero(~inside)
-    return int(outside[-1]) + 1 if len(outside) else 0
-
-
 def lstep_qlinear(errors, l: int, k_start: int = 0) -> tuple[bool, float]:
     """Check l-step q-linear decay of a positive error sequence.
 

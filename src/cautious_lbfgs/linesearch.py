@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 
 @dataclass(frozen=True)
@@ -45,20 +46,19 @@ class LineSearchParams:
             raise ValueError(f"eta must lie in (sigma, 1), got {self.eta}")
         if not 0.0 < self.beta1 <= self.beta2 < 1.0:
             raise ValueError(f"need 0 < beta1 <= beta2 < 1, got {self.beta1}, {self.beta2}")
-        if self.maxfev < 1:
-            raise ValueError(f"maxfev must be >= 1, got {self.maxfev}")
+        if not isinstance(self.maxfev, Integral) or self.maxfev < 1:
+            raise ValueError(f"maxfev must be an integer >= 1, got {self.maxfev}")
         # every search starts at step 1
         if not (0.0 <= self.stpmin <= 1.0 <= self.stpmax and self.stpmin < self.stpmax):
             raise ValueError(f"need 0 <= stpmin <= 1 <= stpmax, stpmin < stpmax; "
                              f"got {self.stpmin}, {self.stpmax}")
-        if self.gll_memory < 1:
-            raise ValueError(f"gll_memory must be >= 1, got {self.gll_memory}")
+        if not isinstance(self.gll_memory, Integral) or self.gll_memory < 1:
+            raise ValueError(f"gll_memory must be an integer >= 1, got {self.gll_memory}")
 
 
 @dataclass
 class LineSearchOutcome:
     alpha: float
-    f_new: float
     n_feval: int
 
 
@@ -101,7 +101,7 @@ def gll_nonmonotone(phi, dphi0: float, f_history, params: LineSearchParams) -> L
         f = phi(alpha)
         trials.append((alpha, f))
         if f <= reference + params.sigma * alpha * dphi0:
-            return LineSearchOutcome(alpha=alpha, f_new=f, n_feval=len(trials))
+            return LineSearchOutcome(alpha=alpha, n_feval=len(trials))
         denom = 2.0 * (f - phi0 - dphi0 * alpha)
         trial = -dphi0 * alpha * alpha / denom if denom > 0.0 else math.inf
         if not math.isfinite(trial):
@@ -134,7 +134,7 @@ def wolfe_weak(phi, dphi, params: LineSearchParams,
         if not (f <= phi0 + params.sigma * alpha * dphi0):
             hi = alpha
         elif dphi(alpha) >= params.eta * dphi0:
-            return LineSearchOutcome(alpha=alpha, f_new=f, n_feval=len(trials))
+            return LineSearchOutcome(alpha=alpha, n_feval=len(trials))
         else:
             lo = alpha
         if math.isinf(hi):
@@ -193,7 +193,7 @@ def more_thuente(phi, dphi, params: LineSearchParams,
             stage = 2
 
         if f <= ftest and abs(g) <= eta * (-dphi0):
-            return LineSearchOutcome(alpha=stp, f_new=f, n_feval=len(trials))
+            return LineSearchOutcome(alpha=stp, n_feval=len(trials))
         # failure checks in decreasing priority, so a step pinned at a
         # bound or an exhausted bracket is reported as such even when the
         # weaker rounding condition also holds
@@ -261,6 +261,24 @@ def _cubic(fa, fb, sa, sb, da, db):
     return theta, s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
 
 
+def _cubic_minimizer(theta, gamma, sa, da, sb, db):
+    """Minimizer of the cubic through slopes da at sa and db at sb.
+
+    theta and gamma are :func:`_cubic`'s for the same two points; gamma
+    takes the sign of sb - sa here.
+    """
+    if sb < sa:
+        gamma = -gamma
+    p = (gamma - da) + theta
+    q = ((gamma - da) + gamma) + db
+    return sa + (p / q) * (sb - sa)
+
+
+def _secant_step(sa, da, sb, db):
+    """Zero of the secant through the slopes da at sa and db at sb."""
+    return sa + (da / (da - db)) * (sb - sa)
+
+
 def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     """One interval update of the sectioning scheme.
 
@@ -274,13 +292,7 @@ def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
 
     if fp > fx:
         # higher value: the minimum is bracketed between stx and stp
-        theta, gamma = _cubic(fx, fp, stx, stp, dx, dp)
-        if stp < stx:
-            gamma = -gamma
-        p = (gamma - dx) + theta
-        q = ((gamma - dx) + gamma) + dp
-        r = p / q
-        stpc = stx + r * (stp - stx)
+        stpc = _cubic_minimizer(*_cubic(fx, fp, stx, stp, dx, dp), stx, dx, stp, dp)
         stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
         if abs(stpc - stx) < abs(stpq - stx):
             stpf = stpc
@@ -289,14 +301,8 @@ def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         brackt = True
     elif sgnd < 0.0:
         # opposite slope signs: bracketed between stp and stx
-        theta, gamma = _cubic(fx, fp, stx, stp, dx, dp)
-        if stp > stx:
-            gamma = -gamma
-        p = (gamma - dp) + theta
-        q = ((gamma - dp) + gamma) + dx
-        r = p / q
-        stpc = stp + r * (stx - stp)
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpc = _cubic_minimizer(*_cubic(fx, fp, stx, stp, dx, dp), stp, dp, stx, dx)
+        stpq = _secant_step(stp, dp, stx, dx)
         stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
         brackt = True
     elif abs(dp) < abs(dx):
@@ -313,7 +319,7 @@ def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
             stpc = stpmax
         else:
             stpc = stpmin
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpq = _secant_step(stp, dp, stx, dx)
         if brackt:
             stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
             if stp > stx:
@@ -326,14 +332,7 @@ def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     else:
         # same sign, nondecreasing magnitude
         if brackt:
-            theta, gamma = _cubic(fp, fy, stp, sty, dy, dp)
-            if stp > sty:
-                gamma = -gamma
-            p = (gamma - dp) + theta
-            q = ((gamma - dp) + gamma) + dy
-            r = p / q
-            stpc = stp + r * (sty - stp)
-            stpf = stpc
+            stpf = _cubic_minimizer(*_cubic(fp, fy, stp, sty, dy, dp), stp, dp, sty, dy)
         elif stp > stx:
             stpf = stpmax
         else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import Space, euclidean, make_grid_space
+from .space import Space, make_grid_space
 
 # fill-reducing column ordering of every SuperLU factor of A + diag(exp(y))
 PERMC_SPEC = "MMD_AT_PLUS_A"
@@ -68,7 +68,7 @@ class Rosenbrock(Problem):
     """f(x) = (1 - x1)^2 + 100 (x2 - x1^2)^2 on Euclidean R^2."""
 
     def __init__(self):
-        self.space = euclidean(2)
+        self.space = Space(2)
         self.x_star = np.array([1.0, 1.0])
         self.f_star = 0.0
 
@@ -105,7 +105,7 @@ class PiecewiseQuadratic(Problem):
         if n_blocks < 1:
             raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
         self.n_blocks = n_blocks
-        self.space = euclidean(3 * n_blocks)
+        self.space = Space(3 * n_blocks)
         self.b = np.tile([1.0, -1.0, 0.0], n_blocks)
         self.x_star = np.tile([0.01, -1.0, 0.0], n_blocks)
         self.f_star = self.value(self.x_star)
@@ -129,10 +129,11 @@ def _default_target_state(M: int) -> np.ndarray:
     return (np.sin(2.0 * np.pi * x1) * np.cos(2.0 * np.pi * x2)).ravel()
 
 
-def laplacian_5pt(M: int) -> sp.csr_matrix:
+def laplacian_5pt(M: int):
     """Dirichlet 5-point-stencil Laplacian on the (M-1)^2 interior nodes.
 
-    Scaled by 1/h^2; node ordering is lexicographic, x1-major.
+    A ``scipy.sparse`` CSR matrix, scaled by 1/h^2; node ordering is
+    lexicographic, x1-major.
     """
     sp = _sparse("sp")
     n = M - 1

@@ -16,6 +16,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -38,8 +39,8 @@ class CautiousParams:
     c2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"memory size must be >= 0, got {self.m}")
+        if not isinstance(self.m, Integral) or self.m < 0:
+            raise ValueError(f"memory size must be an integer >= 0, got {self.m}")
         if not 0.0 < self.c0 <= 1.0:
             raise ValueError(f"c0 must lie in (0, 1], got {self.c0}")
         if not self.c1 > 0.0:

@@ -12,8 +12,8 @@ modes therefore isolates exactly the effect of the modification.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class SolverConfig:
             raise ValueError(f"unknown line search {self.linesearch!r}")
         if not self.grad_tol > 0.0:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
         self.cautious.warn_if_rate_guard_violated(wolfe=self.linesearch in ("wolfe", "mt"))
 
 
@@ -186,12 +186,17 @@ class _Ray:
 
 
 def _search(config: SolverConfig, ray: _Ray, f: float, dphi0: float,
-            f_history: deque[float]) -> LineSearchOutcome:
-    """The configured line search along ``ray`` from the value f and slope dphi0."""
+            trace: list[IterationRecord]) -> LineSearchOutcome:
+    """The configured line search along ``ray`` from the value f and slope dphi0.
+
+    The nonmonotone rule's history is the f of the last gll_memory - 1
+    records of ``trace``, then f.
+    """
     if config.linesearch == "armijo":
         return armijo_backtrack(ray.phi, f, dphi0, config.ls)
     if config.linesearch == "gll":
-        return gll_nonmonotone(ray.phi, dphi0, f_history, config.ls)
+        window = trace[max(0, len(trace) + 1 - config.ls.gll_memory):]
+        return gll_nonmonotone(ray.phi, dphi0, [r.f for r in window] + [f], config.ls)
     if config.linesearch == "wolfe":
         return wolfe_weak(ray.phi, ray.dphi, config.ls, phi0=f, dphi0=dphi0)
     return more_thuente(ray.phi, ray.dphi, config.ls, phi0=f, dphi0=dphi0)
@@ -200,12 +205,14 @@ def _search(config: SolverConfig, ray: _Ray, f: float, dphi0: float,
 def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveReport:
     """Iterate from x0 until a termination event fires, and report the run.
 
-    Every evaluation is a call of ``problem.value_and_grad``; the dense
-    audit of each direction runs only where the config asks for it.  On
-    ``converged`` the final gradient norm is at or below grad_tol.  A
-    line-search failure, a nonfinite or failed evaluation, or a direction
-    without descent ends the run with the corresponding status, its
-    reason, and the trace collected so far; none of them raises.
+    Every evaluation is a call of ``problem.value_and_grad``.  The norm
+    audit of each direction runs only where the config asks for it; it
+    is exact, by :func:`two_loop_norms` on an eigenproblem of size at
+    most twice the number of pairs applied.  On ``converged`` the final
+    gradient norm is at or below grad_tol.  A line-search failure, a
+    nonfinite or failed evaluation, or a direction without descent ends
+    the run with the corresponding status, its reason, and the trace
+    collected so far; none of them raises.
 
     x0 and each evaluation's result are checked once, where they enter;
     the arithmetic after that trusts them and takes the space's unchecked
@@ -224,7 +231,6 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
         f, grad = math.nan, np.full(space.dim, math.nan)
         status, reason = "eval_error", str(err)
     grad_norm = space.norm_unchecked(grad)
-    f_history: deque[float] = deque([f], maxlen=config.ls.gll_memory)
     if status is None and not (math.isfinite(f) and math.isfinite(grad_norm)):
         status, reason = "nonfinite", "nonfinite objective or gradient at the starting point"
 
@@ -257,7 +263,7 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
 
         ray = _Ray(problem, space, x, d)
         try:
-            outcome = _search(config, ray, f, dphi0, f_history)
+            outcome = _search(config, ray, f, dphi0, trace)
         except LineSearchError as err:
             status, reason = "linesearch_failure", str(err)
             break
@@ -267,7 +273,7 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
         finally:
             # the trials of a failed search happened too
             n_feval += ray.n_feval
-        alpha, x_new, f_new, grad_new = outcome.alpha, ray.point, outcome.f_new, ray.grad
+        alpha, x_new, f_new, grad_new = outcome.alpha, ray.point, ray.f, ray.grad
         grad_norm_new = space.norm_unchecked(grad_new)
         # a NaN or infinite entry, or finite entries whose norm overflows
         if not (math.isfinite(f_new) and math.isfinite(grad_norm_new)):
@@ -282,7 +288,6 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
             storage=store.snapshot() if config.keep_storage else None,
         ))
         x, f, grad, grad_norm = x_new, f_new, grad_new, grad_norm_new
-        f_history.append(f)
         if iterates is not None:
             iterates.append(x.copy())
 

@@ -64,11 +64,6 @@ class Space:
         return math.sqrt(self.weight) * math.sqrt(v.dot(v))
 
 
-def euclidean(dim: int) -> Space:
-    """Ordinary R^dim with the dot product."""
-    return Space(dim=dim, weight=1.0)
-
-
 def make_grid_space(M: int) -> Space:
     """Space of interior-node grid functions on a uniform (M+1)x(M+1) grid.
 

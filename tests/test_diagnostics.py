@@ -13,12 +13,11 @@ from cautious_lbfgs import (
     RateConstants,
     Rosenbrock,
     SolverConfig,
+    Space,
     error_sequences,
-    euclidean,
     linear_rate_check,
     lstep_qlinear,
     minimize,
-    neighborhood_entry,
     q_factors,
 )
 from cautious_lbfgs.solver import IterationRecord, SolveReport
@@ -57,7 +56,7 @@ def synthetic_report(f_errors, x_errors=None, f_star_offset=0.0):
 
 
 class TestQFactors:
-    space = euclidean(2)
+    space = Space(2)
 
     def test_geometric_sequence(self):
         errors = [2.0**-k for k in range(10)]
@@ -266,7 +265,7 @@ class TestLinearRateCheck:
 
 @given(st.lists(st.just(0.0) | st.floats(1e-12, 1e3), min_size=2, max_size=12))
 def test_vectorised_diagnostics_match_loop_reference(errors):
-    space = euclidean(2)
+    space = Space(2)
     report = synthetic_report(errors)
     f_err, x_err, g_err = error_sequences(report, 0.0, np.zeros(2), space)
 
@@ -295,29 +294,3 @@ def test_vectorised_diagnostics_match_loop_reference(errors):
         violated = any(x_err[k + l] > factor * x_err[k] * (1.0 + 1e-12)
                        for k in range(len(x_err) - l))
         assert ok == (not violated)
-
-
-class TestNeighborhoodEntry:
-    space = euclidean(2)
-
-    def test_entry_index(self):
-        report = synthetic_report([5.0, 3.0, 0.4, 0.6, 0.2, 0.1])
-        # iterate errors 5, 3, 0.4, 0.6, 0.2, 0.1: within radius 0.5 from
-        # index 4 on (index 3 pops back outside)
-        assert neighborhood_entry(report, np.zeros(2), 0.5, self.space) == 4
-        assert neighborhood_entry(report, np.zeros(2), 10.0, self.space) == 0
-
-    def test_never_inside(self):
-        report = synthetic_report([5.0, 3.0, 2.0])
-        with pytest.raises(ValueError):
-            neighborhood_entry(report, np.zeros(2), 0.5, self.space)
-
-    def test_feeds_rate_check_on_rosenbrock(self):
-        prob = Rosenbrock()
-        cfg = SolverConfig(cautious=CautiousParams(m=2), grad_tol=1e-9)
-        report = minimize(prob, prob.space, np.array([-1.2, 1.0]), cfg)
-        k1 = neighborhood_entry(report, prob.x_star, 0.4, prob.space)
-        assert 0 < k1 < report.n_iter
-        # inside the ball the iterates never leave it again
-        for x in report.iterates[k1:]:
-            assert prob.space.norm(x - prob.x_star) <= 0.4

@@ -13,7 +13,6 @@ from cautious_lbfgs import (
     SecantStore,
     Space,
     cautious_bound_report,
-    euclidean,
     two_loop_norms,
 )
 from cautious_lbfgs.direction import dense_hessian, dense_hessian_inverse, two_loop
@@ -125,12 +124,12 @@ class TestTwoLoop:
         assert np.array_equal(two_loop(space, store.pairs, gamma, grad), expected)
 
     def test_no_pairs_scales_negative_gradient(self):
-        space = euclidean(2)
+        space = Space(2)
         d = two_loop(space, [], 2.0, np.array([1.0, -1.0]))
         assert_allclose(d, [-2.0, 2.0], rtol=0, atol=0)
 
     def test_identical_pair_reproduces_identity(self):
-        space = euclidean(2)
+        space = Space(2)
         store = SecantStore(capacity=1)
         store.push(space, [1.0, 0.0], [1.0, 0.0], index=0)
         d = two_loop(space, store.pairs, 1.0, np.array([3.0, 4.0]))
@@ -138,10 +137,10 @@ class TestTwoLoop:
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
-            two_loop(euclidean(2), [], 0.0, np.array([1.0, 1.0]))
+            two_loop(Space(2), [], 0.0, np.array([1.0, 1.0]))
 
     def test_rejects_nonpositive_curvature_pair(self):
-        space = euclidean(2)
+        space = Space(2)
         store = SecantStore(capacity=1)
         store.push(space, [1.0, 0.0], [1.0, 0.0], index=0)
         object.__setattr__(store.pairs[0], "sy", -1.0)
@@ -171,15 +170,15 @@ class TestTwoLoop:
 
 class TestDenseOperators:
     def test_inverse_hessian_without_pairs(self):
-        H = dense_hessian_inverse(euclidean(2), [], 3.0)
+        H = dense_hessian_inverse(Space(2), [], 3.0)
         assert_allclose(H, 3.0 * np.eye(2), rtol=0, atol=0)
 
     def test_hessian_without_pairs(self):
-        B = dense_hessian(euclidean(2), [], 4.0)
+        B = dense_hessian(Space(2), [], 4.0)
         assert_allclose(B, 0.25 * np.eye(2), rtol=0, atol=0)
 
     def test_unit_pair_preserves_identity(self):
-        space = euclidean(2)
+        space = Space(2)
         store = SecantStore(capacity=1)
         store.push(space, [1.0, 0.0], [1.0, 0.0], index=0)
         assert_allclose(dense_hessian_inverse(space, store.pairs, 1.0), np.eye(2), atol=1e-15)
@@ -220,7 +219,7 @@ class TestDenseOperators:
 
     def test_dim_guard(self):
         with pytest.raises(ValueError):
-            dense_hessian_inverse(euclidean(2001), [], 1.0)
+            dense_hessian_inverse(Space(2001), [], 1.0)
 
     def test_operator_norm_tracks_eigvalsh(self):
         # the norms serve pass/fail audits, so they must be exact: the
@@ -289,10 +288,10 @@ class TestTwoLoopOperator:
 
         for name in ("qr", "svd", "eigvalsh", "eigh"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        assert two_loop_norms(euclidean(300), [], 0.3) == (0.3, 1.0 / 0.3)
+        assert two_loop_norms(Space(300), [], 0.3) == (0.3, 1.0 / 0.3)
 
     def test_rejects_bad_inputs(self):
-        space = euclidean(2)
+        space = Space(2)
         with pytest.raises(ValueError):
             two_loop_norms(space, [], 0.0)
         store = SecantStore(capacity=1)
@@ -313,7 +312,7 @@ class TestTwoLoopOperator:
 
 class TestBoundChecks:
     def test_trivial_no_pairs(self):
-        H = dense_hessian_inverse(euclidean(3), [], 1.0)
+        H = dense_hessian_inverse(Space(3), [], 1.0)
         report = check_bounds(H, gamma=1.0, kappa1=1.0, kappa2=1.0, n_pairs=0)
         assert report.norm_h == 1.0
         assert report.norm_h_inv == 1.0
@@ -322,7 +321,7 @@ class TestBoundChecks:
         assert report.ok
 
     def test_trivial_unit_pair(self):
-        space = euclidean(2)
+        space = Space(2)
         store = SecantStore(capacity=1)
         store.push(space, [1.0, 0.0], [1.0, 0.0], index=0)
         H = dense_hessian_inverse(space, store.pairs, 1.0)
@@ -344,7 +343,7 @@ class TestBoundChecks:
             assert report.ok
 
     def test_cautious_report_uses_threshold_bounds(self):
-        space = euclidean(2)
+        space = Space(2)
         report = cautious_bound_report(space, [], 1.0, threshold=0.5, m=1)
         assert report.bound_h_inv == 4.0
         assert report.bound_h == 5.0 * 2.0**3
@@ -355,7 +354,7 @@ class TestBoundChecks:
     @pytest.mark.parametrize("threshold", [0.0, 1e-200])
     def test_cautious_report_infinite_bounds(self, threshold):
         # level 0, and a level whose bound on ||H|| leaves the float range
-        space, store = euclidean(2), SecantStore(capacity=2)
+        space, store = Space(2), SecantStore(capacity=2)
         store.push(space, [1.0, 0.0], [2.0, 0.5], index=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -49,9 +49,10 @@ class TestParams:
 
 class TestArmijo:
     def test_full_step_on_quadratic(self):
-        out = armijo_backtrack(lambda a: (1 - a) ** 2, 1.0, -2.0, P)
+        phi = lambda a: (1 - a) ** 2
+        out = armijo_backtrack(phi, 1.0, -2.0, P)
         assert out.alpha == 1.0
-        assert out.f_new == 0.0
+        assert phi(out.alpha) == 0.0
         assert out.n_feval == 1
 
     def test_frozen_ladder_value(self):
@@ -98,9 +99,10 @@ class TestArmijo:
     def test_certificate_reverifies_by_direct_evaluation(self):
         # the reference level of the Armijo rule is phi(0), taken here from
         # phi itself rather than from anything the search reports
-        phi = lambda a: 1.0 - a + 10.0 * a * a
+        phi = counted(lambda a: 1.0 - a + 10.0 * a * a)
         out = armijo_backtrack(phi, phi(0.0), -1.0, P)
-        assert phi(out.alpha) == out.f_new
+        # the last evaluation is at the accepted step, where a caller reads it
+        assert phi.calls[-1][0] == out.alpha
         assert phi(out.alpha) <= phi(0.0) + P.sigma * out.alpha * (-1.0)
 
 
@@ -116,9 +118,10 @@ class TestGll:
         # current value 1, older value 5: a trial value of 4 passes even
         # though it increases the objective
         history = [5.0, 1.0]
-        out = gll_nonmonotone(lambda a: 4.0 - 1e-6 * a, -1e-5, history, P)
+        phi = lambda a: 4.0 - 1e-6 * a
+        out = gll_nonmonotone(phi, -1e-5, history, P)
         assert out.alpha == 1.0
-        assert out.f_new > history[-1]
+        assert phi(out.alpha) > history[-1]
 
     def test_reduces_to_monotone_on_singleton_history(self):
         out = gll_nonmonotone(lambda a: 1.0 - a + 10.0 * a * a, -1.0, [1.0], P)

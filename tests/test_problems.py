@@ -495,3 +495,29 @@ def test_scipy_sparse_imported_on_first_use():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_type_hints_resolve_before_first_use():
+    # every annotation must name something its module holds from import
+    # on, not a name such as problems.sp that appears on first use; a
+    # fresh process has used nothing yet
+    code = (
+        "import importlib, inspect, pkgutil, typing\n"
+        "import cautious_lbfgs\n"
+        "for info in pkgutil.iter_modules(cautious_lbfgs.__path__):\n"
+        "    module = importlib.import_module('cautious_lbfgs.' + info.name)\n"
+        "    for name, obj in vars(module).items():\n"
+        "        if name.startswith('_') or getattr(obj, '__module__', None) != module.__name__:\n"
+        "            continue\n"
+        "        targets = [obj]\n"
+        "        if inspect.isclass(obj):\n"
+        "            targets += [f for n, f in vars(obj).items() if inspect.isfunction(f) and not n.startswith('_')]\n"
+        "        for target in targets:\n"
+        "            typing.get_type_hints(target)\n"
+        "        print(module.__name__, name)\n"
+    )
+    src = str(Path(problems.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "cautious_lbfgs.problems laplacian_5pt" in run.stdout.splitlines()

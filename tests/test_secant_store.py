@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cautious_lbfgs import CautiousParams, SecantStore, euclidean
+from cautious_lbfgs import CautiousParams, SecantStore, Space
 from cautious_lbfgs.secant_store import cautious_threshold, choose_seed_scaling
 
 
@@ -18,7 +18,7 @@ def _pushed(space, s, y):
 
 
 class TestCurvatureQuality:
-    space = euclidean(2)
+    space = Space(2)
 
     def test_identical_vectors(self):
         store, stored = _pushed(self.space, [1.0, 0.0], [1.0, 0.0])
@@ -102,7 +102,7 @@ class TestCautiousParams:
 
 
 class TestBbScalars:
-    space = euclidean(2)
+    space = Space(2)
 
     def test_parallel_pair(self):
         store, stored = _pushed(self.space, [1.0, 0.0], [2.0, 0.0])
@@ -136,7 +136,7 @@ class TestBbScalars:
 
 
 class TestSecantStore:
-    space = euclidean(2)
+    space = Space(2)
 
     def test_push_accepts_positive_curvature(self):
         store = SecantStore(capacity=2)
@@ -212,7 +212,7 @@ def _pair(space, quality, index):
                           st.floats(-2, 2), st.floats(-2, 2)), max_size=30))
 @example([(0.0, 1.0, 2.0, 5e-324)])  # subnormal sy: zero quality, infinite rho
 def test_store_invariants_after_any_push_sequence(raw):
-    space = euclidean(2)
+    space = Space(2)
     store = SecantStore(capacity=3)
     for k, (a, b, c, d) in enumerate(raw):
         store.push(space, [a, b], [c, d], index=k)
@@ -229,7 +229,7 @@ def test_store_invariants_after_any_push_sequence(raw):
 @given(st.floats(min_value=1e-8, max_value=1.0), st.floats(min_value=1e-8, max_value=1.0))
 def test_active_filter_is_monotone(w_small, w_big):
     lo, hi = sorted([w_small, w_big])
-    space = euclidean(2)
+    space = Space(2)
     store = SecantStore(capacity=5)
     rng = np.random.default_rng(3)
     k = 0
@@ -244,7 +244,7 @@ def test_active_filter_is_monotone(w_small, w_big):
 
 
 class TestChooseSeedScaling:
-    space = euclidean(2)
+    space = Space(2)
 
     def _store(self, gamma_minus, gamma_plus):
         store = SecantStore(capacity=1)

@@ -15,7 +15,6 @@ from cautious_lbfgs import (
     SolverConfig,
     Space,
     compare_traces,
-    euclidean,
     fd_gradient_check,
     minimize,
 )
@@ -30,7 +29,7 @@ def config(m=2, **kwargs):
 
 class SphereProblem(Problem):
     def __init__(self, dim=2):
-        self.space = euclidean(dim)
+        self.space = Space(dim)
 
     def value(self, x):
         x = self.space.check(x)
@@ -45,7 +44,7 @@ class NanGradProblem(Problem):
     """Finite values everywhere, NaN gradient near the minimizer."""
 
     def __init__(self):
-        self.space = euclidean(1)
+        self.space = Space(1)
 
     def value(self, x):
         return float(x[0] ** 2)
@@ -99,7 +98,7 @@ class TestMinimizeBasics:
     def test_linesearch_failure_status(self):
         class DownRay(Problem):
             def __init__(self):
-                self.space = euclidean(1)
+                self.space = Space(1)
 
             def value(self, x):
                 return float(-x[0])
@@ -129,7 +128,7 @@ class TestMinimizeBasics:
         class Cliff(Problem):
             # defined only on x > -1; the first unit step leaves the domain
             def __init__(self):
-                self.space = euclidean(1)
+                self.space = Space(1)
 
             def value(self, x):
                 return math.log(1.0 + x[0]) + x[0] ** 2
@@ -160,7 +159,7 @@ class TestMinimizeBasics:
         # the reported gradient is three times the true one: rounding makes
         # a cubic discriminant negative inside the More-Thuente step
         class Quartic(Problem):
-            space = euclidean(1)
+            space = Space(1)
 
             def value_and_grad(self, x):
                 t = float(x[0])
@@ -218,7 +217,7 @@ class TestEvaluations:
 
     def test_problem_defining_only_value_and_grad(self):
         class Quartic(Problem):
-            space = euclidean(3)
+            space = Space(3)
 
             def value_and_grad(self, x):
                 x = self.space.check(x)
@@ -300,6 +299,26 @@ class TestTraceInvariants:
             window = f[max(0, k - 10):k]
             assert f[k] < window.max()
 
+    @pytest.mark.parametrize("m", [0, 2, 5])
+    @pytest.mark.parametrize("problem_id", ["rosenbrock", "pwquad"])
+    def test_gll_memory_one_is_armijo(self, problem_id, m):
+        # a one-entry history holds only the current f; a window slice that
+        # took the whole trace at memory 1 would measure against f_0
+        if problem_id == "pwquad":
+            prob = PiecewiseQuadratic(100)
+            x0, tol = prob.b + 0.3, 1e-5
+        else:
+            prob, x0, tol = Rosenbrock(), ROSEN_X0, 1e-9
+        armijo, gll = (
+            minimize(prob, prob.space, x0,
+                     config(m=m, linesearch=ls, grad_tol=tol, keep_iterates=False,
+                            ls=LineSearchParams(gll_memory=1)))
+            for ls in ("armijo", "gll")
+        )
+        assert armijo.status == "converged"
+        assert compare_traces(armijo, gll) is None
+        assert np.array_equal(armijo.x_final, gll.x_final)
+
     def test_wolfe_stores_pair_every_iteration(self):
         prob = Rosenbrock()
         for ls in ("wolfe", "mt"):
@@ -332,7 +351,7 @@ class TestStep:
         class Valley(Problem):
             # gradient turns steeper along the ray, so inner(s, y) < 0
             def __init__(self):
-                self.space = euclidean(1)
+                self.space = Space(1)
 
             def value(self, x):
                 return float(-x[0] ** 3 / 3.0 - x[0])
@@ -492,6 +511,18 @@ class TestConfigValidation:
             SolverConfig(cautious=CautiousParams(m=1), grad_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(cautious=CautiousParams(m=1), max_iter=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda v: CautiousParams(m=v),
+        lambda v: LineSearchParams(maxfev=v),
+        lambda v: LineSearchParams(gll_memory=v),
+        lambda v: SolverConfig(cautious=CautiousParams(m=1), max_iter=v),
+    ], ids=["m", "maxfev", "gll_memory", "max_iter"])
+    def test_integer_settings_reject_non_integers(self, make):
+        make(np.int64(3))
+        for bad in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError):
+                make(bad)
 
     def test_rate_guard_warning_propagates(self):
         with pytest.warns(UserWarning):

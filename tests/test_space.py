@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from cautious_lbfgs import Space, euclidean, make_grid_space
+from cautious_lbfgs import Space, make_grid_space
 
 
 def test_euclidean_inner_dot_product():
-    space = euclidean(2)
+    space = Space(2)
     assert space.inner([1.0, 2.0], [3.0, 4.0]) == 11.0
 
 
@@ -20,12 +20,12 @@ def test_grid_inner_single_node():
 
 
 def test_inner_of_zero_vector():
-    space = euclidean(3)
+    space = Space(3)
     assert space.inner(np.zeros(3), np.zeros(3)) == 0.0
 
 
 def test_norm_euclidean_345():
-    assert euclidean(2).norm([3.0, 4.0]) == 5.0
+    assert Space(2).norm([3.0, 4.0]) == 5.0
 
 
 def test_norm_grid_weighted():
@@ -33,7 +33,7 @@ def test_norm_grid_weighted():
 
 
 def test_norm_zero():
-    assert euclidean(4).norm(np.zeros(4)) == 0.0
+    assert Space(4).norm(np.zeros(4)) == 0.0
 
 
 @pytest.mark.parametrize("M,dim,weight", [(2, 1, 0.25), (4, 9, 0.0625), (16, 225, 1 / 256)])
@@ -49,7 +49,7 @@ def test_make_grid_space_rejects_small_M():
 
 
 def test_dimension_mismatch_raises():
-    space = euclidean(3)
+    space = Space(3)
     with pytest.raises(ValueError):
         space.inner([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
