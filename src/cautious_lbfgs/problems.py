@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -102,8 +103,8 @@ class PiecewiseQuadratic(Problem):
     lipschitz = 100.0
 
     def __init__(self, n_blocks: int = 100):
-        if n_blocks < 1:
-            raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
+        if not isinstance(n_blocks, Integral) or n_blocks < 1:
+            raise ValueError(f"n_blocks must be an integer >= 1, got {n_blocks!r}")
         self.n_blocks = n_blocks
         self.space = Space(3 * n_blocks)
         self.b = np.tile([1.0, -1.0, 0.0], n_blocks)
@@ -156,8 +157,8 @@ class OcpGrid:
     target_state: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.M < 2 or self.M & (self.M - 1) != 0:
-            raise ValueError(f"M must be a power of two >= 2, got {self.M}")
+        if not isinstance(self.M, Integral) or self.M < 2 or self.M & (self.M - 1) != 0:
+            raise ValueError(f"M must be a power of two >= 2, got {self.M!r}")
         if not self.nu > 0.0:
             raise ValueError(f"nu must be positive, got {self.nu}")
         if self.target_state is None:
@@ -177,8 +178,11 @@ class OcpControlProblem(Problem):
     with the Jacobian A + diag(exp(y)) at the state.  Every evaluation is
     cold: the state solve starts at y = 0, and both solves step with A + I
     solved in its eigenbasis, judging its contraction by the size of their
-    corrections.  They factor the Jacobian at the current state only where
-    a correction fails to halve the one before while the residual is above
+    corrections.  The state's chord steps measure each residual exactly;
+    the adjoint sums a Neumann series whose residuals follow from its
+    corrections, and forms a product with A only where it stalls.  Both
+    solves factor the Jacobian at the current state only where a
+    correction fails to halve the one before while the residual is above
     NEWTON_TOL.  Where exp(y) - 1 stays small against the smallest
     eigenvalue of A + I (about 2 pi^2 + 1), as for the benchmark's
     controls, an evaluation makes no factorization at all, and neither
@@ -255,7 +259,9 @@ class OcpControlProblem(Problem):
             return res_norm <= 8.0 * EPS * self.space.norm_unchecked(terms)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            y, residual, res_norm = trial(0.0)
+            # A @ 0 + exp(0) - u, bit for bit: the product of zeros is +0
+            residual = 1.0 - u
+            res_norm = self.space.norm_unchecked(residual)
             step_norm = np.inf
             for _ in range(NEWTON_MAX):
                 delta = solve(-residual)
@@ -285,28 +291,34 @@ class OcpControlProblem(Problem):
         )
 
     def solve_adjoint(self, y) -> np.ndarray:
-        """Solve (A + diag(exp(y))) p = y - y_d by iterative refinement with A + I.
+        """Solve (A + diag(exp(y))) p = y - y_d as a Neumann series in A + I.
 
-        Each correction solves with A + I in its sine basis, whose last bits
-        depend on the BLAS thread count at M >= 128, for the residual
-        against the exact matrix (Higham, Accuracy and Stability of
-        Numerical Algorithms, ch. 12), until a correction falls below
-        4 eps ||p||.
-        A correction that fails to halve the one before ends the
-        refinement if the residual is below NEWTON_TOL, and otherwise the
-        matrix is factored at y.  The linearized state operator is
-        self-adjoint in the grid inner product, so it is its own adjoint.
+        p is the sum of the corrections c_0 = S(y - y_d) and
+        c_{j+1} = S((1 - exp(y)) c_j), where S solves with A + I in its
+        sine basis (whose last bits depend on the BLAS thread count at
+        M >= 128): the series of (A + I)^-1 (I - diag(exp(y))).  Since
+        (A + I) c_j is the residual r_j that c_j was solved for, the
+        residual after adding c_j is r_j - (A + diag(exp(y))) c_j =
+        (1 - exp(y)) c_j, so no step forms a product with A.  The term this
+        drops is the sine solve's own residual, at most 3.5e-14 relative
+        at M = 128.  The sum ends where a correction falls below
+        4 eps ||p||.  Where a correction fails to halve the one before,
+        the true residual is formed, once: if it is below NEWTON_TOL the
+        sum so far is returned, and otherwise the matrix is factored at y.
+        The linearized state operator is self-adjoint in the grid inner
+        product, so it is its own adjoint.
         """
         y = self.space.check(y)
         rhs = y - self.target_state
         exp_y = np.exp(y)
+        damping = 1.0 - exp_y
         p = np.zeros(self.space.dim)
+        correction = self._solve_at_zero(rhs)
         previous = np.inf
         while True:
-            residual = rhs - (self.laplacian @ p + exp_y * p)
-            correction = self._solve_at_zero(residual)
             size = self.space.norm_unchecked(correction)
             if not size <= 0.5 * previous:
+                residual = rhs - (self.laplacian @ p + exp_y * p)
                 if self.space.norm_unchecked(residual) <= NEWTON_TOL:
                     return p
                 return self._jacobian_lu(y).solve(rhs)
@@ -314,6 +326,7 @@ class OcpControlProblem(Problem):
             if size <= 4.0 * EPS * self.space.norm_unchecked(p):
                 return p
             previous = size
+            correction = self._solve_at_zero(damping * correction)
 
     def value_and_grad(self, u):
         """f and gradient at u.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -27,10 +28,10 @@ class Space:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if not self.weight > 0.0:
-            raise ValueError(f"weight must be strictly positive, got {self.weight}")
+        if not isinstance(self.dim, Integral) or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+        if not 0.0 < self.weight < math.inf:
+            raise ValueError(f"weight must be positive and finite, got {self.weight!r}")
 
     def check(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -71,7 +72,7 @@ def make_grid_space(M: int) -> Space:
     (M-1)^2 interior nodes carry degrees of freedom and the inner product
     h^2 * sum(u_i * v_i) mimics the L2 product.
     """
-    if M < 2:
-        raise ValueError(f"grid parameter M must be >= 2, got {M}")
+    if not isinstance(M, Integral) or M < 2:
+        raise ValueError(f"grid parameter M must be an integer >= 2, got {M!r}")
     h = 1.0 / M
     return Space(dim=(M - 1) ** 2, weight=h * h)

@@ -240,8 +240,9 @@ class TestDeterminism:
         # tests/data holds exactly the files scripts/golden_outputs.py writes
         written = golden_outputs().write_all(tmp_path)
         assert {p.name for p in written} == {p.name for p in DATA.iterdir()}
-        for path in written:
-            assert path.read_bytes() == (DATA / path.name).read_bytes(), path.name
+        # every differing name at once, so that a regeneration shows the whole set
+        differing = sorted(p.name for p in written if p.read_bytes() != (DATA / p.name).read_bytes())
+        assert differing == []
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["--problem", "rosenbrock", "--m", "1", "--ls", "mt"]

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,9 @@ from cautious_lbfgs import (
     PiecewiseQuadratic,
     Rosenbrock,
     SolverConfig,
+    Space,
     fd_gradient_check,
+    make_grid_space,
     minimize,
     problems,
 )
@@ -226,6 +229,90 @@ class TestOcpAdjoint:
         assert np.linalg.norm(lhs - (y - prob.target_state)) <= 1e-12 * max(
             1.0, np.linalg.norm(y)
         )
+
+
+def _adjoint_controls(M):
+    """The problem on the grid M, a smooth control and 10 N(0, I)."""
+    prob = OcpControlProblem(OcpGrid(M=M))
+    idx = np.arange(1, M) / M
+    x1, x2 = np.meshgrid(idx, idx, indexing="ij")
+    smooth = (np.sin(np.pi * x1) * np.sin(np.pi * x2)).ravel()
+    return prob, [smooth, 10.0 * np.random.default_rng(M).standard_normal(prob.space.dim)]
+
+
+class TestOcpNeumannAdjoint:
+    @pytest.mark.parametrize("M", [4, 32, 128])
+    def test_matches_refined_superlu(self, M):
+        prob, controls = _adjoint_controls(M)
+        for u in controls:
+            y = prob.solve_state(u)
+            rhs = y - prob.target_state
+            matrix = (prob.laplacian + sp.diags(np.exp(y))).tocsc()
+            lu = problems.spla.splu(matrix, permc_spec=problems.PERMC_SPEC)
+            exact = matrix.astype(np.longdouble)
+            p_ref = lu.solve(rhs)
+            for _ in range(2):
+                p_ref = p_ref + lu.solve((rhs - exact @ p_ref).astype(float))
+            # measured at most 4.5e-15 relative (M = 128)
+            p = prob.solve_adjoint(y)
+            assert np.linalg.norm(p - p_ref) <= 1e-13 * np.linalg.norm(p_ref)
+
+    @pytest.mark.parametrize("M", [4, 32, 128])
+    def test_no_product_with_the_laplacian(self, M):
+        prob, controls = _adjoint_controls(M)
+        prob.laplacian = CountingMatmul(prob.laplacian)
+        sine_solves = []
+        solve = prob._solve_at_zero
+
+        def counted_solve(r):
+            sine_solves.append(r)
+            return solve(r)
+
+        prob._solve_at_zero = counted_solve
+        for u in controls:
+            # the state solve forms one residual per chord step it takes,
+            # none for its start y = 0, and its last sine solve ends it
+            del sine_solves[:]
+            y = prob.solve_state(u)
+            assert prob.laplacian.count == len(sine_solves) - 1
+            prob.laplacian.count = 0
+            prob.solve_adjoint(y)
+            assert prob.laplacian.count == 0
+        # the control whose state is y = 0 costs no product at all
+        assert not np.any(prob.solve_state(np.ones(prob.space.dim)))
+        assert prob.laplacian.count == 0
+
+    def test_stall_forms_one_residual_and_factors(self):
+        # (e^4 - 1) / (lambda_min + 1) is about 2.6, so the second correction
+        # is larger than the first
+        prob = OcpControlProblem(OcpGrid(M=8))
+        prob.laplacian = CountingMatmul(prob.laplacian)
+        y = np.full(prob.space.dim, 4.0)
+        p = prob.solve_adjoint(y)
+        assert prob.laplacian.count == 1
+        assert np.array_equal(p, prob._jacobian_lu(y).solve(y - prob.target_state))
+
+
+@pytest.mark.parametrize(("build", "args", "kwargs"), [
+    (Space, (2.5,), {}),
+    (Space, (3.0,), {}),
+    (Space, (3,), {"weight": math.inf}),
+    (Space, (3,), {"weight": math.nan}),
+    (make_grid_space, (4.5,), {}),
+    (PiecewiseQuadratic, (2.5,), {}),
+    (OcpGrid, (), {"M": 4.5}),
+    (OcpGrid, (), {"M": 4.0}),
+])
+def test_sizes_are_integers_and_weights_finite(build, args, kwargs):
+    with pytest.raises(ValueError):
+        build(*args, **kwargs)
+
+
+def test_numpy_integer_sizes_are_valid():
+    assert Space(np.int64(3)).dim == 3
+    assert make_grid_space(np.int32(4)).dim == 9
+    assert PiecewiseQuadratic(np.int64(2)).space.dim == 6
+    assert OcpControlProblem(OcpGrid(M=np.int64(4))).space.dim == 9
 
 
 class TestOcpObjective:
