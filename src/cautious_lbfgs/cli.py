@@ -80,12 +80,24 @@ def write_jsonl(path, records) -> None:
             fh.write(json.dumps(entry) + "\n")
 
 
+def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Box-Muller normals from counter-based uniform draws."""
+    m = (n + 1) // 2
+    u1 = rng.random(m)
+    u2 = rng.random(m)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * np.pi * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+
+
 def plan(args) -> tuple[list[tuple[Problem, np.ndarray]], list[SolverConfig]]:
     """The problems, with their starts, and the config of every solve the flags ask for.
 
     Tables and studies fix their problem, and with it the default
-    tolerance; the mesh study builds one control problem per exponent.
-    All are built before any solve, so a bad value fails first.
+    tolerance; the mesh study builds one control problem per exponent,
+    and the random-start study draws its ``--runs`` starts once, from one
+    ``Philox(--seed)`` stream, so that every config solves from the same
+    points.  All are built before any solve, so a bad value fails first.
     """
     if args.runs is not None:
         if args.runs < 1:
@@ -129,7 +141,11 @@ def plan(args) -> tuple[list[tuple[Problem, np.ndarray]], list[SolverConfig]]:
         problems = [(Rosenbrock(), np.array([-1.2, 1.0]))]
     elif args.problem == "pwquad":
         pwquad = PiecewiseQuadratic(args.n)
-        problems = [(pwquad, pwquad.b.copy())]
+        if args.runs is None:
+            problems = [(pwquad, pwquad.b.copy())]
+        else:
+            rng = np.random.Generator(np.random.Philox(args.seed))
+            problems = [(pwquad, standard_normals(rng, pwquad.space.dim)) for _ in range(args.runs)]
     else:
         # a problem holds no per-run state, so each mesh is built once
         meshes = args.mesh_list if args.table == "t5" else [args.mesh_j]
@@ -161,45 +177,55 @@ def reference_solution(problem: Problem) -> tuple[float, np.ndarray]:
     return ref.f_final, ref.x_final
 
 
-def summary_row(problem_id: str, config: SolverConfig, report: SolveReport,
-                rates=None) -> list:
-    q = ["", "", "", "", "", ""]
-    if rates is not None:
-        q = [rates.qf, rates.qf3, rates.qx, rates.qx3, rates.qg, rates.qg3]
-    return [
-        problem_id, config.linesearch, config.cautious.m, config.mode, report.status,
-        report.n_iter, report.n_feval, report.n_pairs_stored, report.n_unit_steps,
-        report.alpha_max, report.alpha_min,
-        *q,
-        report.f_final, report.grad_norm_final,
-    ]
+def run(args) -> int:
+    """Solve every config from every (problem, start) of ``args.problems``; one CSV row per config.
 
-
-def run_table(args) -> int:
-    """One summary row per config.
-
-    A single run is a one-row table that may also write ``--trace`` and
-    ``--dump-grids``; it exits 1 unless it converged.  The reference
-    solution is computed once, when the first converged run needs it.
-    If that solve fails, the rows keep their q-factor columns empty, the
-    failure goes to stderr, and the exit code is 1.
+    A table row is the summary of its one solve; its q-factor columns
+    need the reference solution, computed once, when the first converged
+    run needs it.  If that solve fails, the rows keep those columns
+    empty, the failure goes to stderr, and the exit code is 1.  A single
+    run is a one-row table that may also write ``--trace`` and
+    ``--dump-grids``; it exits 1 unless it converged.  A mesh-study cell
+    is a run's iteration count, or ``!`` and its status where it did not
+    converge; a study row is the success rate and mean iteration count
+    over the starts.  Reports are consumed as they are made, so a study
+    keeps none of them.
     """
-    [(problem, x0)] = args.problems
+    study, mesh = args.runs is not None, args.table == "t5"
+    if study:
+        header = ["ls", "m", "n_runs", "n_converged", "success_rate", "mean_iters"]
+    elif mesh:
+        header = ["ls", "m"] + [f"it_j{j}" for j in args.mesh_list]
+    else:
+        header = SUMMARY_COLUMNS
     reference = failure = None
     rows = []
     for config in args.configs:
-        report = minimize(problem, problem.space, x0, config)
-        rates = None
-        if report.status == "converged" and report.n_iter >= 1 and failure is None:
-            if reference is None:
-                try:
-                    reference = reference_solution(problem)
-                except RuntimeError as err:
-                    failure = str(err)
-            if reference is not None:
-                rates = q_factors(report, *reference, problem.space)
-        rows.append(summary_row(args.problem, config, report, rates))
-    emit(args, SUMMARY_COLUMNS, rows)
+        reports = (minimize(problem, problem.space, x0, config) for problem, x0 in args.problems)
+        row: list = [config.linesearch, config.cautious.m]
+        if study:
+            iters = [r.n_iter for r in reports if r.status == "converged"]
+            n_ok = len(iters)
+            row += [args.runs, n_ok, n_ok / args.runs, sum(iters) / n_ok if n_ok else math.nan]
+        elif mesh:
+            row += [r.n_iter if r.status == "converged" else f"!{r.status}" for r in reports]
+        else:
+            [(problem, _)], [report] = args.problems, reports
+            q = [""] * 6
+            if report.status == "converged" and report.n_iter >= 1 and failure is None:
+                if reference is None:
+                    try:
+                        reference = reference_solution(problem)
+                    except RuntimeError as err:
+                        failure = str(err)
+                if reference is not None:
+                    rates = q_factors(report, *reference, problem.space)
+                    q = [rates.qf, rates.qf3, rates.qx, rates.qx3, rates.qg, rates.qg3]
+            row = [args.problem, *row, config.mode, report.status,
+                   report.n_iter, report.n_feval, report.n_pairs_stored, report.n_unit_steps,
+                   report.alpha_max, report.alpha_min, *q, report.f_final, report.grad_norm_final]
+        rows.append(row)
+    emit(args, header, rows)
     if args.trace:
         write_jsonl(args.trace, report.trace)
     if args.dump_grids:
@@ -207,7 +233,8 @@ def run_table(args) -> int:
     if failure is not None:
         print(failure, file=sys.stderr)
         return 1
-    return 0 if args.table is not None or report.status == "converged" else 1
+    single = not study and args.table is None
+    return 1 if single and report.status != "converged" else 0
 
 
 def dump_grids(args, problem: OcpControlProblem, report: SolveReport) -> None:
@@ -219,57 +246,6 @@ def dump_grids(args, problem: OcpControlProblem, report: SolveReport) -> None:
     np.savetxt(out / "target_state.csv", problem.target_state.reshape(n, n), delimiter=",")
     np.savetxt(out / "state.csv", state.reshape(n, n), delimiter=",")
     np.savetxt(out / "control.csv", control.reshape(n, n), delimiter=",")
-
-
-def mesh_study(args) -> int:
-    """Iteration counts of the control problem across mesh refinements.
-
-    A cell whose run does not converge holds ``!`` and the run's status.
-    """
-    rows = []
-    for config in args.configs:
-        row: list = [config.linesearch, config.cautious.m]
-        for problem, x0 in args.problems:
-            report = minimize(problem, problem.space, x0, config)
-            row.append(report.n_iter if report.status == "converged" else f"!{report.status}")
-        rows.append(row)
-    emit(args, ["ls", "m"] + [f"it_j{j}" for j in args.mesh_list], rows)
-    return 0
-
-
-def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Box-Muller normals from counter-based uniform draws."""
-    m = (n + 1) // 2
-    u1 = rng.random(m)
-    u2 = rng.random(m)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = 2.0 * np.pi * u2
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
-
-
-def random_start_study(args) -> int:
-    """Success rate and mean iteration count over random starting points.
-
-    Each configuration replays the same seeded stream of standard-normal
-    starts, so per-config results are directly comparable.
-    """
-    [(problem, _)] = args.problems
-    header = ["ls", "m", "n_runs", "n_converged", "success_rate", "mean_iters"]
-    rows = []
-    for config in args.configs:
-        rng = np.random.Generator(np.random.Philox(args.seed))
-        n_ok = 0
-        total_iters = 0
-        for _ in range(args.runs):
-            x0 = standard_normals(rng, problem.space.dim)
-            report = minimize(problem, problem.space, x0, config)
-            if report.status == "converged":
-                n_ok += 1
-                total_iters += report.n_iter
-        mean = total_iters / n_ok if n_ok else math.nan
-        rows.append([config.linesearch, config.cautious.m, args.runs, n_ok, n_ok / args.runs, mean])
-    emit(args, header, rows)
-    return 0
 
 
 def load_config_file(path) -> dict:
@@ -364,12 +340,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    if args.runs is not None:
-        return random_start_study(args)
-    if args.table == "t5":
-        return mesh_study(args)
-    return run_table(args)
+    return run(parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -52,14 +52,13 @@ class RateReport:
     qf3: float
     qx3: float
     qg3: float
-    n_skipped: int = 0
 
 
-def _quotients(errors: np.ndarray, l: int = 1) -> tuple[np.ndarray, int]:
-    """Quotients e_{k+l} / e_k over the k with e_k != 0, and how many k were skipped."""
+def _quotients(errors: np.ndarray, l: int = 1) -> np.ndarray:
+    """Quotients e_{k+l} / e_k over the k with e_k != 0."""
     denominators = errors[:-l]
     nonzero = denominators != 0.0
-    return errors[l:][nonzero] / denominators[nonzero], int(np.count_nonzero(~nonzero))
+    return errors[l:][nonzero] / denominators[nonzero]
 
 
 def _x_errors(report: SolveReport, x_star, space: Space) -> np.ndarray:
@@ -82,14 +81,13 @@ def q_factors(report: SolveReport, f_star: float, x_star, space: Space) -> RateR
     if K < 1:
         raise ValueError("need at least one completed iteration")
     # every quotient, then the final three: e_k / e_{k-1} for k >= max(1, K - 2)
-    maxima, n_skipped = [], 0
+    maxima = []
     for errors in (f_err, x_err, g_err):
         for start in (0, max(1, K - 2) - 1):
-            q, skipped = _quotients(errors[start:])
+            q = _quotients(errors[start:])
             maxima.append(float(q.max()) if len(q) else -math.inf)
-            n_skipped += skipped
     qf, qf3, qx, qx3, qg, qg3 = maxima
-    return RateReport(qf=qf, qx=qx, qg=qg, qf3=qf3, qx3=qx3, qg3=qg3, n_skipped=n_skipped)
+    return RateReport(qf=qf, qx=qx, qg=qg, qf3=qf3, qx3=qx3, qg3=qg3)
 
 
 def lstep_qlinear(errors, l: int, k_start: int = 0) -> tuple[bool, float]:
@@ -108,7 +106,7 @@ def lstep_qlinear(errors, l: int, k_start: int = 0) -> tuple[bool, float]:
     tail = errors[k_start:]
     if not np.all(tail > 0.0):
         raise ValueError("error sequence must be strictly positive from k_start on")
-    kappa_l = float(np.max(_quotients(tail, l)[0]))
+    kappa_l = float(np.max(_quotients(tail, l)))
     return kappa_l < 1.0, kappa_l
 
 

@@ -52,6 +52,8 @@ class LineSearchParams:
         if not (0.0 <= self.stpmin <= 1.0 <= self.stpmax and self.stpmin < self.stpmax):
             raise ValueError(f"need 0 <= stpmin <= 1 <= stpmax, stpmin < stpmax; "
                              f"got {self.stpmin}, {self.stpmax}")
+        if not 0.0 <= self.xtol < math.inf:
+            raise ValueError(f"xtol must be finite and >= 0, got {self.xtol}")
         if not isinstance(self.gll_memory, Integral) or self.gll_memory < 1:
             raise ValueError(f"gll_memory must be an integer >= 1, got {self.gll_memory}")
 

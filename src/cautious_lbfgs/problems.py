@@ -105,7 +105,6 @@ class PiecewiseQuadratic(Problem):
     def __init__(self, n_blocks: int = 100):
         if not isinstance(n_blocks, Integral) or n_blocks < 1:
             raise ValueError(f"n_blocks must be an integer >= 1, got {n_blocks!r}")
-        self.n_blocks = n_blocks
         self.space = Space(3 * n_blocks)
         self.b = np.tile([1.0, -1.0, 0.0], n_blocks)
         self.x_star = np.tile([0.01, -1.0, 0.0], n_blocks)
@@ -148,8 +147,9 @@ class OcpGrid:
     """Discretization data of the optimal-control problem.
 
     M is the grid parameter (mesh width 1/M, must be a power of two),
-    nu the control penalty weight, and target_state the desired state at
-    the interior nodes (defaults to sin(2 pi x1) cos(2 pi x2)).
+    nu the control penalty weight (positive, finite), and target_state the
+    finite desired state at the interior nodes (defaults to
+    sin(2 pi x1) cos(2 pi x2)).
     """
 
     M: int
@@ -159,14 +159,16 @@ class OcpGrid:
     def __post_init__(self) -> None:
         if not isinstance(self.M, Integral) or self.M < 2 or self.M & (self.M - 1) != 0:
             raise ValueError(f"M must be a power of two >= 2, got {self.M!r}")
-        if not self.nu > 0.0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        if not 0.0 < self.nu < np.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
         if self.target_state is None:
             object.__setattr__(self, "target_state", _default_target_state(self.M))
         else:
             y_d = np.asarray(self.target_state, dtype=float)
             if y_d.shape != ((self.M - 1) ** 2,):
                 raise ValueError(f"target_state must have {(self.M - 1) ** 2} entries")
+            if not np.isfinite(y_d).all():
+                raise ValueError("target_state entries must be finite")
             object.__setattr__(self, "target_state", y_d)
 
 

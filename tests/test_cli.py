@@ -118,7 +118,8 @@ class TestSingleRuns:
         ["--problem", "pwquad", "--n", "0"], ["--problem", "ocp", "--mesh-j", "0"],
         ["--table", "t5", "--mesh-list", "4", "0"], ["--problem", "ocp", "--nu", "-1"],
         ["--runs", "0"], ["--table", "t2", "--trace", "t.jsonl"], ["--runs", "2", "--dump-grids", "g"],
-        ["--oracle-checks", "on"],
+        ["--oracle-checks", "on"], ["--problem", "ocp", "--nu", "inf"],
+        ["--ls", "mt", "--xtol", "nan"], ["--xtol", "-1"],
     ])
     def test_bad_parameter_is_usage_error_before_any_solve(self, tmp_path, monkeypatch, flags):
         # relative --trace and --dump-grids paths land in tmp_path, which must stay empty
@@ -212,6 +213,14 @@ class TestTables:
         rows = read_csv(out)
         assert rows[0] == ["ls", "m", "it_j4"]
 
+    def test_mesh_cell_of_unconverged_run(self, tmp_path):
+        out = tmp_path / "t5.csv"
+        assert main(["--table", "t5", "--mesh-list", "4", "--max-iter", "2",
+                     "--csv", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 1 + 6
+        assert all(row[2] == "!max_iter" for row in rows[1:])
+
 
 class TestRandomStartStudy:
     def test_small_study(self, tmp_path):
@@ -223,6 +232,21 @@ class TestRandomStartStudy:
         for row in rows[1:]:
             assert row[2] == "5"
             assert row[4] == "1"
+
+    def test_study_without_converged_run(self, tmp_path):
+        out = tmp_path / "study.csv"
+        assert main(["--runs", "2", "--max-iter", "1", "--csv", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 1 + 6
+        for row in rows[1:]:
+            assert row[2:] == ["2", "0", "0", "nan"]
+
+    def test_starts_are_one_seeded_stream(self):
+        args = parse_args(["--runs", "3", "--seed", "5", "--n", "4"])
+        rng = np.random.Generator(np.random.Philox(5))
+        assert len(args.problems) == 3
+        for _, x0 in args.problems:
+            assert np.array_equal(x0, standard_normals(rng, 12))
 
     def test_normals_are_deterministic_and_standardized(self):
         rng1 = np.random.Generator(np.random.Philox(42))

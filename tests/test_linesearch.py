@@ -40,6 +40,9 @@ class TestParams:
             {"maxfev": 0},
             {"stpmin": 2.0, "stpmax": 1.0},
             {"gll_memory": 0},
+            {"xtol": math.nan},
+            {"xtol": -1.0},
+            {"xtol": math.inf},
         ],
     )
     def test_validation(self, kwargs):

@@ -302,6 +302,8 @@ class TestOcpNeumannAdjoint:
     (PiecewiseQuadratic, (2.5,), {}),
     (OcpGrid, (), {"M": 4.5}),
     (OcpGrid, (), {"M": 4.0}),
+    (OcpGrid, (), {"M": 4, "nu": math.inf}),
+    (OcpGrid, (), {"M": 2, "target_state": np.array([math.nan])}),
 ])
 def test_sizes_are_integers_and_weights_finite(build, args, kwargs):
     with pytest.raises(ValueError):
