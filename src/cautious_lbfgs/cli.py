@@ -248,28 +248,18 @@ def dump_grids(args, problem: OcpControlProblem, report: SolveReport) -> None:
     np.savetxt(out / "control.csv", control.reshape(n, n), delimiter=",")
 
 
-def load_config_file(path) -> dict:
-    """Flat ``key = value`` pairs, one per line; '#' starts a comment."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The flags; a flag the library has a default or choices for takes them from it."""
     ls = LineSearchParams
     parser = argparse.ArgumentParser(
         prog="cautious-lbfgs",
-        description="Limited-memory quasi-Newton solver with cautious pair filtering",
+        description="Limited-memory quasi-Newton solver with cautious pair filtering; "
+        "an argument @FILE stands for the arguments written in FILE",
+        fromfile_prefix_chars="@",
     )
-    parser.add_argument("--config", help="flat key=value file; flags override it")
+    # an argument file holds flags as typed: '#' starts a comment, and
+    # whitespace separates arguments
+    parser.convert_arg_line_to_args = lambda line: line.split("#", 1)[0].split()
     parser.add_argument("--problem", choices=["rosenbrock", "pwquad", "ocp"],
                         default="rosenbrock")
     parser.add_argument("--n", type=int, default=100,
@@ -298,11 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--xtol", type=float, default=ls.xtol)
     parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--runs", type=int, default=None,
-                        help="run the random-start study with this many starts per config")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--runs", type=int, default=None,
+                      help="run the random-start study with this many starts per config")
+    mode.add_argument("--table", choices=TABLES, default=None)
     parser.add_argument("--csv", default=None, help="summary CSV path (default stdout)")
     parser.add_argument("--trace", default=None, help="JSONL trace path")
-    parser.add_argument("--table", choices=TABLES, default=None)
     parser.add_argument("--mesh-list", type=int, nargs="+", default=[4, 5, 6, 7],
                         dest="mesh_list", help="grid exponents of the mesh study")
     parser.add_argument("--dump-grids", default=None, dest="dump_grids",
@@ -313,25 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv=None) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        file_values = load_config_file(args.config)
-        defaults = vars(parser.parse_args([]))
-        unknown = set(file_values) - set(defaults)
-        if unknown:
-            parser.error(f"unknown config keys: {sorted(unknown)}")
-        # each file value is parsed as its own flag, so it gets the flag's
-        # type and choices; switches (bool defaults) take a truthy word and
-        # list-valued keys whitespace-separated items
-        from_file = argparse.Namespace(**defaults)
-        for key, value in file_values.items():
-            if isinstance(defaults[key], bool):
-                parsed = value.lower() in ("1", "true", "yes", "on")
-            else:
-                items = value.split() if isinstance(defaults[key], list) else [value]
-                parsed = getattr(parser.parse_args([f"--{key.replace('_', '-')}", *items]), key)
-            setattr(from_file, key, parsed)
-        # explicit flags override the file
-        args = parser.parse_args(argv, namespace=from_file)
     try:
         args.problems, args.configs = plan(args)
     except ValueError as err:

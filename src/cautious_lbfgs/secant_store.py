@@ -13,7 +13,6 @@ unclamped scaling.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from numbers import Integral
@@ -49,16 +48,6 @@ class CautiousParams:
             object.__setattr__(self, "c2", 1.0 / (2 * self.m + 3))
         elif not self.c2 > 0.0:
             raise ValueError(f"c2 must be positive, got {self.c2}")
-
-    def warn_if_rate_guard_violated(self, wolfe: bool) -> None:
-        """Warn when c2 reaches the bound below which the linear-rate theory applies."""
-        bound = 1.0 / (2 * self.m + 2) if wolfe else 1.0 / (2 * self.m + 1)
-        if self.c2 >= bound:
-            warnings.warn(
-                f"c2 = {self.c2} >= {bound}; the linear-rate guarantee "
-                "does not cover this configuration",
-                stacklevel=2,
-            )
 
 
 @dataclass(slots=True)

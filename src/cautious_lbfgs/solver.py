@@ -75,7 +75,17 @@ class SolverConfig:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
         if not isinstance(self.max_iter, Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
-        self.cautious.warn_if_rate_guard_violated(wolfe=self.linesearch in ("wolfe", "mt"))
+        # the linear-rate theory needs c2 below a bound set by m and the line search
+        m, c2 = self.cautious.m, self.cautious.c2
+        bound = 1.0 / (2 * m + 2) if self.linesearch in ("wolfe", "mt") else 1.0 / (2 * m + 1)
+        if c2 >= bound:
+            import warnings
+
+            warnings.warn(
+                f"c2 = {c2} >= {bound}; the linear-rate guarantee "
+                "does not cover this configuration",
+                stacklevel=3,  # the line that built the config, past the dataclass __init__
+            )
 
 
 @dataclass(slots=True)

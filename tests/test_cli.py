@@ -12,7 +12,6 @@ from cautious_lbfgs import cli
 from cautious_lbfgs.cli import (
     SUMMARY_COLUMNS,
     format_value,
-    load_config_file,
     main,
     parse_args,
     standard_normals,
@@ -120,6 +119,7 @@ class TestSingleRuns:
         ["--runs", "0"], ["--table", "t2", "--trace", "t.jsonl"], ["--runs", "2", "--dump-grids", "g"],
         ["--oracle-checks", "on"], ["--problem", "ocp", "--nu", "inf"],
         ["--ls", "mt", "--xtol", "nan"], ["--xtol", "-1"],
+        ["--runs", "2", "--table", "t2"],
     ])
     def test_bad_parameter_is_usage_error_before_any_solve(self, tmp_path, monkeypatch, flags):
         # relative --trace and --dump-grids paths land in tmp_path, which must stay empty
@@ -283,47 +283,46 @@ class TestDeterminism:
 
 
 class TestConfigFile:
+    """An argument @FILE reads the flags written in FILE as if typed in its place."""
+
     def test_flags_override_file(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("problem = pwquad\nm = 5\ntol = 1e-4\n# comment\nls = wolfe\n")
-        args = parse_args(["--config", str(cfg), "--m", "0"])
-        assert args.problem == "pwquad"
-        assert args.m == 0  # flag wins
-        assert args.tol == 1e-4
-        assert args.ls == "wolfe"
-
-    def test_bool_and_unknown_keys(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("classic = true\n")
-        assert parse_args(["--config", str(cfg)]).classic is True
-        for text in ("nonsense = 1\n", "oracle-checks = on\n"):
-            bad = tmp_path / "bad.cfg"
-            bad.write_text(text)
-            with pytest.raises(SystemExit):
-                parse_args(["--config", str(bad)])
-
-    def test_abbreviated_key_and_bad_choice_rejected(self, tmp_path):
-        # "gll" would abbreviate --gll-mem on the command line; in a file it
-        # is an unknown key
-        for text in ("gll = 3\n", "ls = exact\n"):
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(text)
-            with pytest.raises(SystemExit):
-                parse_args(["--config", str(cfg)])
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--problem pwquad --m 5\n--tol 1e-4\n--ls wolfe\n")
+        args = parse_args([f"@{cfg}", "--m", "0"])
+        assert (args.problem, args.m, args.tol, args.ls) == ("pwquad", 0, 1e-4, "wolfe")
 
     def test_file_values_take_flag_types(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("max-iter = 7\nclassic = no\nmesh_list = 4\nsigma = 1e-6\n")
-        args = parse_args(["--config", str(cfg)])
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--classic\n--mesh-list 4 5\n--max-iter 7\n")
+        args = parse_args([f"@{cfg}"])
+        assert args.classic is True
+        assert args.mesh_list == [4, 5]
         assert args.max_iter == 7
-        assert args.classic is False
-        assert args.mesh_list == [4]
-        assert args.sigma == 1e-6
-        cfg.write_text("mesh-list = 4 5\n")
-        assert parse_args(["--config", str(cfg)]).mesh_list == [4, 5]
 
-    def test_malformed_line(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("just a line\n")
-        with pytest.raises(ValueError):
-            load_config_file(cfg)
+    def test_file_run_prints_pinned_table(self, tmp_path, capsys):
+        cfg = tmp_path / "t2.args"
+        cfg.write_text("--table t2\n")
+        assert main([f"@{cfg}"]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / "stdout_t2.csv").read_bytes()
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        cfg = tmp_path / "run.args"
+        cfg.write_text("# a t3 run\n\n--table t3  # pwquad\n   \n# --classic\n")
+        args = parse_args([f"@{cfg}"])
+        assert (args.table, args.classic) == ("t3", False)
+
+    def test_abbreviation_as_on_the_command_line(self, tmp_path):
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--gll 3\n")
+        assert parse_args([f"@{cfg}"]).gll_mem == 3
+
+    @pytest.mark.parametrize("text", [
+        "--nonsense 1\n", "--oracle-checks on\n", "--ls exact\n", "just a line\n", None,
+    ], ids=["unknown-flag", "no-such-setting", "bad-choice", "not-a-flag", "missing-file"])
+    def test_bad_file_is_usage_error(self, tmp_path, text):
+        cfg = tmp_path / "run.args"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            parse_args([f"@{cfg}"])
+        assert err.value.code == 2

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from cautious_lbfgs import (
     CautiousParams,
+    LineSearchParams,
     NewtonError,
     OcpControlProblem,
     OcpGrid,
@@ -24,9 +25,12 @@ from cautious_lbfgs import (
     Problem,
     Rosenbrock,
     SolverConfig,
+    Space,
+    make_grid_space,
     minimize,
     problems,
 )
+from cautious_lbfgs.solver import LINE_SEARCHES
 
 STATUSES = {"converged", "max_iter", "linesearch_failure", "nonfinite", "eval_error", "non_descent"}
 FAULTS = ("nan_f", "inf_f", "nan_grad", "newton_error", "zero_division", "repeat_grad", "huge_grad",
@@ -188,3 +192,59 @@ def test_minimize_survives_any_evaluation_fault(problem_id, ls, m, mode, fault, 
         assert np.array_equal(report.x_final, clean.x_final)
     elif fault in ("short_grad", "array_f"):
         assert report.status == "eval_error"
+
+
+# usable values of every constructor argument, at the smallest instances: Space
+# and PiecewiseQuadratic at one block, make_grid_space and OcpGrid at M = 4; a
+# c2 of 50 underflows the threshold, so that run filters at level 0
+USABLE = {
+    "dim": (3,), "weight": (1.0, 1e-300, 1e300), "n_blocks": (1,), "M": (4,), "nu": (1e-3, 1.0),
+    "target": (None, 0.5), "m": (0, 2), "c0": (1e-4, 1.0), "c1": (1.0,), "c2": (None, 0.2, 50.0),
+    "sigma": (1e-4,), "eta": (0.9,), "beta1": (0.5, 0.1), "beta2": (0.5, 0.9), "maxfev": (20, 1),
+    "stpmin": (0.0, 1e-20), "stpmax": (1000.0, 1.0), "xtol": (1e-7, 0.0), "gll_memory": (10, 1),
+    "grad_tol": (1e-5, 1e-12), "max_iter": (5, 1),
+}
+
+
+@st.composite
+def constructor_arguments(draw):
+    """USABLE values, with up to three of them replaced by any float: NaN, ±inf, subnormals, negatives."""
+    fuzzed = draw(st.sets(st.sampled_from(sorted(USABLE)), max_size=3))
+    return {k: draw(st.floats() if k in fuzzed else st.sampled_from(usable)) for k, usable in USABLE.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    constructor_arguments(),
+    st.sampled_from(["pwquad", "ocp"]),
+    st.sampled_from(["cautious", "classical"]),
+    st.sampled_from(LINE_SEARCHES),
+    st.booleans(),
+)
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the linear-rate guard
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_constructors_reject_or_the_run_ends_in_a_status(v, problem_id, mode, ls, oracle_checks):
+    try:
+        if problem_id == "pwquad":
+            problem = PiecewiseQuadratic(v["n_blocks"])
+            space = Space(v["dim"], v["weight"])
+            x0 = problem.b.copy()
+        else:
+            target = None if v["target"] is None else np.full(9, v["target"])
+            space = make_grid_space(v["M"])
+            problem = OcpControlProblem(OcpGrid(v["M"], v["nu"], target))
+            x0 = np.zeros(space.dim)
+        config = SolverConfig(
+            cautious=CautiousParams(v["m"], v["c0"], v["c1"], v["c2"]),
+            mode=mode,
+            linesearch=ls,
+            ls=LineSearchParams(v["sigma"], v["eta"], v["beta1"], v["beta2"], v["maxfev"],
+                                v["stpmin"], v["stpmax"], v["xtol"], v["gll_memory"]),
+            grad_tol=v["grad_tol"],
+            max_iter=v["max_iter"],
+            oracle_checks=oracle_checks,
+        )
+    except ValueError:
+        return
+    report = minimize(problem, space, x0, config)
+    assert report.status in STATUSES

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cautious_lbfgs import CautiousParams, SecantStore, Space
+from cautious_lbfgs import CautiousParams, SecantStore, SolverConfig, Space
 from cautious_lbfgs.secant_store import cautious_threshold, choose_seed_scaling
 
 
@@ -90,15 +90,15 @@ class TestCautiousParams:
             CautiousParams(m=1, c2=0.0)
 
     def test_rate_guard_warns_but_does_not_raise(self):
-        p = CautiousParams(m=2, c2=0.5)
-        with pytest.warns(UserWarning):
-            p.warn_if_rate_guard_violated(wolfe=False)
-        # the default choice stays silent in both modes
+        # the guard needs m and the line search, so the config that holds both checks it
+        with pytest.warns(UserWarning, match="linear-rate"):
+            SolverConfig(cautious=CautiousParams(m=2, c2=0.5), linesearch="armijo")
+        # the default choice stays silent, also under the tighter Wolfe bound
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            CautiousParams(m=2).warn_if_rate_guard_violated(wolfe=True)
+            SolverConfig(cautious=CautiousParams(m=2), linesearch="wolfe")
 
 
 class TestBbScalars:

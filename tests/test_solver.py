@@ -525,8 +525,10 @@ class TestConfigValidation:
                 make(bad)
 
     def test_rate_guard_warning_propagates(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             SolverConfig(cautious=CautiousParams(m=1, c2=0.9))
+        # reported at the line that built the config
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestExample2Structure:
