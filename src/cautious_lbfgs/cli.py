@@ -97,7 +97,7 @@ def plan(args) -> tuple[list[tuple[Problem, np.ndarray]], list[SolverConfig]]:
     tolerance; the mesh study builds one control problem per exponent,
     and the random-start study draws its ``--runs`` starts once, from one
     ``Philox(--seed)`` stream, so that every config solves from the same
-    points.  All are built before any solve, so a bad value fails first.
+    points.  All are built, and the output paths checked, before any solve.
     """
     if args.runs is not None:
         if args.runs < 1:
@@ -151,6 +151,10 @@ def plan(args) -> tuple[list[tuple[Problem, np.ndarray]], list[SolverConfig]]:
         meshes = args.mesh_list if args.table == "t5" else [args.mesh_j]
         ocps = [OcpControlProblem(OcpGrid(M=2**j, nu=args.nu)) for j in meshes]
         problems = [(ocp, np.zeros(ocp.space.dim)) for ocp in ocps]
+    for flag, path, want_dir in (("--csv", args.csv, False), ("--trace", args.trace, False),
+                                 ("--dump-grids", args.dump_grids, True)):
+        if path and Path(path).exists() and Path(path).is_dir() != want_dir:
+            raise ValueError(f"{flag} {path} {'is not' if want_dir else 'is'} a directory")
     return problems, configs
 
 

@@ -1,13 +1,13 @@
 """Bounded secant-pair storage and the cautious-update bookkeeping.
 
 The store keeps at most ``capacity`` pairs (s, y) in first-in-first-out
-order together with the scaling interval [gamma_minus, gamma_plus]
-computed from the most recent accepted pair.  Pairs enter only with a
-positive curvature quality and a finite rho = 1/inner(s, y); a rejected
-pair leaves the stored pairs untouched and resets the scaling interval
-to the degenerate (0, inf).  The filter level is a threshold in [0, 1]:
-level 0, the classical method, keeps every stored pair and the
-unclamped scaling.
+order together with one Barzilai-Borwein scalar, min(sy/yy, ss/sy) of
+the most recent accepted pair.  Pairs enter only with a positive
+curvature quality and a finite rho = 1/inner(s, y); a rejected pair
+leaves the stored pairs untouched and clears the scalar.  The filter
+level is a threshold omega in [0, 1]: the seed scaling is projected
+onto [omega, 1/omega], and level 0, the classical method, keeps every
+stored pair and the unclamped scaling.
 """
 
 from __future__ import annotations
@@ -86,14 +86,11 @@ def cautious_threshold(grad_norm: float, params: CautiousParams) -> float:
 
 
 class SecantStore:
-    """FIFO of at most ``capacity`` pairs plus the current scaling interval."""
+    """FIFO of at most ``capacity`` pairs plus the latest Barzilai-Borwein scalar."""
 
     def __init__(self, capacity: int):
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.pairs: deque[SecantPair] = deque(maxlen=capacity)
-        self.gamma_minus = 0.0
-        self.gamma_plus = math.inf
+        self.bb_scaling: float | None = None
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -106,9 +103,9 @@ class SecantStore:
         fail both.
 
         Acceptance appends the pair with its cached scalars, which evicts
-        the oldest pair on overflow, and refreshes (gamma_minus, gamma_plus).
-        Rejection leaves the pair list untouched and resets the scaling
-        interval to (0, inf).
+        the oldest pair on overflow, and sets ``bb_scaling`` to
+        min(sy/yy, ss/sy).  Rejection leaves the pair list untouched and
+        sets ``bb_scaling`` to None.
         """
         s = space.check(s)
         y = space.check(y)
@@ -118,8 +115,7 @@ class SecantStore:
         # ss/yy can underflow to zero for subnormal vectors even when sy > 0
         quality = min(sy / ss, sy / yy) if ss != 0.0 and yy != 0.0 else 0.0
         if not quality > 0.0 or not math.isfinite(1.0 / sy):
-            self.gamma_minus = 0.0
-            self.gamma_plus = math.inf
+            self.bb_scaling = None
             return False
         pair = SecantPair(
             s=s.copy(),
@@ -131,11 +127,9 @@ class SecantStore:
             index=index,
         )
         self.pairs.append(pair)
-        # Barzilai-Borwein scalings; Cauchy-Schwarz orders them, but
-        # rounding can flip the order by one ulp for parallel vectors
-        lo, hi = sy / yy, ss / sy
-        self.gamma_minus = min(lo, hi)
-        self.gamma_plus = max(lo, hi)
+        # Cauchy-Schwarz makes the smaller scaling sy/yy, but rounding can
+        # flip the order by one ulp for parallel vectors
+        self.bb_scaling = min(sy / yy, ss / sy)
         return True
 
     def active(self, threshold: float) -> list[SecantPair]:
@@ -157,29 +151,20 @@ class SecantStore:
 
 
 def choose_seed_scaling(store: SecantStore, threshold: float, fallback: float = 1.0) -> float:
-    """Scaling factor for the seed operator of the next direction.
+    """Seed scaling of the next direction: its target projected onto [threshold, 1/threshold].
 
-    The preferred target is the latest gamma_minus; when the scaling
-    interval is the degenerate (0, inf) pair (start of the run, or right
-    after a rejected pair) the caller's ``fallback`` is targeted instead;
-    the solver passes 1 at the first iteration and 1/||g_k||, the
-    unit-step gradient scaling, after a rejected pair.  Carrying a stale
-    scaling across a rejected pair instead of falling back turns the
-    benchmark runs into a crawl.  The target is clamped into
-    [gamma_minus, gamma_plus] intersected with [threshold, 1/threshold]
-    when that intersection is nonempty, and into [threshold, 1/threshold]
-    otherwise, so the result always lies in the threshold interval.  At
-    threshold 0 that interval is [0, inf] and, since push orders
-    gamma_minus <= gamma_plus, the target comes back unclamped: the
-    classical scaling.
+    The target is the store's Barzilai-Borwein scalar gamma- = min(sy/yy,
+    ss/sy), or the caller's ``fallback`` when no usable pair is left: the
+    solver passes 1 at the first iteration and 1/||g_k||, the unit-step
+    gradient scaling, after a rejected pair.  Carrying a stale scaling
+    across a rejected pair instead turns the benchmark runs into a crawl.
+    The paper clamps into [gamma-, gamma+] intersected with [threshold,
+    1/threshold], gamma+ = max(sy/yy, ss/sy); when that set is nonempty,
+    gamma- <= 1/threshold and threshold <= gamma+, so the projection
+    max(gamma-, threshold) lies in it.  At threshold 0 the target comes
+    back unclamped: the classical scaling.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     lo, hi = threshold, (1.0 / threshold if threshold > 0.0 else math.inf)
-    degenerate = store.gamma_minus == 0.0 and math.isinf(store.gamma_plus)
-    target = fallback if degenerate else store.gamma_minus
-    # the degenerate (0, inf) intersects to [lo, hi] itself
-    ilo, ihi = max(store.gamma_minus, lo), min(store.gamma_plus, hi)
-    if not ilo <= ihi:
-        ilo, ihi = lo, hi
-    return min(max(target, ilo), ihi)
+    return min(max(fallback if store.bb_scaling is None else store.bb_scaling, lo), hi)

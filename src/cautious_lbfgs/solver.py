@@ -256,7 +256,7 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
 
         omega = cautious_threshold(grad_norm, config.cautious)
         level = omega if config.mode == "cautious" else 0.0
-        # Degenerate-interval target: plain unscaled seed on the very first
+        # No usable pair: plain unscaled seed on the very first
         # iteration, unit-step gradient scaling after a rejected pair.
         fallback = 1.0 if k == 0 else 1.0 / grad_norm
         gamma = choose_seed_scaling(store, level, fallback)

@@ -131,6 +131,29 @@ class TestSingleRuns:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [
+        ["--csv", "out"], ["--trace", "out"], ["--runs", "1000", "--csv", "out"],
+        ["--problem", "ocp", "--mesh-j", "3", "--dump-grids", "grids.csv"],
+    ])
+    def test_unwritable_output_path_is_usage_error_before_any_solve(
+        self, tmp_path, monkeypatch, flags
+    ):
+        # a directory where a file goes, or a file where a directory goes
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "grids.csv").write_text("kept\n")
+
+        def no_solve(*args):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(cli, "minimize", no_solve)
+        with pytest.raises(SystemExit) as err:
+            main(flags)
+        assert err.value.code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grids.csv", "out"]
+        assert list((tmp_path / "out").iterdir()) == []
+        assert (tmp_path / "grids.csv").read_text() == "kept\n"
+
     def test_rate_guard_warns_once(self, tmp_path):
         with pytest.warns(UserWarning) as caught:
             main(["--m", "2", "--c2", "0.5", "--csv", str(tmp_path / "row.csv")])

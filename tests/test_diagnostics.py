@@ -105,6 +105,10 @@ class TestQFactors:
         assert rates.qf > 0.99
         assert rates.qf3 < 0.5
 
+    def test_requires_a_completed_iteration(self):
+        with pytest.raises(ValueError, match="completed iteration"):
+            q_factors(synthetic_report([1.0]), 0.0, np.zeros(2), self.space)
+
     def test_requires_iterates(self):
         report = synthetic_report([1.0, 0.5])
         report.iterates = None
@@ -160,6 +164,10 @@ class TestLstepQlinear:
         seq = np.concatenate([[1.0, 5.0, 1.0], [0.5**k for k in range(12)]])
         assert not lstep_qlinear(seq, l=1)[0]
         assert lstep_qlinear(seq, l=1, k_start=3)[0]
+
+    def test_step_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="l must be >= 1"):
+            lstep_qlinear([1.0, 0.5, 0.25], l=0)
 
     def test_too_few_terms(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cautious_lbfgs import LineSearchError, LineSearchParams
-from cautious_lbfgs.linesearch import armijo_backtrack, gll_nonmonotone, more_thuente, wolfe_weak
+from cautious_lbfgs.linesearch import (
+    _trial_step,
+    armijo_backtrack,
+    gll_nonmonotone,
+    more_thuente,
+    wolfe_weak,
+)
 
 P = LineSearchParams()
 
@@ -214,6 +220,38 @@ class TestMoreThuente:
         with pytest.raises(LineSearchError) as err:
             more_thuente(phi, dphi, P, phi0=0.0, dphi0=-1.0)
         assert err.value.reason == "stpmax"
+
+    def test_stpmin_clip_reported_distinctly(self):
+        # the minimizer 0.01 lies below stpmin, so the second trial is
+        # clipped to stpmin and still lacks sufficient decrease
+        phi = lambda a: a * a - 0.02 * a
+        dphi = lambda a: 2.0 * a - 0.02
+        with pytest.raises(LineSearchError) as err:
+            more_thuente(phi, dphi, LineSearchParams(stpmin=0.5), phi0=0.0, dphi0=-0.02)
+        assert err.value.reason == "stpmin"
+        assert [a for a, _ in err.value.trials] == [1.0, 0.5]
+
+    def test_cubic_without_minimizer_ahead_goes_to_bracket_end(self):
+        # trial 1 brackets [0, 1] with stx = 1; at trial 0.5 the slope keeps
+        # dx's sign and shrinks, and the cubic through both points has no
+        # minimizer toward sty = 0, so the cubic step is the bracket end 0
+        # and the 0.66 safeguard sets the third trial 0.5 + 0.66 (0 - 0.5)
+        phi = lambda a: -0.5
+        dphi = lambda a: 1.0 if a >= 1.0 else 0.95
+        with pytest.raises(LineSearchError) as err:
+            more_thuente(phi, dphi, P, phi0=0.0, dphi0=-1.0)
+        steps = [a for a, _ in err.value.trials]
+        assert steps[:2] == [1.0, 0.5]
+        assert steps[2] == pytest.approx(0.17, rel=1e-12)
+
+    def test_unbracketed_step_behind_best_goes_to_lower_bound(self):
+        # same slope sign, nondecreasing magnitude, no bracket, and the trial
+        # 0.5 lies behind the best step 1: the next trial is the lower bound
+        stx, fx, dx, _, _, _, stp, brackt = _trial_step(
+            1.0, 0.0, -1.0, 1.0, 0.0, -1.0, 0.5, -0.1, -2.0, False, 0.1, 0.4
+        )
+        assert (stp, brackt) == (0.1, False)
+        assert (stx, fx, dx) == (0.5, -0.1, -2.0)
 
     def test_xtol_reported_distinctly(self):
         kink = 1.0 / math.e

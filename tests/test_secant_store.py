@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -107,22 +107,28 @@ class TestBbScalars:
     def test_parallel_pair(self):
         store, stored = _pushed(self.space, [1.0, 0.0], [2.0, 0.0])
         assert stored
-        assert (store.gamma_minus, store.gamma_plus) == (0.5, 0.5)
+        assert store.bb_scaling == 0.5
 
     def test_general_pair(self):
+        # sy/yy = 3/5 is the smaller of the two scalings; ss/sy = 2/3
         store, stored = _pushed(self.space, [1.0, 1.0], [1.0, 2.0])
         assert stored
-        assert_allclose(store.gamma_minus, 0.6, rtol=1e-15)
-        assert_allclose(store.gamma_plus, 2.0 / 3.0, rtol=1e-15)
+        assert_allclose(store.bb_scaling, 0.6, rtol=1e-15)
+
+    def test_rounding_flip_keeps_smaller_scaling(self):
+        # parallel vectors: rounding puts sy/yy one ulp above ss/sy = 11
+        s = np.array([2.0, 17.0])
+        store, stored = _pushed(self.space, s, s / 11.0)
+        assert stored
+        assert store.bb_scaling == 11.0
 
     def test_requires_positive_curvature(self):
         store, stored = _pushed(self.space, [1.0, 0.0], [-1.0, 0.0])
         assert not stored
-        assert store.gamma_minus == 0.0
-        assert math.isinf(store.gamma_plus)
+        assert store.bb_scaling is None
 
     def test_quadratic_spectrum_containment(self):
-        # y = H s for H = diag(1, 4): both scalings lie in the spectrum
+        # y = H s for H = diag(1, 4): the scaling lies in the spectrum
         # [1/4, 1] of the inverse, verified over random steps
         H = np.diag([1.0, 4.0])
         rng = np.random.default_rng(7)
@@ -132,7 +138,7 @@ class TestBbScalars:
                 continue
             store, stored = _pushed(self.space, s, H @ s)
             assert stored
-            assert 0.25 - 1e-12 <= store.gamma_minus <= store.gamma_plus <= 1.0 + 1e-12
+            assert 0.25 - 1e-12 <= store.bb_scaling <= 1.0 + 1e-12
 
 
 class TestSecantStore:
@@ -142,8 +148,7 @@ class TestSecantStore:
         store = SecantStore(capacity=2)
         assert store.push(self.space, [1.0, 0.0], [1.0, 0.0], index=0)
         assert len(store) == 1
-        assert store.gamma_minus == 1.0
-        assert store.gamma_plus == 1.0
+        assert store.bb_scaling == 1.0
 
     def test_fifo_eviction_at_capacity(self):
         store = SecantStore(capacity=2)
@@ -158,8 +163,7 @@ class TestSecantStore:
         before = pickle.dumps(store.pairs)
         assert not store.push(self.space, [1.0, 0.0], [-1.0, 0.0], index=1)
         assert pickle.dumps(store.pairs) == before
-        assert store.gamma_minus == 0.0
-        assert math.isinf(store.gamma_plus)
+        assert store.bb_scaling is None
 
     def test_rejects_subnormal_curvature(self):
         store = SecantStore(capacity=2)
@@ -168,13 +172,17 @@ class TestSecantStore:
         # quality 1, but rho = 1/sy overflows to inf
         assert not store.push(self.space, [1e-155, 0.0], [1e-155, 0.0], index=1)
         assert len(store) == 0
-        assert math.isinf(store.gamma_plus)
+        assert store.bb_scaling is None
 
     def test_capacity_zero_keeps_no_pairs_but_updates_scaling(self):
         store = SecantStore(capacity=0)
         assert store.push(self.space, [1.0, 0.0], [2.0, 0.0], index=0)
         assert len(store) == 0
-        assert store.gamma_minus == 0.5
+        assert store.bb_scaling == 0.5
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            SecantStore(capacity=-1)
 
     def test_active_filter(self):
         store = SecantStore(capacity=3)
@@ -214,8 +222,9 @@ def _pair(space, quality, index):
 def test_store_invariants_after_any_push_sequence(raw):
     space = Space(2)
     store = SecantStore(capacity=3)
+    accepted = False
     for k, (a, b, c, d) in enumerate(raw):
-        store.push(space, [a, b], [c, d], index=k)
+        accepted = store.push(space, [a, b], [c, d], index=k)
     assert len(store) <= 3
     indices = [p.index for p in store.pairs]
     assert indices == sorted(indices)
@@ -223,7 +232,9 @@ def test_store_invariants_after_any_push_sequence(raw):
     for p in store.pairs:
         assert p.sy > 0.0
         assert p.quality > 0.0
-    assert store.gamma_minus <= store.gamma_plus
+    # the scalar is the latest push's: None unless that push was accepted
+    assert (store.bb_scaling is not None) == accepted
+    assert store.bb_scaling is None or store.bb_scaling >= 0.0
 
 
 @given(st.floats(min_value=1e-8, max_value=1.0), st.floats(min_value=1e-8, max_value=1.0))
@@ -243,38 +254,53 @@ def test_active_filter_is_monotone(w_small, w_big):
     assert big <= small
 
 
+def _intersection_rule(gamma_minus, gamma_plus, threshold, fallback):
+    """The seed scaling as first written: clamp into [gamma-, gamma+] intersected with [w, 1/w].
+
+    (0, inf) stands for "no usable pair"; an empty intersection clamps
+    into [w, 1/w] alone.
+    """
+    lo, hi = threshold, (1.0 / threshold if threshold > 0.0 else math.inf)
+    degenerate = gamma_minus == 0.0 and math.isinf(gamma_plus)
+    target = fallback if degenerate else gamma_minus
+    ilo, ihi = max(gamma_minus, lo), min(gamma_plus, hi)
+    if not ilo <= ihi:
+        ilo, ihi = lo, hi
+    return min(max(target, ilo), ihi)
+
+
 class TestChooseSeedScaling:
     space = Space(2)
 
-    def _store(self, gamma_minus, gamma_plus):
+    def _store(self, bb_scaling):
         store = SecantStore(capacity=1)
-        store.gamma_minus = gamma_minus
-        store.gamma_plus = gamma_plus
+        store.bb_scaling = bb_scaling
         return store
 
     def test_point_interval(self):
-        assert choose_seed_scaling(self._store(0.5, 0.5), 1e-4) == 0.5
+        assert choose_seed_scaling(self._store(0.5), 1e-4) == 0.5
 
     def test_degenerate_interval_uses_fallback(self):
-        store = self._store(0.0, math.inf)
+        store = self._store(None)
         assert choose_seed_scaling(store, 0.1, fallback=1.0) == 1.0
         assert choose_seed_scaling(store, 0.1, fallback=3.0) == 3.0
 
     def test_empty_intersection_clamps_into_threshold_interval(self):
-        assert choose_seed_scaling(self._store(1e-6, 1e-5), 1e-4) == 1e-4
+        # a scaling below or above [1e-4, 1e4] goes to the nearer end
+        assert choose_seed_scaling(self._store(1e-6), 1e-4) == 1e-4
+        assert choose_seed_scaling(self._store(1e5), 1e-4) == 1e4
 
     def test_unrestricted_returns_target(self):
         # filter level 0 is the classical, unclamped scaling
-        assert choose_seed_scaling(self._store(1e-6, 1e-5), 0.0) == 1e-6
-        degenerate = self._store(0.0, math.inf)
-        assert choose_seed_scaling(degenerate, 0.0, fallback=7.0) == 7.0
+        assert choose_seed_scaling(self._store(1e-6), 0.0) == 1e-6
+        assert choose_seed_scaling(self._store(None), 0.0, fallback=7.0) == 7.0
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            choose_seed_scaling(self._store(1.0, 1.0), -1e-300)
+            choose_seed_scaling(self._store(1.0), -1e-300)
         with pytest.raises(ValueError):
-            choose_seed_scaling(self._store(1.0, 1.0), 1.5)
-        assert choose_seed_scaling(self._store(1.0, 1.0), 0.0) == 1.0
+            choose_seed_scaling(self._store(1.0), 1.5)
+        assert choose_seed_scaling(self._store(1.0), 0.0) == 1.0
 
     @given(
         st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),
@@ -285,20 +311,37 @@ class TestChooseSeedScaling:
         store = SecantStore(capacity=2)
         for k, (a, b, c, d) in enumerate(raw):
             store.push(self.space, [a, b], [c, d], index=k)
-        degenerate = store.gamma_minus == 0.0 and math.isinf(store.gamma_plus)
-        target = fallback if degenerate else store.gamma_minus
+        target = fallback if store.bb_scaling is None else store.bb_scaling
         assert choose_seed_scaling(store, 0.0, fallback) == target
 
     @given(
         st.floats(min_value=1e-6, max_value=1.0),
         st.floats(min_value=1e-12, max_value=1e12),
-        st.floats(min_value=1.0, max_value=1e6),
         st.floats(min_value=1e-9, max_value=1e9),
     )
-    def test_result_always_inside_threshold_interval(self, w, gm, factor, fallback):
-        store = self._store(gm, gm * factor)
-        gamma = choose_seed_scaling(store, w, fallback=fallback)
-        assert w <= gamma <= 1.0 / w
-        degenerate = self._store(0.0, math.inf)
-        gamma = choose_seed_scaling(degenerate, w, fallback=fallback)
-        assert w <= gamma <= 1.0 / w
+    def test_result_always_inside_threshold_interval(self, w, gm, fallback):
+        for bb_scaling in (gm, None):
+            gamma = choose_seed_scaling(self._store(bb_scaling), w, fallback=fallback)
+            assert w <= gamma <= 1.0 / w
+
+    @given(
+        st.one_of(st.none(), st.tuples(st.floats(min_value=0.0), st.floats(min_value=0.0))),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, exclude_min=True),
+    )
+    @example((0.5, 0.5), 1e-4, 1.0)  # equal ends
+    @example((1e-6, 1e-5), 1e-4, 1.0)  # intersection empty below
+    @example((1e5, 1e6), 1e-4, 1.0)  # intersection empty above
+    @example((2.0, 3.0), 0.0, 1.0)
+    @example((2.0, 3.0), 1.0, 1.0)
+    @example(None, 0.0, math.inf)
+    @example(None, 1.0, math.inf)
+    @example((0.0, 5e-324), 0.5, 2.0)  # an underflowed ss/sy
+    def test_projection_matches_intersection_rule(self, ends, threshold, fallback):
+        gamma_minus, gamma_plus = sorted(ends) if ends else (0.0, math.inf)
+        # push never leaves (0, inf) after an accepted pair: by Cauchy-Schwarz
+        # ss/sy and sy/yy cannot underflow and overflow together
+        assume(ends is None or (gamma_minus, gamma_plus) != (0.0, math.inf))
+        store = self._store(gamma_minus if ends else None)
+        expected = _intersection_rule(gamma_minus, gamma_plus, threshold, fallback)
+        assert choose_seed_scaling(store, threshold, fallback) == expected

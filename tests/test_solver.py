@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -365,8 +366,8 @@ class TestStep:
         first, second = report.trace
         assert not first.pair_stored
         assert first.storage == []
-        # the rejected pair left the scaling interval degenerate, so the
-        # next seed falls back to unit-step gradient scaling
+        # the rejected pair left no usable pair, so the next seed falls
+        # back to unit-step gradient scaling
         assert second.gamma == 1.0 / second.grad_norm
 
 
@@ -495,6 +496,13 @@ class TestModes:
         a = minimize(prob, prob.space, ROSEN_X0, config(m=2, grad_tol=1e-9, max_iter=5))
         b = minimize(prob, prob.space, ROSEN_X0, config(m=2, grad_tol=1e-9, max_iter=9))
         assert compare_traces(a, b) == 5
+
+    def test_compare_traces_final_iterate_mismatch(self):
+        prob = Rosenbrock()
+        a = minimize(prob, prob.space, ROSEN_X0, config(m=1, grad_tol=1e-9))
+        b = dataclasses.replace(a, x_final=np.nextafter(a.x_final, np.inf))
+        # equal records, so the runs part only after the last iteration
+        assert compare_traces(a, b) == a.n_iter
 
 
 class TestConfigValidation:
