@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Interleaved A/B timing of two source trees on the piecewise quadratic.
+"""Interleaved A/B timing of two source trees on the piecewise quadratic or Rosenbrock.
 
 Each tree's package is imported under its own name, so both share one
-process and its speed drift.  Both solve PiecewiseQuadratic(100) at
-grad_tol 1e-5, armijo and wolfe at m = 0, 5, 10, in batches of 25 seeded
-normal starts, timing ``minimize`` then ``q_factors``.  The trees take
-turns going first, and each batch must give the same x_final and q-factor
-bits in both.  Prints us per iteration per config and the NEW / OLD ratio
-of the total times:
+process and its speed drift.  ``--problem pwquad`` (the default) solves
+PiecewiseQuadratic(100) at grad_tol 1e-5, armijo and wolfe at m = 0, 5,
+10, in batches of 25 seeded normal starts.  ``--problem rosenbrock``
+solves Rosenbrock from (-1.2, 1) at grad_tol 1e-9 with the norm audit on,
+in the configs of ``--table t2`` (armijo and mt at m = 0..4) plus gll at
+m = 0, one solve per batch.  Each solve is timed through ``minimize``
+then ``q_factors``.  The trees take turns going first, and each batch
+must give the same x_final and q-factor bits in both.  Prints us per
+iteration per config and the NEW / OLD ratio of the total times:
 
-    python3 scripts/ab_pwquad.py OLD_SRC NEW_SRC [--rounds 4] [--seed 1]
+    python3 scripts/ab_pwquad.py OLD_SRC NEW_SRC [--problem pwquad] [--rounds 4] [--seed 1]
 """
 
 import argparse
@@ -20,8 +23,25 @@ from pathlib import Path
 
 import numpy as np
 
-CONFIGS = [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "wolfe")]
 BATCH = 25
+ROSENBROCK_START = np.array([-1.2, 1.0])
+# name: (problem from the package, configs, grad_tol, audit, starts of one batch)
+PROBLEMS = {
+    "pwquad": (
+        lambda lib: lib.PiecewiseQuadratic(100),
+        [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "wolfe")],
+        1e-5,
+        False,
+        lambda rng: [rng.standard_normal(300) for _ in range(BATCH)],
+    ),
+    "rosenbrock": (
+        lambda lib: lib.Rosenbrock(),
+        [(ls, m) for m in range(5) for ls in ("armijo", "mt")] + [("gll", 0)],
+        1e-9,
+        True,
+        lambda rng: [ROSENBROCK_START],
+    ),
+}
 
 
 def load(src: str, alias: str):
@@ -35,10 +55,12 @@ def load(src: str, alias: str):
     return module
 
 
-def batch(lib, config, starts):
+def batch(lib, name, config, starts):
     """(ns, iterations, result bits) of one batch of solves."""
-    problem = lib.PiecewiseQuadratic(100)
-    cfg = lib.SolverConfig(cautious=lib.CautiousParams(m=config[1]), linesearch=config[0], grad_tol=1e-5)
+    make_problem, _, grad_tol, audit, _ = PROBLEMS[name]
+    problem = make_problem(lib)
+    cfg = lib.SolverConfig(cautious=lib.CautiousParams(m=config[1]), linesearch=config[0],
+                           grad_tol=grad_tol, oracle_checks=audit)
     ns, iters, bits = 0, 0, []
     for x0 in starts:
         t0 = time.perf_counter_ns()
@@ -54,22 +76,24 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
+    parser.add_argument("--problem", choices=PROBLEMS, default="pwquad")
     parser.add_argument("--rounds", type=int, default=4, help="batches per config and tree")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    _, configs, _, _, make_starts = PROBLEMS[args.problem]
     libs = {"old": load(args.old_src, "ab_old"), "new": load(args.new_src, "ab_new")}
     rng = np.random.default_rng(args.seed)
-    totals = {(tree, c): np.zeros(2) for tree in libs for c in CONFIGS}  # ns, iterations
+    totals = {(tree, c): np.zeros(2) for tree in libs for c in configs}  # ns, iterations
     for r in range(args.rounds):
-        for i, config in enumerate(CONFIGS):
-            starts = [rng.standard_normal(300) for _ in range(BATCH)]
+        for i, config in enumerate(configs):
+            starts = make_starts(rng)
             order = ("old", "new") if (r + i) % 2 == 0 else ("new", "old")
-            results = {tree: batch(libs[tree], config, starts) for tree in order}
+            results = {tree: batch(libs[tree], args.problem, config, starts) for tree in order}
             assert results["old"][2] == results["new"][2], f"bits differ: round {r}, {config}"
             for tree, (ns, iters, _) in results.items():
                 totals[tree, config] += (ns, iters)
     print("config,old_us_per_iter,new_us_per_iter,iters")
-    for ls, m in CONFIGS:
+    for ls, m in configs:
         old, new = (totals[t, (ls, m)] for t in ("old", "new"))
         print(f"{ls} m={m},{old[0] / 1e3 / old[1]:.1f},{new[0] / 1e3 / new[1]:.1f},{new[1]:.0f}")
     old, new = (sum(v[0] for (tree, _), v in totals.items() if tree == t) for t in ("old", "new"))

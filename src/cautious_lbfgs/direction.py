@@ -154,9 +154,14 @@ def dense_hessian(space: Space, pairs: Sequence[SecantPair], gamma: float) -> np
     return B
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundReport:
-    """Computed operator norms and their comparison against known bounds."""
+    """Computed operator norms and their comparison against known bounds.
+
+    An audited run builds one per iteration, so it is a slot dataclass
+    rather than a frozen one, whose construction costs more; callers
+    treat it as read-only.
+    """
 
     norm_h: float
     norm_h_inv: float

@@ -58,8 +58,10 @@ class LineSearchParams:
             raise ValueError(f"gll_memory must be an integer >= 1, got {self.gll_memory}")
 
 
-@dataclass
+@dataclass(slots=True)
 class LineSearchOutcome:
+    """The accepted step and the evaluations the search made; one per search."""
+
     alpha: float
     n_feval: int
 

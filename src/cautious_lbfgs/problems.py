@@ -65,6 +65,13 @@ class Problem:
         raise NotImplementedError
 
 
+def _rosenbrock(x1, x2):
+    """Rosenbrock's f and gradient from two Python floats or two numpy scalars."""
+    t = x2 - x1**2
+    f = (1.0 - x1) ** 2 + 100.0 * t**2
+    return float(f), np.array([-2.0 * (1.0 - x1) - 400.0 * x1 * t, 200.0 * t])
+
+
 class Rosenbrock(Problem):
     """f(x) = (1 - x1)^2 + 100 (x2 - x1^2)^2 on Euclidean R^2."""
 
@@ -74,11 +81,21 @@ class Rosenbrock(Problem):
         self.f_star = 0.0
 
     def value_and_grad(self, x):
+        """f and gradient at x, computed on Python floats.
+
+        At n = 2 numpy's per-scalar overhead is most of the cost.  Python's
+        ``**`` and numpy's scalar power call the same libm pow, and the
+        other operations round alike, so the bits are numpy's.  Where a
+        Python power overflows it raises, and numpy's gives inf, so that x
+        is evaluated again on numpy scalars: a trial step there has
+        f = inf, which a line search rejects.
+        """
         x = self.space.check(x)
-        t = x[1] - x[0] ** 2
-        f = (1.0 - x[0]) ** 2 + 100.0 * t**2
-        grad = np.array([-2.0 * (1.0 - x[0]) - 400.0 * x[0] * t, 200.0 * t])
-        return float(f), grad
+        try:
+            return _rosenbrock(*x.tolist())
+        except OverflowError:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _rosenbrock(*x)
 
     def hessian(self, x) -> np.ndarray:
         x = self.space.check(x)
@@ -149,7 +166,8 @@ class OcpGrid:
     M is the grid parameter (mesh width 1/M, must be a power of two),
     nu the control penalty weight (positive, finite), and target_state the
     finite desired state at the interior nodes (defaults to
-    sin(2 pi x1) cos(2 pi x2)).
+    sin(2 pi x1) cos(2 pi x2)), whose tracking term 0.5 ||y_d||^2 in the
+    grid norm must not overflow.
     """
 
     M: int
@@ -169,6 +187,11 @@ class OcpGrid:
                 raise ValueError(f"target_state must have {(self.M - 1) ** 2} entries")
             if not np.isfinite(y_d).all():
                 raise ValueError("target_state entries must be finite")
+            # f at y = 0, u = 0, summed as value_and_grad sums it: where even
+            # that overflows, every run ends nonfinite at its start
+            h = 1.0 / self.M
+            if not np.isfinite(float(0.5 * (h * h) * np.sum(np.square(y_d, dtype=np.longdouble)))):
+                raise ValueError("0.5 ||target_state||^2 in the grid norm must be finite")
             object.__setattr__(self, "target_state", y_d)
 
 

@@ -96,16 +96,18 @@ class SecantStore:
         return len(self.pairs)
 
     def push(self, space: Space, s, y, index: int) -> bool:
-        """Store (s, y) if it carries usable curvature; return whether it did.
+        """Accept (s, y) if it carries usable curvature; return whether it did.
 
-        A pair is stored when its quality min(sy/ss, sy/yy) is positive
+        A pair is accepted when its quality min(sy/ss, sy/yy) is positive
         and rho = 1/sy is finite; a subnormal sy passes sy > 0 and can
         fail both.
 
         Acceptance appends the pair with its cached scalars, which evicts
         the oldest pair on overflow, and sets ``bb_scaling`` to
         min(sy/yy, ss/sy).  Rejection leaves the pair list untouched and
-        sets ``bb_scaling`` to None.
+        sets ``bb_scaling`` to None.  A store of capacity 0, the
+        Barzilai-Borwein method, accepts and rejects as any other store
+        but keeps only the scalar: it builds no pair.
         """
         s = space.check(s)
         y = space.check(y)
@@ -117,16 +119,10 @@ class SecantStore:
         if not quality > 0.0 or not math.isfinite(1.0 / sy):
             self.bb_scaling = None
             return False
-        pair = SecantPair(
-            s=s.copy(),
-            y=y.copy(),
-            sy=sy,
-            ss=ss,
-            yy=yy,
-            quality=quality,
-            index=index,
-        )
-        self.pairs.append(pair)
+        if self.pairs.maxlen:
+            self.pairs.append(SecantPair(
+                s=s.copy(), y=y.copy(), sy=sy, ss=ss, yy=yy, quality=quality, index=index,
+            ))
         # Cauchy-Schwarz makes the smaller scaling sy/yy, but rounding can
         # flip the order by one ulp for parallel vectors
         self.bb_scaling = min(sy / yy, ss / sy)

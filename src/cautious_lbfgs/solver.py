@@ -132,6 +132,10 @@ class SolveReport:
     n_unit_steps: int
     alpha_min: float
     alpha_max: float
+    # x_0, ..., x_K when the config keeps them, each recorded uncopied: every
+    # iterate is a fresh array that the solver never writes afterwards, and
+    # iterates[-1] is x_final itself, except after a nonfinite step, which
+    # x_final holds and the list does not
     iterates: list[np.ndarray] | None = None
     # an audit precedes its line search, so a run that stopped inside an
     # iteration has one audit more than it has records
@@ -233,7 +237,7 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
     store = SecantStore(config.cautious.m)
     trace: list[IterationRecord] = []
     audits: list[BoundReport] = []
-    iterates = [x.copy()] if config.keep_iterates else None
+    iterates = [x] if config.keep_iterates else None
     n_feval = 0
     try:
         f, grad = _evaluate(problem, space, x)
@@ -299,7 +303,7 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
         ))
         x, f, grad, grad_norm = x_new, f_new, grad_new, grad_norm_new
         if iterates is not None:
-            iterates.append(x.copy())
+            iterates.append(x)
 
     alphas = [r.alpha for r in trace]
     return SolveReport(

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from cautious_lbfgs import (
     CautiousParams,
+    LineSearchParams,
     NewtonError,
     OcpControlProblem,
     OcpGrid,
@@ -21,6 +23,7 @@ from cautious_lbfgs import (
     Rosenbrock,
     SolverConfig,
     Space,
+    compare_traces,
     fd_gradient_check,
     make_grid_space,
     minimize,
@@ -46,6 +49,15 @@ def hessian_spectrum_scan(lo=-0.5, hi=1.4, n=41) -> tuple[float, float]:
             lo_eig = min(lo_eig, eig[0])
             hi_eig = max(hi_eig, eig[-1])
     return float(lo_eig), float(hi_eig)
+
+
+def rosenbrock_on_numpy_scalars(x):
+    """Rosenbrock's f and gradient as computed on numpy scalars before floats."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = x[1] - x[0] ** 2
+        f = (1.0 - x[0]) ** 2 + 100.0 * t**2
+        grad = np.array([-2.0 * (1.0 - x[0]) - 400.0 * x[0] * t, 200.0 * t])
+    return float(f), grad
 
 
 class TestRosenbrock:
@@ -76,6 +88,46 @@ class TestRosenbrock:
             if np.linalg.norm(x - [1.0, 1.0]) > 1e-3:
                 _, grad = prob.value_and_grad(x)
                 assert np.linalg.norm(grad) > 0.0
+
+    def test_float_arithmetic_matches_numpy_scalars_bit_for_bit(self):
+        # seeded points of every sign with magnitudes from 1e-300 to 1e200;
+        # past about 1e154 a square overflows, which raises in Python and
+        # gives inf in numpy, and the result must still be numpy's
+        rng = np.random.default_rng(25)
+        points = np.exp(rng.uniform(np.log(1e-300), np.log(1e200), size=(20_000, 2)))
+        points *= rng.choice([-1.0, 1.0], size=points.shape)
+        points[:6] = [[1e155, 1.0], [1.0, 1e155], [-1e200, 1e200], [1e154, -1e200],
+                      [1e-300, -1e-300], [1.0, 1e200]]
+        prob = Rosenbrock()
+        n_overflow = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in points:
+                f, grad = prob.value_and_grad(x)
+                f_old, grad_old = rosenbrock_on_numpy_scalars(x)
+                assert np.float64(f).tobytes() == np.float64(f_old).tobytes(), x
+                assert grad.dtype == float and grad.tobytes() == grad_old.tobytes(), x
+                n_overflow += not np.isfinite(f)
+        assert n_overflow > 1000
+
+    def test_overflowing_trial_is_rejected_by_the_line_search(self):
+        # the first trial from (1e25, 0) lies near (-4e77, 0), where the
+        # square of x2 - x1^2 overflows: the searches backtrack from f = inf
+        # as they did on numpy scalars (More-Thuente fails on it), instead
+        # of ending the run as eval_error
+        class NumpyScalarRosenbrock(Rosenbrock):
+            def value_and_grad(self, x):
+                return rosenbrock_on_numpy_scalars(self.space.check(x))
+
+        x0 = np.array([1e25, 0.0])
+        for ls in ("armijo", "wolfe", "mt", "gll"):
+            config = SolverConfig(cautious=CautiousParams(m=2), linesearch=ls, max_iter=30,
+                                  ls=LineSearchParams(maxfev=300))
+            report = minimize(Rosenbrock(), Space(2), x0, config)
+            assert report.status != "eval_error", ls
+            old = minimize(NumpyScalarRosenbrock(), Space(2), x0, config)
+            assert (report.status, report.reason) == (old.status, old.reason)
+            assert compare_traces(report, old) is None
 
     def test_hessian_scan_detects_indefiniteness(self):
         # the scan square contains points with x2 > x1^2 + 1/200 where the
@@ -172,6 +224,15 @@ class TestOcpGrid:
         with pytest.raises(ValueError):
             OcpGrid(M=4, target_state=np.zeros(5))
 
+    def test_target_state_whose_tracking_term_overflows_is_rejected(self):
+        # 0.5 h^2 ||y_d||^2 overflows at entries of 1e155, and every run from
+        # there would end nonfinite at its start; 1e150 still evaluates
+        with pytest.raises(ValueError, match="finite"):
+            OcpGrid(M=4, target_state=np.full(9, 1e155))
+        grid = OcpGrid(M=4, target_state=np.full(9, 1e150))
+        f, _ = OcpControlProblem(grid).value_and_grad(np.zeros(9))
+        assert math.isfinite(f)
+
 
 class TestOcpState:
     def test_single_node_forced_solution(self):
@@ -205,6 +266,27 @@ class TestOcpState:
         monkeypatch.setattr(problems, "NEWTON_MAX", 1)
         with pytest.raises(NewtonError):
             OcpControlProblem(OcpGrid(M=4)).solve_state(np.full(9, 50.0))
+
+    def test_steps_run_out_at_the_rounding_floor(self, monkeypatch):
+        # a large constant control's residual floor lies above NEWTON_TOL, so
+        # no step ends the solve by the tolerance.  Raise the cap one step at
+        # a time: the first cap at which the solve returns is one where the
+        # steps ran out, since the floor test inside a step would have seen
+        # the same residual under the cap before, which raised
+        prob = OcpControlProblem(OcpGrid(M=8))
+        u = np.full(49, 3000.0)
+        for n_max in range(1, problems.NEWTON_MAX):
+            monkeypatch.setattr(problems, "NEWTON_MAX", n_max)
+            try:
+                y = prob.solve_state(u)
+                break
+            except NewtonError as err:
+                assert "unfinished" in str(err)
+        assert n_max > 1
+        residual = prob.laplacian @ y + np.exp(y) - u
+        floor = abs(prob.laplacian) @ np.abs(y) + np.exp(y) + np.abs(u)
+        res_norm = prob.space.norm(residual)
+        assert problems.NEWTON_TOL < res_norm <= 8.0 * problems.EPS * prob.space.norm(floor)
 
 
 class TestOcpAdjoint:
@@ -291,6 +373,17 @@ class TestOcpNeumannAdjoint:
         p = prob.solve_adjoint(y)
         assert prob.laplacian.count == 1
         assert np.array_equal(p, prob._jacobian_lu(y).solve(y - prob.target_state))
+
+    def test_stall_below_the_tolerance_returns_the_partial_sum(self, splu_calls):
+        # the series diverges at y = 4 as above, but y - y_d is so small that
+        # the residual after the first correction is already below NEWTON_TOL
+        y = np.full(49, 4.0)
+        prob = OcpControlProblem(OcpGrid(M=8, target_state=y - 1e-13))
+        prob.laplacian = CountingMatmul(prob.laplacian)
+        p = prob.solve_adjoint(y)
+        assert prob.laplacian.count == 1
+        assert splu_calls == []
+        assert np.array_equal(p, prob._solve_at_zero(y - prob.target_state))
 
 
 @pytest.mark.parametrize(("build", "args", "kwargs"), [

@@ -237,6 +237,19 @@ def test_store_invariants_after_any_push_sequence(raw):
     assert store.bb_scaling is None or store.bb_scaling >= 0.0
 
 
+@given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),
+                          st.floats(-2, 2), st.floats(-2, 2)), max_size=30))
+@example([(0.0, 1.0, 2.0, 5e-324), (1e-155, 0.0, 1e-155, 0.0), (1.0, 1.0, 1.0, 1.0 + 2**-52)])
+def test_capacity_zero_decides_and_scales_as_capacity_one(raw):
+    # the memory-free store builds no pair; the one-pair store is its oracle
+    space = Space(2)
+    bare, one = SecantStore(capacity=0), SecantStore(capacity=1)
+    for k, (a, b, c, d) in enumerate(raw):
+        assert bare.push(space, [a, b], [c, d], index=k) == one.push(space, [a, b], [c, d], index=k)
+        assert bare.bb_scaling == one.bb_scaling
+        assert len(bare) == 0 and not bare.pairs and bare.snapshot() == []
+
+
 @given(st.floats(min_value=1e-8, max_value=1.0), st.floats(min_value=1e-8, max_value=1.0))
 def test_active_filter_is_monotone(w_small, w_big):
     lo, hi = sorted([w_small, w_big])

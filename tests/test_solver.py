@@ -287,6 +287,26 @@ class TestTraceInvariants:
     def test_final_gradient_below_tolerance(self, rosen_report):
         assert rosen_report.grad_norm_final <= 1e-9
 
+    @pytest.mark.parametrize(("ls", "m"), [("armijo", 0), ("mt", 0), ("wolfe", 2)])
+    def test_iterates_kept_uncopied_keep_the_bytes_they_were_evaluated_at(self, ls, m):
+        # every iterate is a point the objective was evaluated at; its bytes
+        # then are the oracle for the array the report holds
+        class RecordingRosenbrock(Rosenbrock):
+            def value_and_grad(self, x):
+                # holding x keeps its id from being reused
+                evaluated[id(x)] = (x, x.tobytes())
+                return super().value_and_grad(x)
+
+        evaluated = {}
+        prob = RecordingRosenbrock()
+        report = minimize(prob, prob.space, ROSEN_X0, config(m=m, linesearch=ls, grad_tol=1e-9))
+        assert report.status == "converged"
+        assert len(report.iterates) == report.n_iter + 1
+        for x in report.iterates:
+            point, recorded = evaluated[id(x)]
+            assert point is x and x.tobytes() == recorded
+        assert report.iterates[-1] is report.x_final
+
     def test_gll_monotone_only_against_history_max(self):
         prob = Rosenbrock()
         cfg = config(m=0, linesearch="gll", grad_tol=1e-9,
