@@ -10,7 +10,10 @@ in the configs of ``--table t2`` (armijo and mt at m = 0..4) plus gll at
 m = 0, one solve per batch.  Each solve is timed through ``minimize``
 then ``q_factors``.  The trees take turns going first, and each batch
 must give the same x_final and q-factor bits in both.  Prints us per
-iteration per config and the NEW / OLD ratio of the total times:
+iteration per config and the NEW / OLD ratio of the total times.  Where
+the audit is on, each batch must also give every iteration's ||H|| and
+||H^{-1}|| within the audit's own relative slack in both trees, and the
+largest relative difference is printed:
 
     python3 scripts/ab_pwquad.py OLD_SRC NEW_SRC [--problem pwquad] [--rounds 4] [--seed 1]
 """
@@ -24,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 BATCH = 25
+AUDIT_SLACK = 1e-9  # the relative slack of BoundReport.ok
 ROSENBROCK_START = np.array([-1.2, 1.0])
 # name: (problem from the package, configs, grad_tol, audit, starts of one batch)
 PROBLEMS = {
@@ -56,12 +60,12 @@ def load(src: str, alias: str):
 
 
 def batch(lib, name, config, starts):
-    """(ns, iterations, result bits) of one batch of solves."""
+    """(ns, iterations, result bits, (norm_h, norm_h_inv) of every audit) of one batch of solves."""
     make_problem, _, grad_tol, audit, _ = PROBLEMS[name]
     problem = make_problem(lib)
     cfg = lib.SolverConfig(cautious=lib.CautiousParams(m=config[1]), linesearch=config[0],
                            grad_tol=grad_tol, oracle_checks=audit)
-    ns, iters, bits = 0, 0, []
+    ns, iters, bits, norms = 0, 0, [], []
     for x0 in starts:
         t0 = time.perf_counter_ns()
         report = lib.minimize(problem, problem.space, x0, cfg)
@@ -69,7 +73,14 @@ def batch(lib, name, config, starts):
         ns += time.perf_counter_ns() - t0
         iters += report.n_iter
         bits.append((report.x_final.tobytes(), repr(rates)))
-    return ns, iters, bits
+        norms += [(a.norm_h, a.norm_h_inv) for a in report.audits or []]
+    return ns, iters, bits, np.array(norms)
+
+
+def relative_differences(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """|new - old| / |old| entrywise, 0 where the two are equal (infinite norms included)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(old == new, 0.0, np.abs(new - old) / np.abs(old))
 
 
 def main() -> None:
@@ -84,13 +95,19 @@ def main() -> None:
     libs = {"old": load(args.old_src, "ab_old"), "new": load(args.new_src, "ab_new")}
     rng = np.random.default_rng(args.seed)
     totals = {(tree, c): np.zeros(2) for tree in libs for c in configs}  # ns, iterations
+    worst_audit = 0.0
     for r in range(args.rounds):
         for i, config in enumerate(configs):
             starts = make_starts(rng)
             order = ("old", "new") if (r + i) % 2 == 0 else ("new", "old")
             results = {tree: batch(libs[tree], args.problem, config, starts) for tree in order}
             assert results["old"][2] == results["new"][2], f"bits differ: round {r}, {config}"
-            for tree, (ns, iters, _) in results.items():
+            old_norms, new_norms = results["old"][3], results["new"][3]
+            assert old_norms.shape == new_norms.shape, f"audit counts differ: round {r}, {config}"
+            diff = float(relative_differences(old_norms, new_norms).max(initial=0.0))
+            assert diff <= AUDIT_SLACK, f"audits differ by {diff:.3g} relative: round {r}, {config}"
+            worst_audit = max(worst_audit, diff)
+            for tree, (ns, iters, _, _) in results.items():
                 totals[tree, config] += (ns, iters)
     print("config,old_us_per_iter,new_us_per_iter,iters")
     for ls, m in configs:
@@ -98,6 +115,8 @@ def main() -> None:
         print(f"{ls} m={m},{old[0] / 1e3 / old[1]:.1f},{new[0] / 1e3 / new[1]:.1f},{new[1]:.0f}")
     old, new = (sum(v[0] for (tree, _), v in totals.items() if tree == t) for t in ("old", "new"))
     print(f"total time ratio new/old: {new / old:.3f}")
+    if PROBLEMS[args.problem][3]:
+        print(f"largest relative audit difference new/old: {worst_audit:.3g}")
 
 if __name__ == "__main__":
     main()

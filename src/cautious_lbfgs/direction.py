@@ -69,13 +69,17 @@ def two_loop_norms(space: Space, pairs: Sequence[SecantPair], gamma: float) -> t
     to gamma times itself.  H is self-adjoint, so any subspace containing
     span(S, Y) is invariant, and the spectrum of H is that of its
     compression there, plus gamma when the subspace is proper.  The
-    weight is one scalar, so the QR factorization [S Y] = Q R gives an
-    orthonormal basis Q of such a subspace, of dimension m = min(n, 2k),
-    and in R the coordinates of every s and y, which keep their weighted
-    inner products.  The compression Q^T H Q is the same recursion run on
-    these coordinates, applied to the m x m identity, and one m x m
-    ``eigvalsh`` gives its spectrum.  No rank decision is needed: when
-    [S Y] is rank-deficient, the rest of span(Q) lies where H is gamma.
+    compression is the same recursion run on the pairs' coordinates in
+    an orthonormal basis of such a subspace, applied to the identity of
+    its dimension m = min(n, 2k), and one m x m ``eigvalsh`` gives its
+    spectrum.  The basis follows one rule.  When n <= 2k, it is the
+    standard basis of the whole space, the coordinates are the pairs
+    themselves, and no factorization is made.  When n > 2k, the QR
+    factorization [S Y] = Q R gives an orthonormal basis Q of a
+    subspace containing span(S, Y), and in R the coordinates of every s
+    and y, which keep their weighted inner products because the weight
+    is one scalar.  No rank decision is needed: when [S Y] is
+    rank-deficient, the rest of span(Q) lies where H is gamma.
     Nor does gamma need adding when m < n: H^{-1} - I/gamma is k
     positive semidefinite rank-one terms minus k others, so on m > k
     dimensions it has an eigenvalue of each sign or a zero one, and the
@@ -85,15 +89,19 @@ def two_loop_norms(space: Space, pairs: Sequence[SecantPair], gamma: float) -> t
 
     For k pairs this costs O(n k^2 + k^3), against O(k n^3) for
     :func:`dense_hessian_inverse`; without pairs the norms are gamma and
-    1/gamma with no LAPACK call.
+    1/gamma with no LAPACK call, and with n <= 2k no QR call.
     """
     _validate_operator_inputs(pairs, gamma)
     if not pairs:
         return gamma, 1.0 / gamma
     k = len(pairs)
-    R = np.linalg.qr(np.column_stack([p.s for p in pairs] + [p.y for p in pairs]), mode="r")
-    coords = [SimpleNamespace(s=R[:, i], y=R[:, k + i], sy=p.sy) for i, p in enumerate(pairs)]
-    magnitudes = np.abs(np.linalg.eigvalsh(_recursion(space.weight, coords, gamma, np.eye(R.shape[0]))))
+    if space.dim <= 2 * k:
+        compressed = _recursion(space.weight, pairs, gamma, np.eye(space.dim))
+    else:
+        R = np.linalg.qr(np.column_stack([p.s for p in pairs] + [p.y for p in pairs]), mode="r")
+        coords = [SimpleNamespace(s=R[:, i], y=R[:, k + i], sy=p.sy) for i, p in enumerate(pairs)]
+        compressed = _recursion(space.weight, coords, gamma, np.eye(R.shape[0]))
+    magnitudes = np.abs(np.linalg.eigvalsh(compressed))
     smallest = float(magnitudes.min())
     return float(magnitudes.max()), 1.0 / smallest if smallest > 0.0 else math.inf
 

@@ -46,7 +46,8 @@ from .space import Space
 LINE_SEARCHES = ("armijo", "wolfe", "mt", "gll")
 # what an objective raises when it cannot be evaluated: NewtonError and a
 # singular SuperLU factor are RuntimeErrors, LinAlgError and math domain
-# errors ValueErrors, and numpy's raised floating-point events
+# errors ValueErrors, and Python's float overflow, or numpy's floating-point
+# events where an objective sets its own error state to raise them,
 # ArithmeticErrors; a malformed result fails its check with a ValueError
 # (wrong gradient shape) or a TypeError (an f that is not a scalar)
 EVAL_ERRORS = (ArithmeticError, RuntimeError, TypeError, ValueError)
@@ -231,7 +232,22 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
     x0 and each evaluation's result are checked once, where they enter;
     the arithmetic after that trusts them and takes the space's unchecked
     products.
+
+    The whole run, the start evaluation included, takes place under
+    ``np.errstate(all="ignore")``: an overflow or invalid operation gives
+    an inf or NaN, which the finiteness checks turn into a status.  So
+    the report does not depend on the caller's ``np.errstate`` or
+    warnings filter, and no floating-point event leaves this function as
+    a warning or an exception.  An objective that wants numpy's errors
+    can set its own error state inside ``value_and_grad``; a warning it
+    issues itself is not caught.
     """
+    with np.errstate(all="ignore"):
+        return _minimize(problem, space, x0, config)
+
+
+def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveReport:
+    """The body of :func:`minimize`, under the error state it sets."""
     x = space.check(x0).copy()
     status = reason = None
     store = SecantStore(config.cautious.m)

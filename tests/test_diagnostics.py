@@ -175,6 +175,15 @@ class TestLstepQlinear:
         with pytest.raises(ValueError):
             lstep_qlinear([1.0, 0.5, 0.2], l=1, k_start=2)
 
+    @pytest.mark.parametrize("k_start", [0, 2])
+    @pytest.mark.parametrize("l", [1, 3])
+    def test_length_check_boundary(self, l, k_start):
+        # l + 1 terms from k_start give one quotient; l terms give none
+        seq = [0.5**k for k in range(k_start + l + 1)]
+        assert lstep_qlinear(seq, l, k_start) == (True, 0.5**l)
+        with pytest.raises(ValueError, match=f"need at least {l + 1} terms"):
+            lstep_qlinear(seq[:-1], l, k_start)
+
     def test_positivity_required(self):
         with pytest.raises(ValueError):
             lstep_qlinear([1.0, 0.0, 0.5], l=1)
@@ -235,6 +244,18 @@ class TestLinearRateCheck:
         assert out.eq_objective_all
         assert out.nu_sup < 1.0
         assert all(out.envelope_ok.values())
+
+    def test_objective_inequality_breaks_at_one_known_index(self):
+        # nu_k = 1 - 2 * 0.25 * 1 * 1 / 1 = 0.5 at every k; the quotients of
+        # f_err are 0.25, 0.8, 0.25, 0.2, so only k = 1 breaks the inequality
+        report = synthetic_report([1.0, 0.25, 0.2, 0.05, 0.01])
+        constants = RateConstants(mu=1.0, L=1.0, sigma=0.25)
+        out = linear_rate_check(report, constants, 0.0, hinv_norms=[1.0] * 4, k1=0)
+        assert out.eq_objective_fraction == 0.75
+        assert not out.eq_objective_all
+        out = linear_rate_check(report, constants, 0.0, hinv_norms=[1.0] * 4, k1=2)
+        assert out.eq_objective_fraction == 1.0
+        assert out.eq_objective_all
 
     def test_norm_count_mismatch(self):
         report = synthetic_report([1.0, 0.5, 0.25])

@@ -236,6 +236,18 @@ class TestDenseOperators:
             assert norm_h_inv <= (1.0 / eigs.min()) * (1 + 1e-12)
 
 
+def instance_with_pairs(rng, dim, k, weight):
+    """Space of the given weight, k pairs of a random SPD quadratic, and a seed scaling."""
+    space = Space(dim=dim, weight=weight)
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    A = Q @ np.diag(rng.uniform(0.25, 4.0, size=dim)) @ Q.T
+    store = SecantStore(capacity=k)
+    for i in range(k):
+        s = rng.standard_normal(dim)
+        assert store.push(space, s, A @ s, index=i)
+    return space, store.pairs, float(rng.uniform(0.1, 10.0))
+
+
 def assert_norms_match_dense(space, pairs, gamma):
     eigs = np.linalg.eigvalsh(dense_hessian_inverse(space, pairs, gamma))
     norm_h, norm_h_inv = two_loop_norms(space, pairs, gamma)
@@ -289,6 +301,28 @@ class TestTwoLoopOperator:
         for name in ("qr", "svd", "eigvalsh", "eigh"):
             monkeypatch.setattr(np.linalg, name, forbidden)
         assert two_loop_norms(Space(300), [], 0.3) == (0.3, 1.0 / 0.3)
+
+    @pytest.mark.parametrize("dim, k", [(2, 1), (2, 2), (2, 3), (2, 4), (4, 2), (6, 3), (8, 4)])
+    def test_no_qr_where_the_pairs_can_span_the_space(self, monkeypatch, dim, k):
+        # n <= 2k: the standard basis of the whole space serves, unfactored
+        rng = np.random.default_rng(100 * dim + k)
+        instances = [instance_with_pairs(rng, dim, k, weight) for weight in (1.0, 0.3) for _ in range(10)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("QR factorization with n <= 2k")
+
+        monkeypatch.setattr(np.linalg, "qr", forbidden)
+        for space, pairs, gamma in instances:
+            assert_norms_match_dense(space, pairs, gamma)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.3])
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_norms_on_both_sides_of_the_basis_switch(self, k, extra, weight):
+        # n = 2k takes the standard basis and n = 2k + 1 the QR basis
+        rng = np.random.default_rng(10 * k + extra)
+        for _ in range(20):
+            assert_norms_match_dense(*instance_with_pairs(rng, 2 * k + extra, k, weight))
 
     def test_rejects_bad_inputs(self):
         space = Space(2)

@@ -5,10 +5,13 @@ like the wrapped problem at every other one.  Every run must end with a
 documented status, and every iteration that completed before the fault
 fired must match the fault-free run exactly.  A gradient returned as a
 list is well formed: that run matches the fault-free run throughout.
+Nor does the caller's floating-point setting change a report.
 """
 
+import contextlib
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from cautious_lbfgs import (
     minimize,
     problems,
 )
-from cautious_lbfgs.solver import LINE_SEARCHES
+from cautious_lbfgs.solver import LINE_SEARCHES, TRACE_FIELDS
 
 STATUSES = {"converged", "max_iter", "linesearch_failure", "nonfinite", "eval_error", "non_descent"}
 FAULTS = ("nan_f", "inf_f", "nan_grad", "newton_error", "zero_division", "repeat_grad", "huge_grad",
@@ -117,7 +120,6 @@ def clean_run(problem_id, ls, m, mode):
     return run(problem_id, ls, m, mode)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["cautious", "classical"])
 @pytest.mark.parametrize("ls", ["armijo", "wolfe", "mt", "gll"])
 def test_overflowing_gradient_norm_stops_the_run(ls, mode):
@@ -136,7 +138,6 @@ def test_overflowing_gradient_norm_stops_the_run(ls, mode):
     assert report.grad_norm_final == math.inf
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e300, -1e300])
 @pytest.mark.parametrize("ls", ["armijo", "mt"])
 def test_overflowing_control_ends_within_the_newton_budget(ls, scale):
@@ -161,6 +162,48 @@ def test_overflowing_control_ends_within_the_newton_budget(ls, scale):
     assert problem.laplacian.count <= problem.calls * (problems.NEWTON_MAX * 41 + 1)
 
 
+@contextlib.contextmanager
+def warnings_as_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+# numpy's defaults, every warning an error, and every floating-point event raised
+CALLER_SETTINGS = {
+    "defaults": contextlib.nullcontext,
+    "warnings_as_errors": warnings_as_errors,
+    "errstate_raise": lambda: np.errstate(all="raise"),
+}
+
+
+def report_key(report):
+    """Status, reason, the TRACE_FIELDS of every record and the bytes of x_final."""
+    fields = [tuple(getattr(r, name) for name in TRACE_FIELDS) for r in report.trace]
+    return report.status, report.reason, fields, report.x_final.tobytes()
+
+
+@pytest.mark.parametrize("ls", LINE_SEARCHES)
+@pytest.mark.parametrize("problem_id", ["rosenbrock", "ocp"])
+def test_report_does_not_depend_on_the_callers_floating_point_settings(problem_id, ls):
+    # from (1e25, 0) the first trial overflows Rosenbrock's gradient and its
+    # slope along the ray; from a control of scale 1e6 the state's exp
+    # underflows, which numpy's raise setting turned into an eval_error
+    config = SolverConfig(cautious=CautiousParams(m=2), linesearch=ls, max_iter=30,
+                          ls=LineSearchParams(maxfev=300))
+    if problem_id == "rosenbrock":
+        problem, x0 = Rosenbrock(), np.array([1e25, 0.0])
+    else:
+        problem = OcpControlProblem(OcpGrid(M=8))
+        x0 = 1e6 * np.random.default_rng(0).standard_normal(problem.space.dim)
+    keys = {}
+    for name, setting in CALLER_SETTINGS.items():
+        with setting():
+            keys[name] = report_key(minimize(problem, problem.space, x0, config))
+    assert keys["warnings_as_errors"] == keys["defaults"]
+    assert keys["errstate_raise"] == keys["defaults"]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(sorted(PROBLEMS)),
@@ -170,7 +213,6 @@ def test_overflowing_control_ends_within_the_newton_budget(ls, scale):
     st.sampled_from(FAULTS),
     st.integers(1, 60),
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_minimize_survives_any_evaluation_fault(problem_id, ls, m, mode, fault, at):
     clean = clean_run(problem_id, ls, m, mode)
     report = run(problem_id, ls, m, mode, fault, at)
@@ -222,7 +264,7 @@ def constructor_arguments(draw):
     st.booleans(),
 )
 @pytest.mark.filterwarnings("ignore::UserWarning")  # the linear-rate guard
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a fuzzed constructor argument
 def test_constructors_reject_or_the_run_ends_in_a_status(v, problem_id, mode, ls, oracle_checks):
     try:
         if problem_id == "pwquad":

@@ -93,6 +93,18 @@ class TestArmijo:
             assert 0.3 * prev <= nxt <= 0.8 * prev
         assert out.alpha == alphas[-1]
 
+    def test_interpolated_trials_inside_the_window(self):
+        # phi = 1 - a + 6a^2 - 4a^3 on binary fractions: the quadratic through
+        # phi(0), phi'(0) = -1 and phi(1) = 2 has its minimum at 1/(2 * 2) = 1/4;
+        # phi(1/4) = 1.0625 fails, and the next quadratic's minimum is
+        # 0.0625 / (2 * 0.3125) = 0.1.  Both lie strictly inside their windows
+        # [0.1, 0.9] * 1 and [0.1, 0.9] * 1/4, so neither is clipped
+        phi = counted(lambda a: 1.0 - a + 6.0 * a * a - 4.0 * a * a * a)
+        out = armijo_backtrack(phi, 1.0, -1.0, LineSearchParams(beta1=0.1, beta2=0.9))
+        assert [a for a, _ in phi.calls] == [1.0, 0.25, 0.1]
+        assert [f for _, f in phi.calls[:2]] == [2.0, 1.0625]
+        assert (out.alpha, out.n_feval) == (0.1, 3)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_fixed_factor_ladder_through_nonfinite_values(self, bad):
         # beta1 == beta2 leaves the interpolation window no width, so each
