@@ -2,13 +2,13 @@
 
 A limited-memory quasi-Newton method over a pluggable inner-product
 space, with per-iteration cautious filtering of the stored curvature
-pairs, four line searches, exact operator-norm audits with dense
-oracles to test them, and convergence-rate diagnostics.
+pairs, four line searches, exact operator-norm audits, and
+convergence-rate diagnostics.
 
 The names below are the package's API.  The building blocks (the
-two-loop recursion and the dense oracles in ``direction``, the four
-line searches in ``linesearch``, the filter helpers in
-``secant_store``) are imported from their submodules.
+two-loop recursion and the dense inverse-Hessian oracle in ``direction``,
+the four searches in ``linesearch``, the filter helpers in
+``secant_store``) come from their submodules; the Hessian oracle is test code.
 """
 
 from .diagnostics import (

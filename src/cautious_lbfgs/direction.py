@@ -4,11 +4,12 @@ The two-loop recursion is the production path.  :func:`two_loop_norms`
 gives the exact norms of the operator it applies, ||H|| and ||H^{-1}||,
 from an eigenproblem of size at most 2k x 2k on the span of the k
 active pairs, at O(n k^2 + k^3) cost; :func:`cautious_bound_report`
-audits the norm bounds with it at run time.  The dense builders return
-the same operator (and its inverse) as explicit n x n matrices, at
-O(k n^3) cost, and serve as test oracles for both.  All adjoints and
-outer products are taken with respect to the weighted inner product of
-the supplied space, not the Euclidean one.
+audits the norm bounds with it at run time.  :func:`dense_hessian_inverse`
+returns the same operator as an explicit n x n matrix, at O(k n^3) cost;
+no library call uses it, and the tests take it as the oracle of both
+(its inverse, the Hessian approximation, is built in the tests alone).
+All adjoints and outer products are taken with respect to the weighted
+inner product of the supplied space, not the Euclidean one.
 """
 
 from __future__ import annotations
@@ -140,26 +141,6 @@ def dense_hessian_inverse(space: Space, pairs: Sequence[SecantPair], gamma: floa
         V_adj = eye - rho * np.outer(pair.s, w * pair.y)
         H = V_adj @ H @ V + rho * np.outer(pair.s, w * pair.s)
     return H
-
-
-def dense_hessian(space: Space, pairs: Sequence[SecantPair], gamma: float) -> np.ndarray:
-    """Explicit Hessian approximation; inverse of :func:`dense_hessian_inverse`.
-
-    Built from gamma^{-1} * identity by the direct rank-two recursion.  A
-    nonpositive inner(B s, s) along the way means the positive-definite
-    invariant was broken upstream and raises.
-    """
-    _validate_dense_inputs(space, pairs, gamma)
-    n = space.dim
-    w = space.weight
-    B = (1.0 / gamma) * np.eye(n)
-    for pair in pairs:
-        Bs = B @ pair.s
-        sBs = space.inner(Bs, pair.s)
-        if not sBs > 0.0:
-            raise ValueError(f"inner(B s, s) = {sBs} <= 0 at pair {pair.index}")
-        B = B - np.outer(Bs, w * Bs) / sBs + np.outer(pair.y, w * pair.y) / pair.sy
-    return B
 
 
 @dataclass(slots=True)

@@ -333,14 +333,12 @@ def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         else:
             stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
             stpf = min(max(stpf, stpmin), stpmax)
-    else:
+    elif brackt:
         # same sign, nondecreasing magnitude
-        if brackt:
-            stpf = _cubic_minimizer(*_cubic(fp, fy, stp, sty, dy, dp), stp, dp, sty, dy)
-        elif stp > stx:
-            stpf = stpmax
-        else:
-            stpf = stpmin
+        stpf = _cubic_minimizer(*_cubic(fp, fy, stp, sty, dy, dp), stp, dp, sty, dy)
+    else:
+        # unbracketed, more_thuente has stp >= stx, and stpmin == stpmax at stp == stx
+        stpf = stpmax
 
     if fp > fx:
         sty, fy, dy = stp, fp, dp

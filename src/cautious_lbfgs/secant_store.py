@@ -1,13 +1,13 @@
 """Bounded secant-pair storage and the cautious-update bookkeeping.
 
 The store keeps at most ``capacity`` pairs (s, y) in first-in-first-out
-order together with one Barzilai-Borwein scalar, min(sy/yy, ss/sy) of
-the most recent accepted pair.  Pairs enter only with a positive
-curvature quality and a finite rho = 1/inner(s, y); a rejected pair
-leaves the stored pairs untouched and clears the scalar.  The filter
-level is a threshold omega in [0, 1]: the seed scaling is projected
-onto [omega, 1/omega], and level 0, the classical method, keeps every
-stored pair and the unclamped scaling.
+order together with one scalar, the target of the seed scaling (see
+:class:`SecantStore`).  Pairs enter only with a positive curvature
+quality and a finite rho = 1/inner(s, y); a rejected pair leaves the
+stored pairs untouched and clears the scalar.  The filter level is a
+threshold omega in [0, 1]: the seed scaling is projected onto [omega,
+1/omega], and level 0, the classical method, keeps every stored pair
+and the unclamped scaling.
 """
 
 from __future__ import annotations
@@ -86,11 +86,14 @@ def cautious_threshold(grad_norm: float, params: CautiousParams) -> float:
 
 
 class SecantStore:
-    """FIFO of at most ``capacity`` pairs plus the latest Barzilai-Borwein scalar."""
+    """FIFO of at most ``capacity`` pairs plus ``bb_scaling``, the seed scaling's target.
+
+    That is 1 before any push, min(sy/yy, ss/sy) after an accepted pair, None after a rejected one.
+    """
 
     def __init__(self, capacity: int):
         self.pairs: deque[SecantPair] = deque(maxlen=capacity)
-        self.bb_scaling: float | None = None
+        self.bb_scaling: float | None = 1.0
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -146,19 +149,19 @@ class SecantStore:
         ]
 
 
-def choose_seed_scaling(store: SecantStore, threshold: float, fallback: float = 1.0) -> float:
+def choose_seed_scaling(store: SecantStore, threshold: float, fallback: float) -> float:
     """Seed scaling of the next direction: its target projected onto [threshold, 1/threshold].
 
-    The target is the store's Barzilai-Borwein scalar gamma- = min(sy/yy,
-    ss/sy), or the caller's ``fallback`` when no usable pair is left: the
-    solver passes 1 at the first iteration and 1/||g_k||, the unit-step
-    gradient scaling, after a rejected pair.  Carrying a stale scaling
-    across a rejected pair instead turns the benchmark runs into a crawl.
-    The paper clamps into [gamma-, gamma+] intersected with [threshold,
-    1/threshold], gamma+ = max(sy/yy, ss/sy); when that set is nonempty,
-    gamma- <= 1/threshold and threshold <= gamma+, so the projection
-    max(gamma-, threshold) lies in it.  At threshold 0 the target comes
-    back unclamped: the classical scaling.
+    The target is the store's ``bb_scaling``, or the caller's ``fallback``
+    where a rejected pair cleared it: the solver passes 1/||g_k||, the
+    unit-step gradient scaling.  Carrying a stale scaling across a
+    rejected pair instead turns the benchmark runs into a crawl.  The
+    paper clamps into [gamma-, gamma+] intersected with [threshold,
+    1/threshold], gamma- and gamma+ the smaller and larger of sy/yy and
+    ss/sy; when that set is nonempty, gamma- <= 1/threshold and
+    threshold <= gamma+, so the projection max(gamma-, threshold) lies
+    in it.  At threshold 0 the target comes back unclamped: the
+    classical scaling.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")

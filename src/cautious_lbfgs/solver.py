@@ -276,10 +276,7 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
 
         omega = cautious_threshold(grad_norm, config.cautious)
         level = omega if config.mode == "cautious" else 0.0
-        # No usable pair: plain unscaled seed on the very first
-        # iteration, unit-step gradient scaling after a rejected pair.
-        fallback = 1.0 if k == 0 else 1.0 / grad_norm
-        gamma = choose_seed_scaling(store, level, fallback)
+        gamma = choose_seed_scaling(store, level, 1.0 / grad_norm)
         active = store.active(level)
         n_stored = len(store)
         d = two_loop(space, active, gamma, grad)

@@ -24,9 +24,9 @@ from cautious_lbfgs import (
     minimize,
     q_factors,
 )
-from cautious_lbfgs.direction import dense_hessian, dense_hessian_inverse, two_loop
+from cautious_lbfgs.direction import dense_hessian_inverse, two_loop
 from cautious_lbfgs.linesearch import armijo_backtrack, gll_nonmonotone, more_thuente, wolfe_weak
-from test_direction import dense_norms, random_instance
+from test_direction import dense_hessian, dense_norms, random_instance
 from test_diagnostics import alternating_sequence
 from test_linesearch import _random_smooth_problem
 from cautious_lbfgs.cli import standard_normals

@@ -204,6 +204,38 @@ def test_report_does_not_depend_on_the_callers_floating_point_settings(problem_i
     assert keys["errstate_raise"] == keys["defaults"]
 
 
+# the problems a caller's setting is drawn against, and the largest start scale
+# (a power of ten) of each: Rosenbrock's gradient overflows from about 1e103
+SETTING_PROBLEMS = {
+    "rosenbrock": (Rosenbrock(), 200),
+    "pwquad": (PiecewiseQuadratic(2), 40),
+    "ocp": (OcpControlProblem(OcpGrid(M=8)), 40),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(SETTING_PROBLEMS)),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(LINE_SEARCHES),
+    st.integers(0, 3),
+)
+def test_report_does_not_depend_on_the_callers_setting_for_any_start(problem_id, where, seed, ls, m):
+    # a start of scale 10^e, e uniform over [-3, the problem's largest], in a drawn direction
+    problem, largest = SETTING_PROBLEMS[problem_id]
+    exponent = -3.0 + where * (largest + 3.0)
+    x0 = 10.0**exponent * np.random.default_rng(seed).standard_normal(problem.space.dim)
+    config = SolverConfig(cautious=CautiousParams(m=m), linesearch=ls, max_iter=8,
+                          ls=LineSearchParams(maxfev=15), keep_iterates=False)
+    keys = {}
+    for name, setting in CALLER_SETTINGS.items():
+        with setting():
+            keys[name] = report_key(minimize(problem, problem.space, x0, config))
+    assert keys["warnings_as_errors"] == keys["defaults"]
+    assert keys["errstate_raise"] == keys["defaults"]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(sorted(PROBLEMS)),

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cautious_lbfgs import LineSearchError, LineSearchParams
+# scipy's private port of MINPACK-2's dcsrch/dcstep, the routines more_thuente
+# ports too; only the tests import it (CI pins scipy)
+from scipy.optimize._dcsrch import DCSRCH, dcstep
+
+from cautious_lbfgs import LineSearchError, LineSearchParams, linesearch
 from cautious_lbfgs.linesearch import (
     _trial_step,
     armijo_backtrack,
@@ -256,14 +260,13 @@ class TestMoreThuente:
         assert steps[:2] == [1.0, 0.5]
         assert steps[2] == pytest.approx(0.17, rel=1e-12)
 
-    def test_unbracketed_step_behind_best_goes_to_lower_bound(self):
+    def test_unbracketed_step_at_best_stays_put(self):
         # same slope sign, nondecreasing magnitude, no bracket, and the trial
-        # 0.5 lies behind the best step 1: the next trial is the lower bound
-        stx, fx, dx, _, _, _, stp, brackt = _trial_step(
-            1.0, 0.0, -1.0, 1.0, 0.0, -1.0, 0.5, -0.1, -2.0, False, 0.1, 0.4
-        )
-        assert (stp, brackt) == (0.1, False)
-        assert (stx, fx, dx) == (0.5, -0.1, -2.0)
+        # at the best step, where more_thuente passes stpmin == stpmax == stp:
+        # the next trial is that step, as in dcstep
+        args = (2.0, -1.0, -0.5, 0.0, 0.0, -1.0, 2.0, -1.0, -0.5, False, 2.0, 2.0)
+        assert _trial_step(*args) == (2.0, -1.0, -0.5, 0.0, 0.0, -1.0, 2.0, False)
+        assert _trial_step(*args) == dcstep(*args)
 
     def test_xtol_reported_distinctly(self):
         kink = 1.0 / math.e
@@ -297,16 +300,23 @@ class TestMoreThuente:
         assert err.value.reason == "rounding"
 
 
-@given(
+# (sigma, eta) pairs from the default to a nearly empty strong Wolfe window
+SIGMA_ETA = [(1e-4, 0.9), (1e-4, 0.1), (0.3, 0.5), (0.45, 0.451)]
+POLYNOMIAL_RAYS = (
     st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6),
     st.floats(1e-6, 1e6),
-    st.sampled_from([(1e-4, 0.9), (1e-4, 0.1), (0.3, 0.5), (0.45, 0.451)]),
+    st.sampled_from(SIGMA_ETA),
     st.integers(1, 60),
 )
-def test_more_thuente_returns_or_raises_line_search_error(coeffs, scale, sigma_eta, maxfev):
-    # a polynomial ray whose slope is off by a constant factor, as an
-    # inexact gradient gives; the search either returns or reports why not
-    coeffs[1] = -abs(coeffs[1]) - 1e-3
+
+
+def _polynomial_ray(coeffs, scale):
+    """phi and dphi of a polynomial ray whose slope is off by the factor ``scale``.
+
+    The linear coefficient is made negative, so dphi(0) < 0; a scale
+    other than 1 is what an inexact gradient gives.
+    """
+    coeffs = [coeffs[0], -abs(coeffs[1]) - 1e-3, *coeffs[2:]]
 
     def phi(a):
         value = 0.0
@@ -320,6 +330,13 @@ def test_more_thuente_returns_or_raises_line_search_error(coeffs, scale, sigma_e
             value = value * a + i * coeffs[i]
         return scale * value
 
+    return phi, dphi
+
+
+@given(*POLYNOMIAL_RAYS)
+def test_more_thuente_returns_or_raises_line_search_error(coeffs, scale, sigma_eta, maxfev):
+    # the search either returns or reports why not
+    phi, dphi = _polynomial_ray(coeffs, scale)
     sigma, eta = sigma_eta
     params = LineSearchParams(sigma=sigma, eta=eta, maxfev=maxfev)
     try:
@@ -327,6 +344,32 @@ def test_more_thuente_returns_or_raises_line_search_error(coeffs, scale, sigma_e
     except LineSearchError:
         return
     assert out.alpha > 0.0
+
+
+@given(*POLYNOMIAL_RAYS)
+def test_unbracketed_trial_never_lies_behind_the_best_step(coeffs, scale, sigma_eta, maxfev):
+    # without a bracket, dcstep's fourth case takes stpmin where the trial
+    # lies behind the best step and _trial_step's always takes stpmax: the
+    # same step, because more_thuente never makes that call and, at the
+    # best step, passes a window of one point
+    calls = []
+
+    def recording(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+        if not brackt:
+            calls.append((stx, stp, stpmin, stpmax))
+        return _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax)
+
+    phi, dphi = _polynomial_ray(coeffs, scale)
+    sigma, eta = sigma_eta
+    params = LineSearchParams(sigma=sigma, eta=eta, maxfev=maxfev)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linesearch, "_trial_step", recording)
+        try:
+            more_thuente(phi, dphi, params, phi0=phi(0.0), dphi0=dphi(0.0))
+        except LineSearchError:
+            pass
+    for stx, stp, stpmin, stpmax in calls:
+        assert stp > stx or stpmin == stpmax == stp == stx
 
 
 def _random_smooth_problem(rng):
@@ -395,3 +438,123 @@ def test_searches_are_deterministic():
     second = more_thuente(phi, dphi, P, phi0=phi(0), dphi0=dphi(0))
     assert first.alpha == second.alpha
     assert first.n_feval == second.n_feval
+
+
+# more_thuente's failure reasons and the warnings dcsrch ends with in their place
+DCSRCH_WARNINGS = {
+    "maxfev": b"WARNING: dcsrch did not converge within max iterations",
+    "stpmin": b"WARNING: STP = STPMIN",
+    "stpmax": b"WARNING: STP = STPMAX",
+    "xtol": b"WARNING: XTOL TEST SATISFIED",
+    "rounding": b"WARNING: ROUNDING ERRORS PREVENT PROGRESS",
+}
+
+
+def assert_same_search_as_dcsrch(phi, dphi, params):
+    """more_thuente makes dcsrch's trial steps and ends as dcsrch does; False if skipped.
+
+    dcsrch evaluates a step before it tests the one before, so where the
+    budget runs out it has evaluated one step more, which it never tests.
+    Where an interpolation divides by zero, more_thuente ends with
+    ``rounding``; scipy's port either raises ZeroDivisionError or, on
+    numpy scalars, makes an infinite step that it may clip to a bound
+    and evaluate, or ends with a bare WARN.  Those searches are skipped.
+    """
+    phi0, dphi0 = phi(0.0), dphi(0.0)
+    ours, theirs = counted(phi), counted(phi)
+    try:
+        alpha, reason = more_thuente(ours, dphi, params, phi0=phi0, dphi0=dphi0).alpha, None
+    except LineSearchError as err:
+        alpha, reason = None, err.reason
+    search = DCSRCH(theirs, dphi, params.sigma, params.eta, params.xtol, params.stpmin, params.stpmax)
+    try:
+        with np.errstate(all="ignore"):
+            stp, _, _, task = search(1.0, phi0=phi0, derphi0=dphi0, maxiter=params.maxfev + 1)
+    except ZeroDivisionError:
+        task = b"WARN"
+    if task == b"WARN":
+        assert reason in ("rounding", "maxfev")
+        return False
+    assert [a for a, _ in ours.calls] == [a for a, _ in theirs.calls][:params.maxfev]
+    if reason is None:
+        assert task == b"CONVERGENCE" and stp == alpha
+    else:
+        assert task == DCSRCH_WARNINGS[reason]
+    return True
+
+
+def test_more_thuente_makes_the_trials_of_minpack2():
+    # seeded smooth searches at four (sigma, eta) pairs
+    rng = np.random.default_rng(19940901)
+    compared = 0
+    for i in range(5000):
+        phi, dphi = _random_smooth_problem(rng)
+        if not dphi(0.0) < 0.0:
+            continue
+        sigma, eta = SIGMA_ETA[i % len(SIGMA_ETA)]
+        compared += assert_same_search_as_dcsrch(phi, dphi, LineSearchParams(sigma=sigma, eta=eta))
+    assert compared > 4000
+
+
+@given(*POLYNOMIAL_RAYS)
+def test_more_thuente_makes_the_trials_of_minpack2_on_polynomial_rays(coeffs, scale, sigma_eta, maxfev):
+    # an inexact slope makes most of these searches fail, each for a reason
+    phi, dphi = _polynomial_ray(coeffs, scale)
+    sigma, eta = sigma_eta
+    assert_same_search_as_dcsrch(phi, dphi, LineSearchParams(sigma=sigma, eta=eta, maxfev=maxfev))
+
+
+def _dcstep_discriminant(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt):
+    """The discriminant of dcstep's unclipped square root for these inputs, or None.
+
+    dcstep clips it to 0 in its third case only, and _trial_step clips it
+    in every case; the unbracketed fourth case takes no root.
+    """
+    if fp > fx or dp * math.copysign(1.0, dx) < 0.0:
+        sa, fa, da, sb, fb, db = stx, fx, dx, stp, fp, dp
+    elif abs(dp) < abs(dx) or not brackt:
+        return None
+    else:
+        sa, fa, da, sb, fb, db = stp, fp, dp, sty, fy, dy
+    theta = 3.0 * (fa - fb) / (sb - sa) + da + db
+    s = max(abs(theta), abs(da), abs(db))
+    return (theta / s) ** 2 - (da / s) * (db / s)
+
+
+def _dcstep_inputs(rng):
+    """Random dcstep inputs of the kind more_thuente makes.
+
+    The trial lies inside the bracket or, without one, beyond stx, and
+    the slope at stx points toward it.
+    """
+    brackt = bool(rng.random() < 0.5)
+    stx, other = rng.uniform(0.0, 10.0, size=2)
+    if brackt:
+        sty = other
+        stp = float(min(stx, sty) + rng.uniform(0.01, 0.99) * abs(sty - stx))
+    else:
+        sty = float(rng.uniform(0.0, stx))
+        stp = float(stx + rng.uniform(0.01, 10.0))
+    dx = -math.copysign(float(rng.uniform(0.01, 5.0)), stp - stx)
+    fx, fy, fp = rng.uniform(-2.0, 2.0, size=3)
+    dy, dp = rng.uniform(-5.0, 5.0, size=2)
+    stpmin, stpmax = sorted(rng.uniform(0.0, 30.0, size=2))
+    return (float(stx), float(fx), dx, float(sty), float(fy), float(dy), stp, float(fp), float(dp),
+            brackt, float(stpmin), float(stpmax))
+
+
+def test_trial_step_is_dcstep_bit_for_bit():
+    rng = np.random.default_rng(19931101)
+    compared = 0
+    for _ in range(20000):
+        args = _dcstep_inputs(rng)
+        disc = _dcstep_discriminant(*args[:10])
+        if disc is not None and disc < 0.0:
+            continue
+        ours = _trial_step(*args)
+        with np.errstate(all="ignore"):
+            theirs = dcstep(*args)
+        assert ours[7] is theirs[7]
+        assert [float(v).hex() for v in ours[:7]] == [float(v).hex() for v in theirs[:7]]
+        compared += 1
+    assert compared > 15000

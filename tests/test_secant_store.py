@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,23 @@ class TestCautiousParams:
         assert CautiousParams(m=2).c2 == 1 / 7
         assert CautiousParams(m=0).c2 == 1 / 3
 
+    @pytest.mark.parametrize("m", [0, 1, 5, 10])
+    def test_defaults(self, m):
+        params = CautiousParams(m=m)
+        assert (params.c0, params.c1, params.c2) == (1e-4, 1.0, 1.0 / (2 * m + 3))
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 10])
+    @pytest.mark.parametrize("ls, bound", [("armijo", 1), ("gll", 1), ("wolfe", 2), ("mt", 2)])
+    def test_rate_guard_edges(self, m, ls, bound):
+        # c2 below 1/(2m + 1), or 1/(2m + 2) for the Wolfe searches, stays
+        # silent; c2 at that bound warns
+        edge = 1.0 / (2 * m + bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SolverConfig(cautious=CautiousParams(m=m, c2=math.nextafter(edge, 0.0)), linesearch=ls)
+        with pytest.warns(UserWarning, match="linear-rate"):
+            SolverConfig(cautious=CautiousParams(m=m, c2=edge), linesearch=ls)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CautiousParams(m=-1)
@@ -94,8 +112,6 @@ class TestCautiousParams:
         with pytest.warns(UserWarning, match="linear-rate"):
             SolverConfig(cautious=CautiousParams(m=2, c2=0.5), linesearch="armijo")
         # the default choice stays silent, also under the tighter Wolfe bound
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             SolverConfig(cautious=CautiousParams(m=2), linesearch="wolfe")
@@ -232,8 +248,12 @@ def test_store_invariants_after_any_push_sequence(raw):
     for p in store.pairs:
         assert p.sy > 0.0
         assert p.quality > 0.0
-    # the scalar is the latest push's: None unless that push was accepted
-    assert (store.bb_scaling is not None) == accepted
+    # the scalar is the latest push's, None unless that push was accepted,
+    # and 1, the unscaled seed, before any push
+    if raw:
+        assert (store.bb_scaling is not None) == accepted
+    else:
+        assert store.bb_scaling == 1.0
     assert store.bb_scaling is None or store.bb_scaling >= 0.0
 
 
@@ -291,7 +311,7 @@ class TestChooseSeedScaling:
         return store
 
     def test_point_interval(self):
-        assert choose_seed_scaling(self._store(0.5), 1e-4) == 0.5
+        assert choose_seed_scaling(self._store(0.5), 1e-4, 2.0) == 0.5
 
     def test_degenerate_interval_uses_fallback(self):
         store = self._store(None)
@@ -300,20 +320,20 @@ class TestChooseSeedScaling:
 
     def test_empty_intersection_clamps_into_threshold_interval(self):
         # a scaling below or above [1e-4, 1e4] goes to the nearer end
-        assert choose_seed_scaling(self._store(1e-6), 1e-4) == 1e-4
-        assert choose_seed_scaling(self._store(1e5), 1e-4) == 1e4
+        assert choose_seed_scaling(self._store(1e-6), 1e-4, 2.0) == 1e-4
+        assert choose_seed_scaling(self._store(1e5), 1e-4, 2.0) == 1e4
 
     def test_unrestricted_returns_target(self):
         # filter level 0 is the classical, unclamped scaling
-        assert choose_seed_scaling(self._store(1e-6), 0.0) == 1e-6
+        assert choose_seed_scaling(self._store(1e-6), 0.0, 2.0) == 1e-6
         assert choose_seed_scaling(self._store(None), 0.0, fallback=7.0) == 7.0
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            choose_seed_scaling(self._store(1.0), -1e-300)
+            choose_seed_scaling(self._store(1.0), -1e-300, 2.0)
         with pytest.raises(ValueError):
-            choose_seed_scaling(self._store(1.0), 1.5)
-        assert choose_seed_scaling(self._store(1.0), 0.0) == 1.0
+            choose_seed_scaling(self._store(1.0), 1.5, 2.0)
+        assert choose_seed_scaling(self._store(1.0), 0.0, 2.0) == 1.0
 
     @given(
         st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),
