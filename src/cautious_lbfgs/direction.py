@@ -72,7 +72,7 @@ def two_loop_norms(space: Space, pairs: Sequence[SecantPair], gamma: float) -> t
     compression there, plus gamma when the subspace is proper.  The
     compression is the same recursion run on the pairs' coordinates in
     an orthonormal basis of such a subspace, applied to the identity of
-    its dimension m = min(n, 2k), and one m x m ``eigvalsh`` gives its
+    its dimension m = min(n, 2k), and one m x m ``dsyevd`` gives its
     spectrum.  The basis follows one rule.  When n <= 2k, it is the
     standard basis of the whole space, the coordinates are the pairs
     themselves, and no factorization is made.  When n > 2k, the QR
@@ -88,6 +88,17 @@ def two_loop_norms(space: Space, pairs: Sequence[SecantPair], gamma: float) -> t
     the largest and the inverse of the smallest eigenvalue modulus; a
     singular operator has an infinite inverse norm.
 
+    The QR factorization and the eigenvalues are LAPACK's ``dgeqrf``
+    and ``dsyevd`` (lower triangle), one call each through
+    ``scipy.linalg.lapack`` with the workspace sizes LAPACK's own query
+    returns.  Those are the routines and sizes under ``np.linalg.qr``
+    and ``np.linalg.eigvalsh``, so the norms keep their bits without
+    numpy's per-call wrapper, which costs more than LAPACK's work at
+    these sizes; a smaller workspace changes the bits from 33 rows or
+    129 columns on.  ``scipy.linalg`` is imported on the first call
+    that has pairs, a one-time cost of about 0.25 s.  An eigenvalue
+    iteration that does not converge raises ``np.linalg.LinAlgError``.
+
     For k pairs this costs O(n k^2 + k^3), against O(k n^3) for
     :func:`dense_hessian_inverse`; without pairs the norms are gamma and
     1/gamma with no LAPACK call, and with n <= 2k no QR call.
@@ -95,16 +106,33 @@ def two_loop_norms(space: Space, pairs: Sequence[SecantPair], gamma: float) -> t
     _validate_operator_inputs(pairs, gamma)
     if not pairs:
         return gamma, 1.0 / gamma
+    from scipy.linalg import lapack
+
     k = len(pairs)
     if space.dim <= 2 * k:
         compressed = _recursion(space.weight, pairs, gamma, np.eye(space.dim))
     else:
-        R = np.linalg.qr(np.column_stack([p.s for p in pairs] + [p.y for p in pairs]), mode="r")
+        # the pairs as rows: their transpose is [S Y] in Fortran order,
+        # which dgeqrf factors in place.  R is C-ordered, so the recursion
+        # reads strided columns of it; contiguous ones would change the
+        # BLAS's summation order, and the bits
+        rows = np.array([p.s for p in pairs] + [p.y for p in pairs])
+        work, _ = lapack.dgeqrf_lwork(space.dim, 2 * k)
+        factor, _, _, _ = lapack.dgeqrf(rows.T, lwork=int(work), overwrite_a=1)
+        R = np.triu(factor[:2 * k])
         coords = [SimpleNamespace(s=R[:, i], y=R[:, k + i], sy=p.sy) for i, p in enumerate(pairs)]
-        compressed = _recursion(space.weight, coords, gamma, np.eye(R.shape[0]))
-    magnitudes = np.abs(np.linalg.eigvalsh(compressed))
-    smallest = float(magnitudes.min())
-    return float(magnitudes.max()), 1.0 / smallest if smallest > 0.0 else math.inf
+        compressed = _recursion(space.weight, coords, gamma, np.eye(2 * k))
+    work, iwork, _ = lapack.dsyevd_lwork(compressed.shape[0], compute_v=0, lower=1)
+    eigenvalues, _, info = lapack.dsyevd(compressed, compute_v=0, lower=1, lwork=int(work), liwork=iwork)
+    if info > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    magnitudes = [abs(v) for v in eigenvalues.tolist()]
+    if math.isnan(sum(magnitudes)):
+        # an overflowed compression, whose NaN eigenvalues LAPACK sorts
+        # anywhere: ||H|| is NaN and no modulus is a positive smallest
+        return math.nan, math.inf
+    smallest = min(magnitudes)
+    return max(magnitudes), 1.0 / smallest if smallest > 0.0 else math.inf
 
 
 def _validate_dense_inputs(space: Space, pairs: Sequence[SecantPair], gamma: float) -> None:

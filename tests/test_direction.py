@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
+from scipy.linalg import lapack
 
 from cautious_lbfgs import (
     BoundReport,
@@ -15,7 +17,7 @@ from cautious_lbfgs import (
     cautious_bound_report,
     two_loop_norms,
 )
-from cautious_lbfgs.direction import dense_hessian_inverse, two_loop
+from cautious_lbfgs.direction import _recursion, dense_hessian_inverse, two_loop
 
 
 def dense_norms(matrix) -> tuple[float, float]:
@@ -26,6 +28,26 @@ def dense_norms(matrix) -> tuple[float, float]:
     is the matrix 2-norm.
     """
     magnitudes = np.abs(np.linalg.eigvalsh(matrix))
+    smallest = float(magnitudes.min())
+    return float(magnitudes.max()), 1.0 / smallest if smallest > 0.0 else math.inf
+
+
+def numpy_two_loop_norms(space, pairs, gamma) -> tuple[float, float]:
+    """``two_loop_norms`` by ``np.linalg.qr`` and ``np.linalg.eigvalsh``, the oracle of its bits.
+
+    The same basis rule and recursion; numpy wraps the LAPACK routines
+    that ``two_loop_norms`` calls directly, so the two agree bit for bit.
+    """
+    if not pairs:
+        return gamma, 1.0 / gamma
+    k = len(pairs)
+    if space.dim <= 2 * k:
+        compressed = _recursion(space.weight, pairs, gamma, np.eye(space.dim))
+    else:
+        R = np.linalg.qr(np.column_stack([p.s for p in pairs] + [p.y for p in pairs]), mode="r")
+        coords = [SimpleNamespace(s=R[:, i], y=R[:, k + i], sy=p.sy) for i, p in enumerate(pairs)]
+        compressed = _recursion(space.weight, coords, gamma, np.eye(R.shape[0]))
+    magnitudes = np.abs(np.linalg.eigvalsh(compressed))
     smallest = float(magnitudes.min())
     return float(magnitudes.max()), 1.0 / smallest if smallest > 0.0 else math.inf
 
@@ -363,8 +385,8 @@ class TestTwoLoopOperator:
         def forbidden(*args, **kwargs):
             raise AssertionError("LAPACK call without pairs")
 
-        for name in ("qr", "svd", "eigvalsh", "eigh"):
-            monkeypatch.setattr(np.linalg, name, forbidden)
+        for name in ("dgeqrf", "dgeqrf_lwork", "dsyevd", "dsyevd_lwork"):
+            monkeypatch.setattr(lapack, name, forbidden)
         assert two_loop_norms(Space(300), [], 0.3) == (0.3, 1.0 / 0.3)
 
     @pytest.mark.parametrize("dim, k", [(2, 1), (2, 2), (2, 3), (2, 4), (4, 2), (6, 3), (8, 4)])
@@ -376,9 +398,63 @@ class TestTwoLoopOperator:
         def forbidden(*args, **kwargs):
             raise AssertionError("QR factorization with n <= 2k")
 
-        monkeypatch.setattr(np.linalg, "qr", forbidden)
+        for name in ("dgeqrf", "dgeqrf_lwork"):
+            monkeypatch.setattr(lapack, name, forbidden)
         for space, pairs, gamma in instances:
             assert_norms_match_dense(space, pairs, gamma)
+
+    @pytest.mark.parametrize("weight", [1.0, 1.0 / 32**2])
+    def test_lapack_gives_the_bits_of_numpy_linalg(self, monkeypatch, weight):
+        # both bases, n from 2 to 961 and pair scales 1e-8 to 1e8; 2k >= 33
+        # rows reduce blocked in dsyevd, and more than 128 columns factor
+        # blocked in dgeqrf, where any workspace but the queried one moves
+        # the bits.  Every norm is computed with np.linalg intact, then the
+        # audit runs with np.linalg's routines forbidden
+        rng = np.random.default_rng(int(weight == 1.0))
+        shapes = [(2, 1), (2, 4), (5, 3), (6, 3), (7, 3), (40, 5), (300, 5), (300, 10), (961, 10),
+                  (34, 17), (40, 20), (300, 17), (140, 70), (200, 66), (300, 70)]
+        cases = []
+        for dim, k in shapes:
+            space = Space(dim, weight)
+            for _ in range(4 if k > 10 else 20):
+                scale = 10.0 ** rng.uniform(-8.0, 8.0)
+                store = SecantStore(capacity=k)
+                for i in range(k):
+                    s = scale * rng.standard_normal(dim)
+                    assert store.push(space, s, rng.uniform(0.1, 10.0, size=dim) * s, index=i)
+                gamma = float(10.0 ** rng.uniform(-3.0, 3.0))
+                cases.append((space, store.pairs, gamma, numpy_two_loop_norms(space, store.pairs, gamma)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg call in two_loop_norms")
+
+        for name in np.linalg.__all__:
+            if name != "LinAlgError":
+                monkeypatch.setattr(np.linalg, name, forbidden)
+        for space, pairs, gamma, expected in cases:
+            assert two_loop_norms(space, pairs, gamma) == expected, (space.dim, len(pairs))
+
+    def test_overflowed_compression_gives_the_norms_of_numpy_linalg(self):
+        # gamma 1e200 overflows the compression of these pairs to a NaN
+        # eigenvalue beside finite ones, in whatever order LAPACK sorts it
+        space = Space(3)
+        store = SecantStore(capacity=2)
+        assert store.push(space, [1e150, 0.0, 0.0], [1e50, 0.0, 0.0], index=0)
+        assert store.push(space, [0.0, 1e150, 0.0], [0.0, 1e150, 0.0], index=1)
+        with np.errstate(all="ignore"):
+            expected = numpy_two_loop_norms(space, store.pairs, 1e200)
+            assert math.isnan(expected[0]) and expected[1] == math.inf
+            norm_h, norm_h_inv = two_loop_norms(space, store.pairs, 1e200)
+        assert math.isnan(norm_h) and norm_h_inv == math.inf
+
+    def test_unconverged_eigenvalues_raise(self, monkeypatch):
+        def unconverged(a, **kwargs):
+            return np.zeros(len(a)), np.zeros((0, 0)), 1
+
+        space, pairs, gamma = instance_with_pairs(np.random.default_rng(5), 6, 2, 1.0)
+        monkeypatch.setattr(lapack, "dsyevd", unconverged)
+        with pytest.raises(np.linalg.LinAlgError):
+            two_loop_norms(space, pairs, gamma)
 
     @pytest.mark.parametrize("weight", [1.0, 0.3])
     @pytest.mark.parametrize("extra", [0, 1])

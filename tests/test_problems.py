@@ -679,6 +679,32 @@ def test_scipy_sparse_imported_on_first_use():
     assert run.returncode == 0, run.stderr
 
 
+def test_scipy_linalg_imported_on_the_first_audit_with_pairs():
+    # scipy.linalg takes about 0.25 s to import, and only the norm audit
+    # of an operator with pairs calls LAPACK through it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import cautious_lbfgs.cli\n"
+        "from cautious_lbfgs import CautiousParams, Rosenbrock, SolverConfig, minimize\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported with the package'\n"
+        "prob = Rosenbrock()\n"
+        "def solve(m, audit):\n"
+        "    config = SolverConfig(cautious=CautiousParams(m=m), oracle_checks=audit)\n"
+        "    return minimize(prob, prob.space, np.array([-1.2, 1.0]), config)\n"
+        "assert solve(3, False).status == 'converged'\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported by an unaudited solve'\n"
+        "assert len(solve(0, True).audits) > 0\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported by an audit without pairs'\n"
+        "assert solve(1, True).status == 'converged'\n"
+        "assert 'scipy.linalg.lapack' in sys.modules\n"
+    )
+    src = str(Path(problems.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_type_hints_resolve_before_first_use():
     # every annotation must name something its module holds from import
     # on, not a name such as problems.sp that appears on first use; a
