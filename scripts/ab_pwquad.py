@@ -4,7 +4,10 @@
 Each tree's package is imported under its own name, so both share one
 process and its speed drift.  ``--problem pwquad`` (the default) solves
 PiecewiseQuadratic(100) at grad_tol 1e-5, armijo and wolfe at m = 0, 5,
-10, in batches of 25 seeded normal starts.  ``--problem rosenbrock``
+10, in batches of 25 seeded normal starts.  ``--problem pwquad-audit``
+solves the same problem and configs with the norm audit on, in batches
+of three starts: its b and two seeded perturbations b + 1e-6 N(0, I).
+Its audits run on QR coordinates, since n = 300 > 2k.  ``--problem rosenbrock``
 solves Rosenbrock from (-1.2, 1) at grad_tol 1e-9 with the norm audit on,
 in the configs of ``--table t2`` (armijo and mt at m = 0..4) plus gll at
 m = 0, one solve per batch.  Each solve is timed through ``minimize``
@@ -12,7 +15,9 @@ then ``q_factors``, after one untimed audited solve per tree, which
 takes the one-time costs of a first audit, such as an import, out of
 every timed batch.  The trees take turns going first, and each batch
 must give the same x_final and q-factor bits in both.  Prints us per
-iteration per config and the NEW / OLD ratio of the total times.  Where
+iteration per config with its NEW / OLD time ratio, the median of those
+ratios, and the ratio of the total times, which the config with the
+most iterations can decide (``mt m=0`` on Rosenbrock).  Where
 the audit is on, each batch must also give every iteration's ||H|| and
 ||H^{-1}|| within the audit's own relative slack in both trees, and the
 largest relative difference is printed:
@@ -22,6 +27,7 @@ largest relative difference is printed:
 
 import argparse
 import importlib.util
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -30,22 +36,32 @@ import numpy as np
 
 BATCH = 25
 AUDIT_SLACK = 1e-9  # the relative slack of BoundReport.ok
+AUDIT_PERTURBATION = 1e-6
 ROSENBROCK_START = np.array([-1.2, 1.0])
-# name: (problem from the package, configs, grad_tol, audit, starts of one batch)
+T3_CONFIGS = [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "wolfe")]
+# name: (problem from the package, configs, grad_tol, audit, starts of one batch from rng and problem)
 PROBLEMS = {
     "pwquad": (
         lambda lib: lib.PiecewiseQuadratic(100),
-        [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "wolfe")],
+        T3_CONFIGS,
         1e-5,
         False,
-        lambda rng: [rng.standard_normal(300) for _ in range(BATCH)],
+        lambda rng, problem: [rng.standard_normal(300) for _ in range(BATCH)],
+    ),
+    "pwquad-audit": (
+        lambda lib: lib.PiecewiseQuadratic(100),
+        T3_CONFIGS,
+        1e-5,
+        True,
+        lambda rng, problem: [problem.b.copy()] + [
+            problem.b + AUDIT_PERTURBATION * rng.standard_normal(300) for _ in range(2)],
     ),
     "rosenbrock": (
         lambda lib: lib.Rosenbrock(),
         [(ls, m) for m in range(5) for ls in ("armijo", "mt")] + [("gll", 0)],
         1e-9,
         True,
-        lambda rng: [ROSENBROCK_START],
+        lambda rng, problem: [ROSENBROCK_START],
     ),
 }
 
@@ -93,16 +109,17 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=4, help="batches per config and tree")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    _, configs, _, _, make_starts = PROBLEMS[args.problem]
+    make_problem, configs, _, _, make_starts = PROBLEMS[args.problem]
     libs = {"old": load(args.old_src, "ab_old"), "new": load(args.new_src, "ab_new")}
     for lib in libs.values():
         batch(lib, "rosenbrock", ("armijo", 1), [ROSENBROCK_START])
     rng = np.random.default_rng(args.seed)
+    problem = make_problem(libs["old"])
     totals = {(tree, c): np.zeros(2) for tree in libs for c in configs}  # ns, iterations
     worst_audit = 0.0
     for r in range(args.rounds):
         for i, config in enumerate(configs):
-            starts = make_starts(rng)
+            starts = make_starts(rng, problem)
             order = ("old", "new") if (r + i) % 2 == 0 else ("new", "old")
             results = {tree: batch(libs[tree], args.problem, config, starts) for tree in order}
             assert results["old"][2] == results["new"][2], f"bits differ: round {r}, {config}"
@@ -113,11 +130,14 @@ def main() -> None:
             worst_audit = max(worst_audit, diff)
             for tree, (ns, iters, _, _) in results.items():
                 totals[tree, config] += (ns, iters)
-    print("config,old_us_per_iter,new_us_per_iter,iters")
+    print("config,old_us_per_iter,new_us_per_iter,ratio,iters")
+    ratios = []
     for ls, m in configs:
         old, new = (totals[t, (ls, m)] for t in ("old", "new"))
-        print(f"{ls} m={m},{old[0] / 1e3 / old[1]:.1f},{new[0] / 1e3 / new[1]:.1f},{new[1]:.0f}")
+        ratios.append(new[0] / old[0])
+        print(f"{ls} m={m},{old[0] / 1e3 / old[1]:.1f},{new[0] / 1e3 / new[1]:.1f},{ratios[-1]:.3f},{new[1]:.0f}")
     old, new = (sum(v[0] for (tree, _), v in totals.items() if tree == t) for t in ("old", "new"))
+    print(f"median config time ratio new/old: {statistics.median(ratios):.3f}")
     print(f"total time ratio new/old: {new / old:.3f}")
     if PROBLEMS[args.problem][3]:
         print(f"largest relative audit difference new/old: {worst_audit:.3g}")

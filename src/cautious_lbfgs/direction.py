@@ -14,8 +14,8 @@ inner product of the supplied space, not the Euclidean one.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
@@ -45,21 +45,32 @@ def _recursion(weight: float, pairs: Sequence, gamma: float, q: np.ndarray) -> n
 
     Each pair has attributes s, y and sy = inner(s, y), oldest first; s
     and y are coordinates whose inner product is ``weight`` times the dot
-    product.  q is a vector or a block of columns, and each rank-one
-    correction a scaled vector or an outer product: for a scalar
-    coefficient the two products agree bit for bit.  ``ndarray.dot`` is
-    the routine ``np.dot`` dispatches to, called without the dispatch.
+    product.  q is a vector or an F-ordered block of columns, and the
+    rank of q chooses each rank-one correction's update.  A vector takes
+    numpy's scaled vector, whose bits define every iterate.  A block
+    takes one BLAS ``dger`` call in place, A <- A + alpha x c^T, whose
+    fused multiply-add rounds once where an outer product and a
+    subtraction round twice.  ``ndarray.dot`` is the routine ``np.dot``
+    dispatches to, called without the dispatch.
     """
-    scaled = operator.mul if q.ndim == 1 else np.multiply.outer
+    block = q.ndim == 2
+    if block:
+        from scipy.linalg.blas import dger
     coeffs = []
     for pair in reversed(pairs):
         a = weight * pair.s.dot(q) / pair.sy
         coeffs.append(a)
-        q -= scaled(pair.y, a)
+        if block:
+            q = dger(-1.0, pair.y, a, a=q, overwrite_a=1)
+        else:
+            q -= pair.y * a
     r = gamma * q
     for pair, a in zip(pairs, reversed(coeffs)):
         b = weight * pair.y.dot(r) / pair.sy
-        r += scaled(pair.s, a - b)
+        if block:
+            r = dger(1.0, pair.s, a - b, a=r, overwrite_a=1)
+        else:
+            r += pair.s * (a - b)
     return r
 
 
@@ -92,12 +103,21 @@ def two_loop_norms(space: Space, pairs: Sequence[SecantPair], gamma: float) -> t
     and ``dsyevd`` (lower triangle), one call each through
     ``scipy.linalg.lapack`` with the workspace sizes LAPACK's own query
     returns.  Those are the routines and sizes under ``np.linalg.qr``
-    and ``np.linalg.eigvalsh``, so the norms keep their bits without
+    and ``np.linalg.eigvalsh``, so they give numpy's bits without
     numpy's per-call wrapper, which costs more than LAPACK's work at
     these sizes; a smaller workspace changes the bits from 33 rows or
-    129 columns on.  ``scipy.linalg`` is imported on the first call
-    that has pairs, a one-time cost of about 0.25 s.  An eigenvalue
-    iteration that does not converge raises ``np.linalg.LinAlgError``.
+    129 columns on.  R is the leading block of the Fortran-ordered
+    factor, so its columns are contiguous, and the compression is built
+    in place in a Fortran-ordered block that ``dsyevd`` takes uncopied.
+    Each of the recursion's 2k rank-one updates of that block is one
+    BLAS ``dger`` call in place, whose fused multiply-add rounds once
+    where an outer product and a subtraction round twice.  So the last
+    bits of the norms differ from those of an outer-product update, and
+    they depend on the BLAS kernel, as those of ``dgeqrf`` and
+    ``dsyevd`` do; no iterate depends on them.  ``scipy.linalg`` is
+    imported on the first call that has pairs, a one-time cost of
+    about 0.25 s.  An eigenvalue iteration that does not converge
+    raises ``np.linalg.LinAlgError``.
 
     For k pairs this costs O(n k^2 + k^3), against O(k n^3) for
     :func:`dense_hessian_inverse`; without pairs the norms are gamma and
@@ -110,20 +130,21 @@ def two_loop_norms(space: Space, pairs: Sequence[SecantPair], gamma: float) -> t
 
     k = len(pairs)
     if space.dim <= 2 * k:
-        compressed = _recursion(space.weight, pairs, gamma, np.eye(space.dim))
+        coords = pairs
     else:
         # the pairs as rows: their transpose is [S Y] in Fortran order,
-        # which dgeqrf factors in place.  R is C-ordered, so the recursion
-        # reads strided columns of it; contiguous ones would change the
-        # BLAS's summation order, and the bits
+        # which dgeqrf factors in place.  R is the factor's leading block
+        # with the Householder vectors below its diagonal zeroed, in place
         rows = np.array([p.s for p in pairs] + [p.y for p in pairs])
         work, _ = lapack.dgeqrf_lwork(space.dim, 2 * k)
         factor, _, _, _ = lapack.dgeqrf(rows.T, lwork=int(work), overwrite_a=1)
-        R = np.triu(factor[:2 * k])
+        R = factor[:2 * k]
+        np.copyto(R, 0.0, where=_strictly_lower(2 * k))
         coords = [SimpleNamespace(s=R[:, i], y=R[:, k + i], sy=p.sy) for i, p in enumerate(pairs)]
-        compressed = _recursion(space.weight, coords, gamma, np.eye(2 * k))
+    compressed = _recursion(space.weight, coords, gamma, np.eye(min(space.dim, 2 * k), order="F"))
     work, iwork, _ = lapack.dsyevd_lwork(compressed.shape[0], compute_v=0, lower=1)
-    eigenvalues, _, info = lapack.dsyevd(compressed, compute_v=0, lower=1, lwork=int(work), liwork=iwork)
+    eigenvalues, _, info = lapack.dsyevd(compressed, compute_v=0, lower=1, lwork=int(work), liwork=iwork,
+                                         overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     magnitudes = [abs(v) for v in eigenvalues.tolist()]
@@ -133,6 +154,14 @@ def two_loop_norms(space: Space, pairs: Sequence[SecantPair], gamma: float) -> t
         return math.nan, math.inf
     smallest = min(magnitudes)
     return max(magnitudes), 1.0 / smallest if smallest > 0.0 else math.inf
+
+
+@functools.lru_cache(maxsize=None)
+def _strictly_lower(m: int) -> np.ndarray:
+    """Read-only boolean mask of the strictly lower triangle of an m x m matrix."""
+    mask = np.tri(m, m, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _validate_dense_inputs(space: Space, pairs: Sequence[SecantPair], gamma: float) -> None:

@@ -220,7 +220,11 @@ def more_thuente(phi, dphi, params: LineSearchParams,
 
         try:
             if stage == 1 and f <= fx and f > ftest:
-                # work on the modified function psi(a) = phi(a) - phi(0) - sigma*dphi0*a
+                # work on the modified function psi(a) = phi(a) - phi(0) - sigma*dphi0*a.
+                # psi(stx) <= 0 < psi(stp) gives fm > fxm in exact arithmetic,
+                # but within an ulp or two of phi(0) the two can tie after
+                # rounding; _trial_step then leaves its first case and reads
+                # the far endpoint, which is why that is converted too
                 fm, gm = f - stp * gtest, g - gtest
                 fxm, gxm = fx - stx * gtest, gx - gtest
                 fym, gym = fy - sty * gtest, gy - gtest

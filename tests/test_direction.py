@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from cautious_lbfgs import (
     BoundReport,
@@ -35,18 +35,20 @@ def dense_norms(matrix) -> tuple[float, float]:
 def numpy_two_loop_norms(space, pairs, gamma) -> tuple[float, float]:
     """``two_loop_norms`` by ``np.linalg.qr`` and ``np.linalg.eigvalsh``, the oracle of its bits.
 
-    The same basis rule and recursion; numpy wraps the LAPACK routines
+    The same basis rule, and the library's compression: ``_recursion``
+    on the F-ordered identity, with the coordinates of R in contiguous
+    columns as the library reads them.  numpy wraps the LAPACK routines
     that ``two_loop_norms`` calls directly, so the two agree bit for bit.
     """
     if not pairs:
         return gamma, 1.0 / gamma
     k = len(pairs)
     if space.dim <= 2 * k:
-        compressed = _recursion(space.weight, pairs, gamma, np.eye(space.dim))
+        coords = pairs
     else:
-        R = np.linalg.qr(np.column_stack([p.s for p in pairs] + [p.y for p in pairs]), mode="r")
+        R = np.asfortranarray(np.linalg.qr(np.column_stack([p.s for p in pairs] + [p.y for p in pairs]), mode="r"))
         coords = [SimpleNamespace(s=R[:, i], y=R[:, k + i], sy=p.sy) for i, p in enumerate(pairs)]
-        compressed = _recursion(space.weight, coords, gamma, np.eye(R.shape[0]))
+    compressed = _recursion(space.weight, coords, gamma, np.eye(min(space.dim, 2 * k), order="F"))
     magnitudes = np.abs(np.linalg.eigvalsh(compressed))
     smallest = float(magnitudes.min())
     return float(magnitudes.max()), 1.0 / smallest if smallest > 0.0 else math.inf
@@ -433,6 +435,25 @@ class TestTwoLoopOperator:
                 monkeypatch.setattr(np.linalg, name, forbidden)
         for space, pairs, gamma, expected in cases:
             assert two_loop_norms(space, pairs, gamma) == expected, (space.dim, len(pairs))
+
+    @pytest.mark.parametrize("dim, k", [(2, 1), (2, 3), (6, 3), (7, 3), (300, 5)])
+    def test_audit_updates_in_place_and_leaves_the_pairs_unchanged(self, monkeypatch, dim, k):
+        # at n <= 2k the stored arrays themselves go to dger as x and y;
+        # every dger call must return the block it was given, updated in place
+        space, pairs, gamma = instance_with_pairs(np.random.default_rng(dim + k), dim, k, 0.3)
+        stored = [(p.s.tobytes(), p.y.tobytes(), p.sy) for p in pairs]
+        dger = blas.dger
+        calls = []
+
+        def in_place_dger(alpha, x, y, a, overwrite_a):
+            out = dger(alpha, x, y, a=a, overwrite_a=overwrite_a)
+            calls.append(out is a)
+            return out
+
+        monkeypatch.setattr(blas, "dger", in_place_dger)
+        two_loop_norms(space, pairs, gamma)
+        assert calls == [True] * (2 * k)
+        assert [(p.s.tobytes(), p.y.tobytes(), p.sy) for p in pairs] == stored
 
     def test_overflowed_compression_gives_the_norms_of_numpy_linalg(self):
         # gamma 1e200 overflows the compression of these pairs to a NaN

@@ -496,6 +496,31 @@ def test_more_thuente_makes_the_trials_of_minpack2():
     assert compared > 4000
 
 
+def test_modified_function_converts_the_far_endpoint_too():
+    # values within two ulps of phi(0) = 4: after rounding, the modified
+    # function at a trial can tie with its value at the best step, though
+    # psi(best) <= 0 < psi(trial) in exact arithmetic.  _trial_step then
+    # leaves its first case and reads the far endpoint, and dcsrch's
+    # trials follow only if that endpoint is converted as well
+    ray = {
+        0.0: (4.0, -2.491981495498741e-12),
+        1.0: (4.0, -1.9686653814440042e-13),
+        5.0: (4.0, 2.292622975858841e-13),
+        3.0365107875954305: (3.9999999999999996, -2.940538164688517e-13),
+        3.9561369262301183: (3.999999999999999, -6.852949112621535e-13),
+    }
+
+    def phi(alpha):
+        return ray.get(alpha, (4.0, 0.0))[0]
+
+    def dphi(alpha):
+        return ray.get(alpha, (4.0, 0.0))[1]
+
+    params = LineSearchParams(sigma=1e-4, eta=0.5)
+    assert assert_same_search_as_dcsrch(phi, dphi, params)
+    assert more_thuente(phi, dphi, params, phi0=4.0, dphi0=ray[0.0][1]).alpha == 3.9561369262301183
+
+
 @given(*POLYNOMIAL_RAYS)
 def test_more_thuente_makes_the_trials_of_minpack2_on_polynomial_rays(coeffs, scale, sigma_eta, maxfev):
     # an inexact slope makes most of these searches fail, each for a reason
