@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Interleaved A/B timing of two source trees on the piecewise quadratic or Rosenbrock.
+"""Interleaved A/B timing of two source trees on the piecewise quadratic, Rosenbrock or the control problem.
 
 Each tree's package is imported under its own name, so both share one
 process and its speed drift.  ``--problem pwquad`` (the default) solves
@@ -10,22 +10,29 @@ of three starts: its b and two seeded perturbations b + 1e-6 N(0, I).
 Its audits run on QR coordinates, since n = 300 > 2k.  ``--problem rosenbrock``
 solves Rosenbrock from (-1.2, 1) at grad_tol 1e-9 with the norm audit on,
 in the configs of ``--table t2`` (armijo and mt at m = 0..4) plus gll at
-m = 0, one solve per batch.  Each solve is timed through ``minimize``
-then ``q_factors``, after one untimed audited solve per tree, which
-takes the one-time costs of a first audit, such as an import, out of
-every timed batch.  The trees take turns going first, and each batch
-must give the same x_final and q-factor bits in both.  Prints us per
-iteration per config with its NEW / OLD time ratio, the median of those
-ratios, and the ratio of the total times, which the config with the
-most iterations can decide (``mt m=0`` on Rosenbrock).  Where
-the audit is on, each batch must also give every iteration's ||H|| and
-||H^{-1}|| within the audit's own relative slack in both trees, and the
-largest relative difference is printed:
+m = 0, one solve per batch.  ``--problem ocp`` solves the control
+problem at M = 32 in the configs of ``--table t4`` (sigma 1e-8 for mt),
+in batches of two starts: u = 0 and a control of 3 x 3 sine modes with
+seeded coefficients of scale 1e-3.  Its q-factors are taken against one
+reference solve per tree, the command line's (m = 10, armijo, to 1e-12),
+whose f and u bits must agree between the trees.  Each solve is timed
+through ``minimize`` then ``q_factors``, after one untimed audited solve
+per tree, which takes the one-time costs of a first audit, such as an
+import, out of every timed batch.  The trees take turns going first,
+and each batch must give the same x_final and q-factor bits in both.
+Prints us per iteration per config with its NEW / OLD time ratio, the
+median of those ratios, and the ratio of the total times, which the
+config with the most iterations can decide (``mt m=0`` on Rosenbrock).
+Where the audit is on, each batch must also give every iteration's ||H||
+and ||H^{-1}|| within the audit's own relative slack in both trees, and
+the largest relative difference is printed:
 
-    python3 scripts/ab_pwquad.py OLD_SRC NEW_SRC [--problem pwquad] [--rounds 4] [--seed 1]
+    python3 scripts/ab_pwquad.py OLD_SRC NEW_SRC [--problem pwquad|pwquad-audit|rosenbrock|ocp]
+        [--rounds 4] [--seed 1]
 """
 
 import argparse
+import importlib
 import importlib.util
 import statistics
 import sys
@@ -38,7 +45,21 @@ BATCH = 25
 AUDIT_SLACK = 1e-9  # the relative slack of BoundReport.ok
 AUDIT_PERTURBATION = 1e-6
 ROSENBROCK_START = np.array([-1.2, 1.0])
+OCP_M = 32
+OCP_START_SCALE = 1e-3
 T3_CONFIGS = [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "wolfe")]
+T4_CONFIGS = [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "mt")]
+
+
+def ocp_starts(rng, problem):
+    """u = 0 and a control of 3 x 3 sine modes with seeded coefficients of scale OCP_START_SCALE."""
+    nodes = np.arange(1, OCP_M) / OCP_M
+    coeffs = OCP_START_SCALE * rng.standard_normal(9)
+    modes = [np.outer(np.sin(k * np.pi * nodes), np.sin(l * np.pi * nodes)).ravel()
+             for k in (1, 2, 3) for l in (1, 2, 3)]
+    return [np.zeros(problem.space.dim), sum(c * mode for c, mode in zip(coeffs, modes))]
+
+
 # name: (problem from the package, configs, grad_tol, audit, starts of one batch from rng and problem)
 PROBLEMS = {
     "pwquad": (
@@ -63,6 +84,13 @@ PROBLEMS = {
         True,
         lambda rng, problem: [ROSENBROCK_START],
     ),
+    "ocp": (
+        lambda lib: lib.OcpControlProblem(lib.OcpGrid(M=OCP_M)),
+        T4_CONFIGS,
+        1e-9,
+        False,
+        ocp_starts,
+    ),
 }
 
 
@@ -77,17 +105,23 @@ def load(src: str, alias: str):
     return module
 
 
-def batch(lib, name, config, starts):
-    """(ns, iterations, result bits, (norm_h, norm_h_inv) of every audit) of one batch of solves."""
-    make_problem, _, grad_tol, audit, _ = PROBLEMS[name]
-    problem = make_problem(lib)
-    cfg = lib.SolverConfig(cautious=lib.CautiousParams(m=config[1]), linesearch=config[0],
+def batch(lib, name, config, starts, problem, reference):
+    """(ns, iterations, result bits, (norm_h, norm_h_inv) of every audit) of one batch of solves.
+
+    ``reference`` is the (f*, x*) of the q-factors.
+    """
+    _, _, grad_tol, audit, _ = PROBLEMS[name]
+    ls, m = config
+    # More-Thuente on the control problem at sigma 1e-8, as the benchmark's
+    # ocp-j5 and the mesh-independence criterion run it
+    params = lib.LineSearchParams(sigma=1e-8 if name == "ocp" and ls == "mt" else 1e-4)
+    cfg = lib.SolverConfig(cautious=lib.CautiousParams(m=m), linesearch=ls, ls=params,
                            grad_tol=grad_tol, oracle_checks=audit)
     ns, iters, bits, norms = 0, 0, [], []
     for x0 in starts:
         t0 = time.perf_counter_ns()
         report = lib.minimize(problem, problem.space, x0, cfg)
-        rates = lib.q_factors(report, problem.f_star, problem.x_star, problem.space)
+        rates = lib.q_factors(report, *reference, problem.space)
         ns += time.perf_counter_ns() - t0
         iters += report.n_iter
         bits.append((report.x_final.tobytes(), repr(rates)))
@@ -112,16 +146,25 @@ def main() -> None:
     make_problem, configs, _, _, make_starts = PROBLEMS[args.problem]
     libs = {"old": load(args.old_src, "ab_old"), "new": load(args.new_src, "ab_new")}
     for lib in libs.values():
-        batch(lib, "rosenbrock", ("armijo", 1), [ROSENBROCK_START])
+        rosenbrock = lib.Rosenbrock()
+        batch(lib, "rosenbrock", ("armijo", 1), [ROSENBROCK_START], rosenbrock,
+              (rosenbrock.f_star, rosenbrock.x_star))
+    problems = {tree: make_problem(lib) for tree, lib in libs.items()}
+    # analytic where the problem has it, else the command line's reference solve
+    references = {tree: importlib.import_module(f"{lib.__name__}.cli").reference_solution(problems[tree])
+                  for tree, lib in libs.items()}
+    (f_old, x_old), (f_new, x_new) = references["old"], references["new"]
+    assert (f_old, x_old.tobytes()) == (f_new, x_new.tobytes()), "reference solutions differ"
     rng = np.random.default_rng(args.seed)
-    problem = make_problem(libs["old"])
+    problem = problems["old"]
     totals = {(tree, c): np.zeros(2) for tree in libs for c in configs}  # ns, iterations
     worst_audit = 0.0
     for r in range(args.rounds):
         for i, config in enumerate(configs):
             starts = make_starts(rng, problem)
             order = ("old", "new") if (r + i) % 2 == 0 else ("new", "old")
-            results = {tree: batch(libs[tree], args.problem, config, starts) for tree in order}
+            results = {tree: batch(libs[tree], args.problem, config, starts, problems[tree], references[tree])
+                       for tree in order}
             assert results["old"][2] == results["new"][2], f"bits differ: round {r}, {config}"
             old_norms, new_norms = results["old"][3], results["new"][3]
             assert old_norms.shape == new_norms.shape, f"audit counts differ: round {r}, {config}"

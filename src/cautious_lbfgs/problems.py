@@ -237,9 +237,22 @@ class OcpControlProblem(Problem):
         self._eigenvalues = lam[:, None] + lam + 1.0
 
     def _solve_at_zero(self, r: np.ndarray) -> np.ndarray:
-        """Solve (A + I) x = r in the sine basis of A."""
+        """Solve (A + I) x = r in the sine basis of A.
+
+        The four products are ``ndarray.dot`` GEMMs: at M <= 32 the
+        dispatch of ``@`` costs about as much as the GEMM itself, and both
+        reach ``cblas_dgemm`` with the same arguments, hence the same bits.
+        The GEMM accumulates each entry from +0, so ``@`` returns no -0.
+        At M = 2 ``dot`` takes the 1 x 1 products as plain
+        multiplications, which can give -0; the +0 added to the result
+        keeps the bits of ``@`` there too.
+        """
         V = self._sine
-        return (V @ ((V @ r.reshape(V.shape) @ V) / self._eigenvalues) @ V).ravel()
+        x = V.dot(r.reshape(V.shape)).dot(V)
+        x /= self._eigenvalues
+        x = V.dot(x).dot(V).ravel()
+        x += 0.0
+        return x
 
     def _jacobian_lu(self, y: np.ndarray):
         """SuperLU factor of the Jacobian A + diag(exp(y))."""
@@ -274,7 +287,10 @@ class OcpControlProblem(Problem):
 
         def trial(step):
             y_trial = y + step
-            r_trial = self.laplacian @ y_trial + np.exp(y_trial) - u
+            # A y + exp(y) - u, in that order, on one fresh array
+            r_trial = self.laplacian @ y_trial
+            r_trial += np.exp(y_trial)
+            r_trial -= u
             return y_trial, r_trial, self.space.norm_unchecked(r_trial)
 
         def at_rounding_floor():
@@ -347,11 +363,12 @@ class OcpControlProblem(Problem):
                 if self.space.norm_unchecked(residual) <= NEWTON_TOL:
                     return p
                 return self._jacobian_lu(y).solve(rhs)
-            p = p + correction
+            p += correction
             if size <= 4.0 * EPS * self.space.norm_unchecked(p):
                 return p
             previous = size
-            correction = self._solve_at_zero(damping * correction)
+            correction *= damping
+            correction = self._solve_at_zero(correction)
 
     def value_and_grad(self, u):
         """f and gradient at u.

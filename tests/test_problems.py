@@ -581,6 +581,71 @@ class TestOcpFactorReuse:
             assert np.array_equal(grad, grad_fresh)
 
 
+def matmul_sine_solve(prob, r):
+    """The sine-basis solve written with ``@``: the oracle of ``_solve_at_zero``'s bits."""
+    V = prob._sine
+    return (V @ ((V @ r.reshape(V.shape) @ V) / prob._eigenvalues) @ V).ravel()
+
+
+class TestOcpInPlaceSolves:
+    @pytest.mark.parametrize("M", [2, 4, 8, 16, 32, 64, 128])
+    def test_sine_basis_solve_gives_the_bits_of_matmul(self, M):
+        # at M >= 4 ndarray.dot and @ reach the same GEMM.  At M = 2 dot
+        # multiplies the 1 x 1 products, where @ sums them from +0: the two
+        # differ on an entry of -0, and on a negative entry whose quotient
+        # by the eigenvalue underflows
+        prob = OcpControlProblem(OcpGrid(M=M))
+        dim = prob.space.dim
+        rng = np.random.default_rng(M)
+        vectors = [scale * rng.standard_normal(dim) for scale in 10.0 ** np.arange(-100, 101, 20)]
+        signed = rng.standard_normal(dim)
+        signed[::3], signed[1::3] = -0.0, 0.0
+        vectors += [signed, np.full(dim, -0.0), np.full(dim, -5e-324)]
+        for r in vectors:
+            assert prob._solve_at_zero(r).tobytes() == matmul_sine_solve(prob, r).tobytes()
+
+    @pytest.mark.parametrize(("path", "factors"), [
+        ("chord", (0, 0, 0)),
+        ("newton", (5, 1, 6)),
+        ("adjoint stall", (2, 1, 3)),
+        ("adjoint partial sum", (2, 0, 2)),
+    ])
+    def test_solves_leave_their_inputs_unchanged_and_unshared(self, path, factors, splu_calls):
+        # the state's residual and the adjoint's series are updated in
+        # place, on arrays the solves made themselves
+        y4 = np.full(49, 4.0)
+        if path == "chord":
+            prob, controls = _adjoint_controls(32)
+            u = 1e-3 * controls[0]
+            y = prob.solve_state(u)
+        elif path == "newton":
+            # the large constant control of test_steps_run_out_at_the_rounding_floor
+            prob = OcpControlProblem(OcpGrid(M=8))
+            u = np.full(49, 3000.0)
+            y = prob.solve_state(u)
+        else:
+            # the diverging series of the two stall tests of TestOcpNeumannAdjoint
+            target = y4 - 1e-13 if path == "adjoint partial sum" else None
+            prob = OcpControlProblem(OcpGrid(M=8, target_state=target))
+            u, y = prob.laplacian @ y4 + np.exp(y4), y4
+        inputs = {"u": u, "y": y, "target_state": prob.grid.target_state}
+        saved = {name: v.tobytes() for name, v in inputs.items()}
+        outputs, counts = {}, []
+        for name, call in (("state", lambda: prob.solve_state(u)),
+                           ("adjoint", lambda: prob.solve_adjoint(y)),
+                           ("gradient", lambda: prob.value_and_grad(u)[1])):
+            del splu_calls[:]
+            outputs[name] = call()
+            counts.append(len(splu_calls))
+        # each case takes the branches it is named for
+        assert tuple(counts) == factors
+        for name, v in inputs.items():
+            assert v.tobytes() == saved[name], name
+        for out_name, out in outputs.items():
+            for name, v in inputs.items():
+                assert not np.shares_memory(out, v), (out_name, name)
+
+
 OCP8 = OcpControlProblem(OcpGrid(M=8))
 ORACLE8 = ReassemblingOcp(OcpGrid(M=8))
 CONTROLS8 = hnp.arrays(float, OCP8.space.dim, elements=st.floats(-500.0, 500.0))
