@@ -19,7 +19,9 @@ whose f and u bits must agree between the trees.  Each solve is timed
 through ``minimize`` then ``q_factors``, after one untimed audited solve
 per tree, which takes the one-time costs of a first audit, such as an
 import, out of every timed batch.  The trees take turns going first,
-and each batch must give the same x_final and q-factor bits in both.
+and each batch must give the same bits in both: x_final, the q-factors,
+and every trace record's f, grad_norm, omega, gamma, alpha, n_active,
+n_stored and n_feval_ls.
 Prints us per iteration per config with its NEW / OLD time ratio, the
 median of those ratios, and the ratio of the total times, which the
 config with the most iterations can decide (``mt m=0`` on Rosenbrock).
@@ -49,6 +51,8 @@ OCP_M = 32
 OCP_START_SCALE = 1e-3
 T3_CONFIGS = [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "wolfe")]
 T4_CONFIGS = [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "mt")]
+# the IterationRecord fields whose bits each batch compares between the trees
+RECORD_FIELDS = ("f", "grad_norm", "omega", "gamma", "alpha", "n_active", "n_stored", "n_feval_ls")
 
 
 def ocp_starts(rng, problem):
@@ -124,7 +128,9 @@ def batch(lib, name, config, starts, problem, reference):
         rates = lib.q_factors(report, *reference, problem.space)
         ns += time.perf_counter_ns() - t0
         iters += report.n_iter
-        bits.append((report.x_final.tobytes(), repr(rates)))
+        # repr round-trips a float and tells -0.0 from 0.0
+        records = [tuple(repr(getattr(r, name)) for name in RECORD_FIELDS) for r in report.trace]
+        bits.append((report.x_final.tobytes(), repr(rates), records))
         norms += [(a.norm_h, a.norm_h_inv) for a in report.audits or []]
     return ns, iters, bits, np.array(norms)
 

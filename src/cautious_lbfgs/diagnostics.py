@@ -17,6 +17,10 @@ import numpy as np
 from .solver import SolveReport
 from .space import Space
 
+# entries of the iterates stacked at once for their errors (256 KB): a copy of
+# bounded size, however long the run and whatever the dimension
+X_ERRORS_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class RateConstants:
@@ -62,11 +66,27 @@ def _quotients(errors: np.ndarray, l: int = 1) -> np.ndarray:
 
 
 def _x_errors(report: SolveReport, x_star, space: Space) -> np.ndarray:
-    """||x_k - x_star|| along the run's iterates, which minimize built from its checked start."""
+    """||x_k - x_star|| along the run's iterates, which minimize built from its checked start.
+
+    Each error has the bits of ``space.norm_unchecked(x_k - x_star)``:
+    the iterates are stacked into contiguous rows, as many at a time as
+    X_ERRORS_BLOCK entries hold (at least one), x_star is subtracted in
+    place, and ``np.vecdot`` takes each row's squares by one BLAS
+    ``ddot``, the routine ``ndarray.dot`` calls on a contiguous vector.
+    The square roots and the scaling by sqrt(weight) round as
+    ``math.sqrt`` and a float product do.
+    """
     if report.iterates is None:
         raise ValueError("report was produced without keep_iterates")
     x_star = space.check(x_star)
-    return np.array([space.norm_unchecked(x - x_star) for x in report.iterates])
+    iterates = report.iterates
+    rows = max(1, X_ERRORS_BLOCK // space.dim)
+    squares = np.empty(len(iterates))
+    for start in range(0, len(iterates), rows):
+        diffs = np.array(iterates[start:start + rows])
+        diffs -= x_star
+        squares[start:start + len(diffs)] = np.vecdot(diffs, diffs)
+    return math.sqrt(space.weight) * np.sqrt(squares)
 
 
 def error_sequences(report: SolveReport, f_star: float, x_star, space: Space):

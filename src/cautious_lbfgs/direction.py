@@ -37,7 +37,9 @@ def two_loop(space: Space, active: Sequence[SecantPair], gamma: float, grad) -> 
     definite and the result a descent direction for any nonzero grad.
     """
     _validate_operator_inputs(active, gamma)
-    return -_recursion(space.weight, active, gamma, space.check(grad).copy())
+    grad = space.check(grad)
+    # _recursion overwrites its q only through pairs; without any it returns gamma * q afresh
+    return -_recursion(space.weight, active, gamma, grad.copy() if active else grad)
 
 
 def _recursion(weight: float, pairs: Sequence, gamma: float, q: np.ndarray) -> np.ndarray:

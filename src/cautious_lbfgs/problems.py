@@ -244,14 +244,16 @@ class OcpControlProblem(Problem):
         reach ``cblas_dgemm`` with the same arguments, hence the same bits.
         The GEMM accumulates each entry from +0, so ``@`` returns no -0.
         At M = 2 ``dot`` takes the 1 x 1 products as plain
-        multiplications, which can give -0; the +0 added to the result
-        keeps the bits of ``@`` there too.
+        multiplications, which can give -0; the +0 added to a result of
+        one entry keeps the bits of ``@`` there too.  Larger results come
+        from the GEMM, where +0 changes no bit, and get no such pass.
         """
         V = self._sine
         x = V.dot(r.reshape(V.shape)).dot(V)
         x /= self._eigenvalues
         x = V.dot(x).dot(V).ravel()
-        x += 0.0
+        if x.size == 1:
+            x += 0.0
         return x
 
     def _jacobian_lu(self, y: np.ndarray):

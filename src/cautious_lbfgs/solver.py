@@ -184,19 +184,18 @@ class _Ray:
         self.n_feval = 0
         self.alpha = self.point = self.f = self.grad = None  # the latest evaluation
 
-    def _evaluate(self, alpha: float) -> None:
+    def phi(self, alpha: float) -> float:
         if alpha != self.alpha:
             self.n_feval += 1
-            self.point = self.x + alpha * self.d
+            # x + d is x + 1.0 * d bit for bit, without the product
+            self.point = self.x + self.d if alpha == 1.0 else self.x + alpha * self.d
             self.f, self.grad = _evaluate(self.problem, self.space, self.point)
             self.alpha = alpha
-
-    def phi(self, alpha: float) -> float:
-        self._evaluate(alpha)
         return self.f
 
     def dphi(self, alpha: float) -> float:
-        self._evaluate(alpha)
+        if alpha != self.alpha:
+            self.phi(alpha)
         return self.space.inner_unchecked(self.grad, self.d)
 
 
@@ -255,6 +254,8 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
     audits: list[BoundReport] = []
     iterates = [x] if config.keep_iterates else None
     n_feval = 0
+    cautious = config.cautious
+    filtered = config.mode == "cautious"
     try:
         f, grad = _evaluate(problem, space, x)
     except _EvalFailure as err:
@@ -274,8 +275,8 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
             reason = f"gradient norm {grad_norm} above {config.grad_tol} after {k} iterations"
             break
 
-        omega = cautious_threshold(grad_norm, config.cautious)
-        level = omega if config.mode == "cautious" else 0.0
+        omega = cautious_threshold(grad_norm, cautious)
+        level = omega if filtered else 0.0
         gamma = choose_seed_scaling(store, level, 1.0 / grad_norm)
         active = store.active(level)
         n_stored = len(store)
@@ -286,7 +287,7 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
             break
 
         if config.oracle_checks:
-            audits.append(cautious_bound_report(space, active, gamma, omega, config.cautious.m))
+            audits.append(cautious_bound_report(space, active, gamma, omega, cautious.m))
 
         ray = _Ray(problem, space, x, d)
         try:
@@ -308,7 +309,8 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
             status, reason = "nonfinite", f"nonfinite objective or gradient at iterate {k + 1}"
             break
 
-        stored = store.push(space, alpha * d, grad_new - grad, index=k)
+        # push copies what it stores, so a unit step stores d itself, 1.0 * d bit for bit
+        stored = store.push(space, d if alpha == 1.0 else alpha * d, grad_new - grad, index=k)
         trace.append(IterationRecord(
             k=k, f=f, grad_norm=grad_norm, omega=omega, gamma=gamma, n_active=len(active),
             n_stored=n_stored, alpha=alpha, pair_stored=stored, n_feval_ls=outcome.n_feval,

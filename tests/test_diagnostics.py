@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +18,11 @@ from cautious_lbfgs import (
     error_sequences,
     linear_rate_check,
     lstep_qlinear,
+    make_grid_space,
     minimize,
     q_factors,
 )
+from cautious_lbfgs.diagnostics import X_ERRORS_BLOCK
 from cautious_lbfgs.solver import IterationRecord, SolveReport
 
 
@@ -291,6 +294,42 @@ class TestLinearRateCheck:
         constants = RateConstants(mu=1.0, L=1.0, sigma=1e-4)
         with pytest.raises(ValueError):
             linear_rate_check(report, constants, 0.0)
+
+
+def edge_iterates(space, x_star, n_rows, seed):
+    """Seeded iterates at scales 1e-150 .. 1e150, with signed zeros, x_star itself, an inf and a nan."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.choice([-150, -20, 0, 20, 150], size=n_rows)
+    rows = [x_star + scale * rng.standard_normal(space.dim) for scale in scales]
+    rows[0] = np.zeros(space.dim)
+    rows[1] = np.where(np.arange(space.dim) % 2 == 0, -0.0, 0.0)
+    rows[2] = x_star.copy()
+    rows[3][0] = math.inf
+    rows[4][-1] = math.nan
+    return rows
+
+
+@pytest.mark.parametrize("space", [Space(2), Space(300), make_grid_space(32)], ids=["n2", "n300", "grid32"])
+@pytest.mark.parametrize("long_run", [False, True])
+def test_x_errors_have_the_bits_of_the_space_norm(space, long_run):
+    # a long run stacks its iterates in two blocks, the second of 9 rows
+    n_rows = X_ERRORS_BLOCK // space.dim + 9 if long_run else 7
+    x_star = np.random.default_rng(1).standard_normal(space.dim)
+    x_star[0] = -0.0
+    iterates = edge_iterates(space, x_star, n_rows, seed=n_rows + space.dim)
+    report = dataclasses.replace(synthetic_report(np.linspace(1.0, 0.5, n_rows)),
+                                 iterates=iterates, x_final=iterates[-1])
+    oracle = np.array([space.norm_unchecked(x - x_star) for x in iterates])
+    x_err = error_sequences(report, 0.0, x_star, space)[1]
+    assert x_err.tobytes() == oracle.tobytes()
+
+    constants = RateConstants(mu=1.0, L=4.0, sigma=1e-4)
+    out = linear_rate_check(report, constants, 0.0, hinv_norms=[1.0] * (n_rows - 1),
+                            x_star=x_star, space=space)
+    nu_sup = float(np.max(out.nu_values))
+    expected = {l: not np.any(oracle[l:] > math.sqrt(constants.kappa * nu_sup**l) * oracle[:-l] * (1.0 + 1e-12))
+                for l in range(1, 6)}
+    assert out.envelope_ok == expected
 
 
 @given(st.lists(st.just(0.0) | st.floats(1e-12, 1e3), min_size=2, max_size=12))

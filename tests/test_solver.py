@@ -13,12 +13,15 @@ from cautious_lbfgs import (
     PiecewiseQuadratic,
     Problem,
     Rosenbrock,
+    SecantStore,
     SolverConfig,
     Space,
     compare_traces,
     fd_gradient_check,
     minimize,
 )
+from cautious_lbfgs.direction import two_loop
+from cautious_lbfgs.solver import _Ray
 
 ROSEN_X0 = np.array([-1.2, 1.0])
 
@@ -389,6 +392,47 @@ class TestStep:
         # the rejected pair left no usable pair, so the next seed falls
         # back to unit-step gradient scaling
         assert second.gamma == 1.0 / second.grad_norm
+
+
+# signed zeros and subnormals, where a reordered or skipped product would show in the bits
+TINY = 5e-324
+SIGNED_X = np.array([0.0, -0.0, 0.0, -0.0, TINY, -TINY, 2.0 * TINY, 1.5, -0.0])
+SIGNED_D = np.array([-0.0, -0.0, 0.0, 0.0, -TINY, -TINY, 0.0, -1.5, TINY])
+
+
+class TestRayAndDirectionBits:
+    def test_unit_step_point_has_the_bits_of_one_times_d(self):
+        prob = SphereProblem(dim=len(SIGNED_X))
+        ray = _Ray(prob, prob.space, SIGNED_X, SIGNED_D)
+        ray.dphi(1.0)
+        assert ray.point.tobytes() == (SIGNED_X + 1.0 * SIGNED_D).tobytes()
+        ray.phi(1.0)
+        assert ray.n_feval == 1
+        ray.phi(0.5)
+        assert ray.point.tobytes() == (SIGNED_X + 0.5 * SIGNED_D).tobytes()
+        assert ray.n_feval == 2
+        assert not np.shares_memory(ray.point, SIGNED_X) and not np.shares_memory(ray.point, SIGNED_D)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.75, 3.0])
+    def test_direction_without_pairs_is_minus_gamma_grad(self, gamma):
+        space = Space(len(SIGNED_D))
+        grad = SIGNED_D.copy()
+        d = two_loop(space, [], gamma, grad)
+        assert d.tobytes() == (-(gamma * SIGNED_D)).tobytes()
+        assert grad.tobytes() == SIGNED_D.tobytes()
+        assert not np.shares_memory(d, grad)
+
+    def test_direction_with_pairs_leaves_grad_unwritten(self):
+        space = Space(len(SIGNED_D))
+        store = SecantStore(2)
+        rng = np.random.default_rng(3)
+        for k in range(2):
+            s = rng.standard_normal(space.dim)
+            assert store.push(space, s, 2.0 * s + 0.1 * rng.standard_normal(space.dim), index=k)
+        grad = SIGNED_D.copy()
+        d = two_loop(space, store.active(0.0), 0.5, grad)
+        assert grad.tobytes() == SIGNED_D.tobytes()
+        assert not np.shares_memory(d, grad)
 
 
 class TestAudits:
