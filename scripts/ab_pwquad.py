@@ -15,13 +15,19 @@ problem at M = 32 in the configs of ``--table t4`` (sigma 1e-8 for mt),
 in batches of two starts: u = 0 and a control of 3 x 3 sine modes with
 seeded coefficients of scale 1e-3.  Its q-factors are taken against one
 reference solve per tree, the command line's (m = 10, armijo, to 1e-12),
-whose f and u bits must agree between the trees.  Each solve is timed
-through ``minimize`` then ``q_factors``, after one untimed audited solve
-per tree, which takes the one-time costs of a first audit, such as an
-import, out of every timed batch.  The trees take turns going first,
-and each batch must give the same bits in both: x_final, the q-factors,
-and every trace record's f, grad_norm, omega, gamma, alpha, n_active,
-n_stored and n_feval_ls.
+whose f and u bits must agree between the trees.  Its evaluations must
+also give the same bits in both trees off the benchmark's path:
+``value_and_grad``'s f and gradient, or its NewtonError text, at the
+constant control 3000 on M = 8 (the state solve damps and factors), at
+the control of the state y = 4 on M = 8 (the adjoint's series stalls,
+and factors or, with the target y - 1e-13, returns its partial sum),
+and at seeded N(0, I) controls of scale 30 and 1e3 on M = 32.  Each
+solve is timed through ``minimize`` then ``q_factors``, after one
+untimed audited solve per tree, which takes the one-time costs of a
+first audit, such as an import, out of every timed batch.  The trees
+take turns going first, and each batch must give the same bits in
+both: x_final, the q-factors, and every trace record's f, grad_norm,
+omega, gamma, alpha, n_active, n_stored and n_feval_ls.
 Prints us per iteration per config with its NEW / OLD time ratio, the
 median of those ratios, and the ratio of the total times, which the
 config with the most iterations can decide (``mt m=0`` on Rosenbrock).
@@ -62,6 +68,27 @@ def ocp_starts(rng, problem):
     modes = [np.outer(np.sin(k * np.pi * nodes), np.sin(l * np.pi * nodes)).ravel()
              for k in (1, 2, 3) for l in (1, 2, 3)]
     return [np.zeros(problem.space.dim), sum(c * mode for c, mode in zip(coeffs, modes))]
+
+
+def ocp_evaluation_cases(lib, rng):
+    """(M, target state or None, u) of the control problem's evaluations off the benchmark's path."""
+    y4 = np.full(49, 4.0)
+    u4 = lib.OcpControlProblem(lib.OcpGrid(M=8)).laplacian @ y4 + np.exp(y4)
+    seeded = [(OCP_M, None, scale * rng.standard_normal((OCP_M - 1) ** 2)) for scale in (30.0, 1e3)]
+    return [(8, None, np.full(49, 3000.0)), (8, None, u4), (8, y4 - 1e-13, u4)] + seeded
+
+
+def evaluation_bits(lib, cases):
+    """repr(f) and the gradient's bytes of ``value_and_grad`` at each case, or its NewtonError text."""
+    bits = []
+    for M, target, u in cases:
+        problem = lib.OcpControlProblem(lib.OcpGrid(M=M, target_state=target))
+        try:
+            f, grad = problem.value_and_grad(u)
+            bits.append((repr(f), grad.tobytes()))
+        except lib.NewtonError as err:
+            bits.append(str(err))
+    return bits
 
 
 # name: (problem from the package, configs, grad_tol, audit, starts of one batch from rng and problem)
@@ -162,6 +189,10 @@ def main() -> None:
     (f_old, x_old), (f_new, x_new) = references["old"], references["new"]
     assert (f_old, x_old.tobytes()) == (f_new, x_new.tobytes()), "reference solutions differ"
     rng = np.random.default_rng(args.seed)
+    if args.problem == "ocp":
+        cases = ocp_evaluation_cases(libs["old"], rng)
+        assert evaluation_bits(libs["old"], cases) == evaluation_bits(libs["new"], cases), \
+            "value_and_grad bits differ"
     problem = problems["old"]
     totals = {(tree, c): np.zeros(2) for tree in libs for c in configs}  # ns, iterations
     worst_audit = 0.0

@@ -246,7 +246,10 @@ class OcpControlProblem(Problem):
         At M = 2 ``dot`` takes the 1 x 1 products as plain
         multiplications, which can give -0; the +0 added to a result of
         one entry keeps the bits of ``@`` there too.  Larger results come
-        from the GEMM, where +0 changes no bit, and get no such pass.
+        from the GEMM, where +0 changes no bit, and get no such pass.  So
+        the output does not depend on the signs of zeros in r: a GEMM
+        entry is a sum started from +0, to which a zero product adds
+        nothing, and at M = 2 the +0 pass makes any zero +0.
         """
         V = self._sine
         x = V.dot(r.reshape(V.shape)).dot(V)
@@ -281,6 +284,15 @@ class OcpControlProblem(Problem):
         full step first fails to reduce the residual, or the steps run out,
         a finite residual within 8 times that floor returns y; a solve that
         ends elsewhere above NEWTON_TOL raises NewtonError.
+
+        The solve carries the negated residual u - (A y + exp(y)), the
+        right side of each step, so no step negates an array.  It has the
+        bits of -(A y + exp(y) - u) except where the two terms cancel
+        exactly, and there it holds +0 where the negation holds -0.  The
+        sine-basis solve's output does not depend on the signs of zeros in
+        its input, and a factor's solve can only change the sign of a zero
+        in the step; y + (+-0) is y, since y starts at +0 and never holds
+        -0.  So y has the bits of a solve that negates the residual.
         """
         u = self.space.check(u)
         tol = NEWTON_TOL
@@ -289,10 +301,10 @@ class OcpControlProblem(Problem):
 
         def trial(step):
             y_trial = y + step
-            # A y + exp(y) - u, in that order, on one fresh array
+            # u - (A y + exp(y)), in that order, on one fresh array
             r_trial = self.laplacian @ y_trial
             r_trial += np.exp(y_trial)
-            r_trial -= u
+            np.subtract(u, r_trial, out=r_trial)
             return y_trial, r_trial, self.space.norm_unchecked(r_trial)
 
         def at_rounding_floor():
@@ -302,19 +314,19 @@ class OcpControlProblem(Problem):
             return res_norm <= 8.0 * EPS * self.space.norm_unchecked(terms)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            # A @ 0 + exp(0) - u, bit for bit: the product of zeros is +0
-            residual = 1.0 - u
+            # u - (A @ 0 + exp(0)), bit for bit: the product of zeros is +0
+            residual = u - 1.0
             res_norm = self.space.norm_unchecked(residual)
             step_norm = np.inf
             for _ in range(NEWTON_MAX):
-                delta = solve(-residual)
+                delta = solve(residual)
                 delta_norm = self.space.norm_unchecked(delta)
                 halves = delta_norm <= 0.5 * step_norm
                 if res_norm <= tol and (not halves or delta_norm <= 4.0 * EPS * self.space.norm_unchecked(y)):
                     return y
                 if not halves:
                     solve = self._jacobian_lu(y).solve
-                    delta = solve(-residual)
+                    delta = solve(residual)
                     delta_norm = self.space.norm_unchecked(delta)
                 y_trial, r_trial, r_norm = trial(delta)
                 t = 1.0
@@ -379,12 +391,19 @@ class OcpControlProblem(Problem):
         rounded once, so its final bits do not depend on the BLAS's
         summation order, which changes with its thread count: near the
         optimum a line search compares values of f a few ulps apart.
+        y - y_d is subtracted in double and then cast, so each square is
+        that of the double mismatch: the bits of
+        ``np.sum(np.square(y - y_d, dtype=np.longdouble))``, whose cast,
+        square and pairwise sum are here formed in place.  A subtraction
+        in long double would change them.
         """
         u = self.space.check(u)
         y = self.solve_state(u)
-        mismatch = y - self.target_state
-        squares = np.sum(np.square(mismatch, dtype=np.longdouble)) + self.grid.nu * np.sum(
-            np.square(u, dtype=np.longdouble))
+        mismatch = (y - self.target_state).astype(np.longdouble)
+        mismatch *= mismatch
+        control = u.astype(np.longdouble)
+        control *= control
+        squares = np.add.reduce(mismatch) + self.grid.nu * np.add.reduce(control)
         f = float(0.5 * self.space.weight * squares)
         return f, self.grid.nu * u + self.solve_adjoint(y)
 

@@ -521,6 +521,41 @@ def test_modified_function_converts_the_far_endpoint_too():
     assert more_thuente(phi, dphi, params, phi0=4.0, dphi0=ray[0.0][1]).alpha == 3.9561369262301183
 
 
+def test_stage_switch_takes_a_tie_with_the_decrease_bound():
+    # the third trial lands exactly on ftest = phi(0) + stp sigma dphi(0),
+    # with a positive slope that fails the curvature test: the search
+    # leaves the modified-function stage there (f <= ftest), and at the
+    # fourth trial, above the bound but not above the best value, it works
+    # on phi itself, as dcsrch does.  A tie at the first trial could not
+    # tell f <= ftest from f < ftest: it becomes the best step of the
+    # bracket [0, 1], where ftest lies at or above its value, so no later
+    # trial lies above the bound but not above the best value
+    ray = {
+        0.0: (4.000000000000003, -1.3322676295501878e-14),
+        1.0: (4.000000000000002, -2.5812202053387664e-14),
+        5.0: (3.9999999999999964, 1.0382258148750417e-14),
+        2.67521338012692: (3.999999999999999, 2.078447568593569e-14),
+        4.678662702373102: (3.999999999999997, -3.007802702078207e-14),
+        4.917543666269151: (4.000000000000001, 2.7045437325439707e-14),
+        4.728666179234336: (4.000000000000002, 2.169152002735713e-14),
+        4.681034621439081: (3.9999999999999964, 1.0351503096284934e-14),
+    }
+    phi0, dphi0 = ray[0.0]
+
+    def phi(alpha):
+        return ray.get(alpha, (phi0, 0.0))[0]
+
+    def dphi(alpha):
+        return ray.get(alpha, (phi0, 0.0))[1]
+
+    params = LineSearchParams(sigma=0.1, eta=0.9)
+    tie = 2.67521338012692
+    assert ray[tie][0] == phi0 + tie * (params.sigma * dphi0)
+    assert params.eta * -dphi0 < ray[tie][1]
+    assert assert_same_search_as_dcsrch(phi, dphi, params)
+    assert more_thuente(phi, dphi, params, phi0=phi0, dphi0=dphi0).alpha == 4.681034621439081
+
+
 @given(*POLYNOMIAL_RAYS)
 def test_more_thuente_makes_the_trials_of_minpack2_on_polynomial_rays(coeffs, scale, sigma_eta, maxfev):
     # an inexact slope makes most of these searches fail, each for a reason

@@ -603,6 +603,10 @@ class TestOcpInPlaceSolves:
         vectors += [signed, np.full(dim, -0.0), np.full(dim, -5e-324)]
         for r in vectors:
             assert prob._solve_at_zero(r).tobytes() == matmul_sine_solve(prob, r).tobytes()
+            # r + 0.0 turns every -0 into +0: the solve's bits do not depend
+            # on the signs of zeros in its input, which the state's negated
+            # residual relies on
+            assert prob._solve_at_zero(r).tobytes() == prob._solve_at_zero(r + 0.0).tobytes()
 
     @pytest.mark.parametrize(("path", "factors"), [
         ("chord", (0, 0, 0)),
@@ -644,6 +648,68 @@ class TestOcpInPlaceSolves:
         for out_name, out in outputs.items():
             for name, v in inputs.items():
                 assert not np.shares_memory(out, v), (out_name, name)
+
+
+def _signed_controls(M):
+    """u = 0, u = 1 (whose residual at y = 0 cancels exactly) and seeded
+    controls with +-0 and subnormal entries."""
+    dim = (M - 1) ** 2
+    rng = np.random.default_rng(M)
+    signed = rng.standard_normal(dim)
+    signed[::3], signed[1::3] = -0.0, 0.0
+    tiny = 1e-3 * rng.standard_normal(dim)
+    tiny[::2] = np.copysign(5e-324, tiny[::2])
+    tiny[1::4] = -2.5e-310
+    return [np.zeros(dim), np.ones(dim), signed, tiny]
+
+
+def negated_solve_chord_state(prob, u):
+    """The state's chord steps on the residual A y + exp(y) - u, each solving for -r.
+
+    The oracle of ``solve_state``'s bits where no step damps or factors;
+    it fails where one would.
+    """
+    space, tol = prob.space, problems.NEWTON_TOL
+    y = np.zeros(space.dim)
+    residual = prob.laplacian @ y + np.exp(y) - u
+    res_norm, step_norm = space.norm(residual), np.inf
+    for _ in range(problems.NEWTON_MAX):
+        delta = prob._solve_at_zero(-residual)
+        delta_norm = space.norm(delta)
+        halves = delta_norm <= 0.5 * step_norm
+        if res_norm <= tol and (not halves or delta_norm <= 4.0 * problems.EPS * space.norm(y)):
+            return y
+        assert halves, "a chord step failed to halve above the tolerance"
+        y = y + delta
+        residual = prob.laplacian @ y + np.exp(y) - u
+        r_norm = space.norm(residual)
+        assert res_norm <= tol or r_norm < res_norm, "a full step failed to reduce the residual"
+        res_norm, step_norm = r_norm, delta_norm
+    raise AssertionError("the chord steps ran out")
+
+
+class TestOcpEvaluationBits:
+    @pytest.mark.parametrize("M", [2, 4, 32, 128])
+    def test_objective_has_the_bits_of_the_long_double_sums(self, M):
+        prob = OcpControlProblem(OcpGrid(M=M))
+        for u in _signed_controls(M):
+            y = prob.solve_state(u)
+            f_ref = float(0.5 * prob.space.weight * (
+                np.sum(np.square(y - prob.target_state, dtype=np.longdouble))
+                + prob.grid.nu * np.sum(np.square(u, dtype=np.longdouble))))
+            f, _ = prob.value_and_grad(u)
+            assert np.float64(f).tobytes() == np.float64(f_ref).tobytes()
+
+    @pytest.mark.parametrize("M", [2, 4, 32, 128])
+    def test_state_has_the_bits_of_the_negated_solve(self, M, splu_calls):
+        # the state carries u - (A y + exp(y)), which differs from the
+        # negated residual only in the signs of zeros (u = 1 makes every
+        # entry of the first one a zero)
+        prob, controls = _adjoint_controls(M)
+        for u in _signed_controls(M) + [1e-3 * c for c in controls] + controls:
+            assert prob.solve_state(u).tobytes() == negated_solve_chord_state(prob, u).tobytes()
+        # none of them damps or factors
+        assert splu_calls == []
 
 
 OCP8 = OcpControlProblem(OcpGrid(M=8))
