@@ -27,7 +27,12 @@ untimed audited solve per tree, which takes the one-time costs of a
 first audit, such as an import, out of every timed batch.  The trees
 take turns going first, and each batch must give the same bits in
 both: x_final, the q-factors, and every trace record's f, grad_norm,
-omega, gamma, alpha, n_active, n_stored and n_feval_ls.
+omega, gamma, alpha, n_active, n_stored and n_feval_ls.  Each config
+also runs one untimed solve per tree with ``keep_storage=True``, from
+the last start of its first batch, and every trace record's storage
+snapshot must give the same bits in both: each stored pair's index,
+sy, ss, yy and quality, the scalars that ``SecantStore.push`` computes
+from the step and gradient difference it is handed.
 Prints us per iteration per config with its NEW / OLD time ratio, the
 median of those ratios, and the ratio of the total times, which the
 config with the most iterations can decide (``mt m=0`` on Rosenbrock).
@@ -136,18 +141,33 @@ def load(src: str, alias: str):
     return module
 
 
-def batch(lib, name, config, starts, problem, reference):
-    """(ns, iterations, result bits, (norm_h, norm_h_inv) of every audit) of one batch of solves.
-
-    ``reference`` is the (f*, x*) of the q-factors.
-    """
+def solver_config(lib, name, config, keep_storage=False):
+    """The package's SolverConfig of one (line search, m) config of problem ``name``."""
     _, _, grad_tol, audit, _ = PROBLEMS[name]
     ls, m = config
     # More-Thuente on the control problem at sigma 1e-8, as the benchmark's
     # ocp-j5 and the mesh-independence criterion run it
     params = lib.LineSearchParams(sigma=1e-8 if name == "ocp" and ls == "mt" else 1e-4)
-    cfg = lib.SolverConfig(cautious=lib.CautiousParams(m=m), linesearch=ls, ls=params,
-                           grad_tol=grad_tol, oracle_checks=audit)
+    return lib.SolverConfig(cautious=lib.CautiousParams(m=m), linesearch=ls, ls=params,
+                            grad_tol=grad_tol, oracle_checks=audit, keep_storage=keep_storage)
+
+
+def storage_bits(lib, name, config, x0, problem):
+    """The reprs of every trace record's storage snapshot of one untimed solve from x0.
+
+    The snapshot holds each stored pair's index, sy, ss, yy and quality,
+    the scalars that ``push`` computes from the step it is handed.
+    """
+    report = lib.minimize(problem, problem.space, x0, solver_config(lib, name, config, keep_storage=True))
+    return [[tuple(repr(v) for v in entry.values()) for entry in r.storage] for r in report.trace]
+
+
+def batch(lib, name, config, starts, problem, reference):
+    """(ns, iterations, result bits, (norm_h, norm_h_inv) of every audit) of one batch of solves.
+
+    ``reference`` is the (f*, x*) of the q-factors.
+    """
+    cfg = solver_config(lib, name, config)
     ns, iters, bits, norms = 0, 0, [], []
     for x0 in starts:
         t0 = time.perf_counter_ns()
@@ -200,6 +220,10 @@ def main() -> None:
         for i, config in enumerate(configs):
             starts = make_starts(rng, problem)
             order = ("old", "new") if (r + i) % 2 == 0 else ("new", "old")
+            if r == 0:
+                snapshots = [storage_bits(libs[tree], args.problem, config, starts[-1], problems[tree])
+                             for tree in ("old", "new")]
+                assert snapshots[0] == snapshots[1], f"storage snapshots differ: {config}"
             results = {tree: batch(libs[tree], args.problem, config, starts, problems[tree], references[tree])
                        for tree in order}
             assert results["old"][2] == results["new"][2], f"bits differ: round {r}, {config}"

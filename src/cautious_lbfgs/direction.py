@@ -35,29 +35,41 @@ def two_loop(space: Space, active: Sequence[SecantPair], gamma: float, grad) -> 
     recent pair acts outermost.  Every pair must have positive curvature
     and gamma must be positive, which makes the operator positive
     definite and the result a descent direction for any nonzero grad.
+
+    The result is a fresh array, negated in place: with pairs it is the
+    recursion's own array, a copy of grad that :func:`_recursion`
+    overwrites; without pairs it is gamma * grad.  Negating in place
+    gives the bits of ``-(H grad)``, the sign of a NaN entry included,
+    which ``(-gamma) * grad`` would keep instead of flipping.
     """
     _validate_operator_inputs(active, gamma)
     grad = space.check(grad)
-    # _recursion overwrites its q only through pairs; without any it returns gamma * q afresh
-    return -_recursion(space.weight, active, gamma, grad.copy() if active else grad)
+    r = _recursion(space.weight, active, gamma, grad.copy()) if active else gamma * grad
+    return np.negative(r, out=r)
 
 
 def _recursion(weight: float, pairs: Sequence, gamma: float, q: np.ndarray) -> np.ndarray:
-    """H q by the two-loop recursion, overwriting q.
+    """H q by the two-loop recursion, overwriting q and returning it.
 
     Each pair has attributes s, y and sy = inner(s, y), oldest first; s
     and y are coordinates whose inner product is ``weight`` times the dot
     product.  q is a vector or an F-ordered block of columns, and the
     rank of q chooses each rank-one correction's update.  A vector takes
-    numpy's scaled vector, whose bits define every iterate.  A block
-    takes one BLAS ``dger`` call in place, A <- A + alpha x c^T, whose
-    fused multiply-add rounds once where an outer product and a
-    subtraction round twice.  ``ndarray.dot`` is the routine ``np.dot``
-    dispatches to, called without the dispatch.
+    numpy's scaled vector, whose bits define every iterate: it is formed
+    by ``np.multiply`` into one scratch vector per call, then subtracted
+    from or added to q in place, the bits of ``q -= y * a`` and
+    ``r += s * (a - b)`` without a temporary per pair.  A block takes
+    one BLAS ``dger`` call in place, A <- A + alpha x c^T, whose fused
+    multiply-add rounds once where an outer product and a subtraction
+    round twice.  Between the two loops q is scaled by gamma in place,
+    the bits of ``gamma * q``.  ``ndarray.dot`` is the routine
+    ``np.dot`` dispatches to, called without the dispatch.
     """
     block = q.ndim == 2
     if block:
         from scipy.linalg.blas import dger
+    else:
+        scratch = np.empty_like(q)
     coeffs = []
     for pair in reversed(pairs):
         a = weight * pair.s.dot(q) / pair.sy
@@ -65,15 +77,15 @@ def _recursion(weight: float, pairs: Sequence, gamma: float, q: np.ndarray) -> n
         if block:
             q = dger(-1.0, pair.y, a, a=q, overwrite_a=1)
         else:
-            q -= pair.y * a
-    r = gamma * q
+            q -= np.multiply(pair.y, a, out=scratch)
+    q *= gamma
     for pair, a in zip(pairs, reversed(coeffs)):
-        b = weight * pair.y.dot(r) / pair.sy
+        b = weight * pair.y.dot(q) / pair.sy
         if block:
-            r = dger(1.0, pair.s, a - b, a=r, overwrite_a=1)
+            q = dger(1.0, pair.s, a - b, a=q, overwrite_a=1)
         else:
-            r += pair.s * (a - b)
-    return r
+            q += np.multiply(pair.s, a - b, out=scratch)
+    return q
 
 
 def two_loop_norms(space: Space, pairs: Sequence[SecantPair], gamma: float) -> tuple[float, float]:

@@ -128,11 +128,21 @@ class PiecewiseQuadratic(Problem):
         self.f_star = self.value(self.x_star)
 
     def value_and_grad(self, x):
+        """f and its gradient d + 99 max(0, x), with d = x - b.
+
+        The bits are those of ``0.5 * np.dot(d, d) + 49.5 *
+        np.add.reduce(pos**2)`` and ``d + 99.0 * pos``: ``d.dot(d)`` is the
+        ``ddot`` that ``np.dot`` calls, ``pos * pos`` is numpy's square for
+        ``**2``, and the gradient is formed in the ``pos`` array in place,
+        as ``99.0 * pos`` then ``+ d``, since addition commutes exactly.
+        """
         x = self.space.check(x)
         d = x - self.b
         pos = np.maximum(0.0, x)
-        f = 0.5 * np.dot(d, d) + 49.5 * np.add.reduce(pos**2)
-        return float(f), d + 99.0 * pos
+        f = 0.5 * d.dot(d) + 49.5 * np.add.reduce(pos * pos)
+        pos *= 99.0
+        pos += d
+        return float(f), pos
 
 
 class NewtonError(RuntimeError):

@@ -173,7 +173,11 @@ class _Ray:
 
     ``n_feval`` counts the distinct steps evaluated.  Every search returns
     right after evaluating the step it accepts, so after a successful
-    search ``point``, ``f`` and ``grad`` are the values there.
+    search ``step``, ``point``, ``f`` and ``grad`` are the values there.
+    ``step`` is the step added to x: d itself at alpha = 1, the bits of
+    ``1.0 * d`` without the product, and ``alpha * d`` otherwise, so
+    ``point`` is ``x + step`` and the solver stores ``step`` as its s
+    without forming it again.
     """
 
     def __init__(self, problem: Problem, space: Space, x: np.ndarray, d: np.ndarray):
@@ -182,13 +186,13 @@ class _Ray:
         self.x = x
         self.d = d
         self.n_feval = 0
-        self.alpha = self.point = self.f = self.grad = None  # the latest evaluation
+        self.alpha = self.step = self.point = self.f = self.grad = None  # the latest evaluation
 
     def phi(self, alpha: float) -> float:
         if alpha != self.alpha:
             self.n_feval += 1
-            # x + d is x + 1.0 * d bit for bit, without the product
-            self.point = self.x + self.d if alpha == 1.0 else self.x + alpha * self.d
+            self.step = self.d if alpha == 1.0 else alpha * self.d
+            self.point = self.x + self.step
             self.f, self.grad = _evaluate(self.problem, self.space, self.point)
             self.alpha = alpha
         return self.f
@@ -309,8 +313,10 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
             status, reason = "nonfinite", f"nonfinite objective or gradient at iterate {k + 1}"
             break
 
-        # push copies what it stores, so a unit step stores d itself, 1.0 * d bit for bit
-        stored = store.push(space, d if alpha == 1.0 else alpha * d, grad_new - grad, index=k)
+        # s is the step the ray added, alpha * d as the search formed it (d
+        # itself at alpha = 1); push copies what it stores, so the ray's
+        # step and d stay unwritten
+        stored = store.push(space, ray.step, grad_new - grad, index=k)
         trace.append(IterationRecord(
             k=k, f=f, grad_norm=grad_norm, omega=omega, gamma=gamma, n_active=len(active),
             n_stored=n_stored, alpha=alpha, pair_stored=stored, n_feval_ls=outcome.n_feval,

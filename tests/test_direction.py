@@ -15,6 +15,7 @@ from cautious_lbfgs import (
     SecantStore,
     Space,
     cautious_bound_report,
+    make_grid_space,
     two_loop_norms,
 )
 from cautious_lbfgs.direction import _recursion, dense_hessian_inverse, two_loop
@@ -134,6 +135,32 @@ def reference_two_loop(space, pairs, gamma, grad):
     return -r
 
 
+def allocating_two_loop(space, pairs, gamma, grad):
+    """The two-loop recursion with a fresh array per update, the oracle of ``two_loop``'s bits."""
+    q = grad.copy()
+    coeffs = []
+    for pair in reversed(pairs):
+        a = space.weight * pair.s.dot(q) / pair.sy
+        coeffs.append(a)
+        q -= pair.y * a
+    r = gamma * q
+    for pair, a in zip(pairs, reversed(coeffs)):
+        b = space.weight * pair.y.dot(r) / pair.sy
+        r += pair.s * (a - b)
+    return -r
+
+
+# signed zeros and subnormals, where a reordered, fused or skipped product would show in the bits
+SIGNED_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, -0.0, 0.0)
+
+
+def with_signed_entries(rng, n, count):
+    """A seeded normal vector of length n with ``count`` entries (at most 8) set to SIGNED_ENTRIES."""
+    v = rng.standard_normal(n)
+    v[rng.permutation(n)[:count]] = SIGNED_ENTRIES[:count]
+    return v
+
+
 @st.composite
 def two_loop_inputs(draw):
     """Space, store of up to 10 pairs, seed scaling and gradient.
@@ -204,6 +231,29 @@ class TestTwoLoop:
                 continue
             d = two_loop(space, store.pairs, gamma, grad)
             assert space.inner(grad, d) < 0.0
+
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    @pytest.mark.parametrize("space", [Space(2), Space(300), make_grid_space(32)], ids=["n2", "n300", "grid32"])
+    def test_bits_of_the_allocating_recursion(self, space, k):
+        # two_loop updates one array in place through one scratch vector;
+        # every entry must keep the bits of a fresh array per update
+        rng = np.random.default_rng(1000 * space.dim + k)
+        n = space.dim
+        store = SecantStore(capacity=10)
+        for i in range(k):
+            s = with_signed_entries(rng, n, min(n // 4, 8))
+            assert store.push(space, s, rng.uniform(0.5, 2.0, n) * s, index=i)
+        pairs = store.active(0.0)
+        for _ in range(3):
+            gamma = float(rng.uniform(0.1, 10.0))
+            grad = with_signed_entries(rng, n, min(n - 1, 8))
+            before = grad.tobytes()
+            d = two_loop(space, pairs, gamma, grad)
+            assert d.tobytes() == allocating_two_loop(space, pairs, gamma, grad).tobytes()
+            assert grad.tobytes() == before
+            assert not np.shares_memory(d, grad)
+            assert not any(np.shares_memory(d, p.s) or np.shares_memory(d, p.y) for p in pairs)
 
 
 class TestDenseOperators:

@@ -164,6 +164,28 @@ class TestPiecewiseQuadratic:
             x[np.abs(x) < 0.05] = 0.1  # keep clear of the kinks
             assert fd_gradient_check(prob, x, step=1e-6, seed=1) <= 1e-7
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e200])
+    def test_evaluation_has_the_bits_of_the_allocating_formula(self, scale):
+        # the gradient is formed in place in max(0, x); f and every entry must
+        # keep the bits of the formula with a fresh array per operation
+        prob = PiecewiseQuadratic(100)
+        b = prob.b.copy()
+        rng = np.random.default_rng(int(math.log10(scale)) + 400)
+        signed = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]
+        for extra in ([], [math.inf, -math.inf], [math.nan, -math.nan], [math.inf, math.nan]):
+            x = scale * rng.standard_normal(300)
+            x[rng.permutation(300)[:24]] = (signed + extra) * (24 // len(signed + extra))
+            with np.errstate(all="ignore"):
+                d = x - b
+                pos = np.maximum(0.0, x)
+                f_expected = 0.5 * np.dot(d, d) + 49.5 * np.add.reduce(pos**2)
+                grad_expected = d + 99.0 * pos
+                f, grad = prob.value_and_grad(x)
+            assert np.float64(f).tobytes() == np.float64(f_expected).tobytes()
+            assert grad.tobytes() == grad_expected.tobytes()
+            assert not np.shares_memory(grad, x) and not np.shares_memory(grad, prob.b)
+            assert prob.b.tobytes() == b.tobytes()
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_strong_convexity_and_lipschitz_constants(self, seed):

@@ -413,6 +413,20 @@ class TestRayAndDirectionBits:
         assert ray.n_feval == 2
         assert not np.shares_memory(ray.point, SIGNED_X) and not np.shares_memory(ray.point, SIGNED_D)
 
+    def test_step_is_d_at_a_unit_step_and_alpha_d_otherwise(self):
+        # the solver stores the ray's step as s, so it must be the step
+        # that point adds to x, in the bits of alpha * d
+        prob = SphereProblem(dim=len(SIGNED_X))
+        ray = _Ray(prob, prob.space, SIGNED_X, SIGNED_D)
+        ray.phi(1.0)
+        assert ray.step is SIGNED_D
+        assert ray.point.tobytes() == (SIGNED_X + ray.step).tobytes()
+        for alpha in (0.5, 2.0, 0.1, 1e-300, 1e150):
+            ray.phi(alpha)
+            assert ray.step.tobytes() == (alpha * SIGNED_D).tobytes()
+            assert ray.point.tobytes() == (SIGNED_X + ray.step).tobytes()
+            assert not np.shares_memory(ray.step, SIGNED_D) and not np.shares_memory(ray.step, ray.point)
+
     @pytest.mark.parametrize("gamma", [1.0, 0.75, 3.0])
     def test_direction_without_pairs_is_minus_gamma_grad(self, gamma):
         space = Space(len(SIGNED_D))
