@@ -28,13 +28,19 @@ from .space import Space
 DENSE_DIM_LIMIT = 2000
 
 
-def two_loop(space: Space, active: Sequence[SecantPair], gamma: float, grad) -> np.ndarray:
+def two_loop(space: Space, active: Sequence[SecantPair], gamma: float, grad: np.ndarray) -> np.ndarray:
     """Direction -H * grad for the operator seeded with gamma * identity.
 
     ``active`` holds the pairs in storage order (oldest first); the most
     recent pair acts outermost.  Every pair must have positive curvature
     and gamma must be positive, which makes the operator positive
     definite and the result a descent direction for any nonzero grad.
+
+    grad must be a float vector of the space, checked where it entered:
+    ``minimize`` checks each evaluation's gradient once, and this
+    function trusts it.  The pairs' s and y are used as stored: a
+    strided view handed to ``SecantStore.push`` stays strided, and its
+    products may round differently from those of a contiguous copy.
 
     The result is a fresh array, negated in place: with pairs it is the
     recursion's own array, a copy of grad that :func:`_recursion`
@@ -43,7 +49,6 @@ def two_loop(space: Space, active: Sequence[SecantPair], gamma: float, grad) -> 
     which ``(-gamma) * grad`` would keep instead of flipping.
     """
     _validate_operator_inputs(active, gamma)
-    grad = space.check(grad)
     r = _recursion(space.weight, active, gamma, grad.copy()) if active else gamma * grad
     return np.negative(r, out=r)
 

@@ -98,8 +98,16 @@ class SecantStore:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def push(self, space: Space, s, y, index: int) -> bool:
+    def push(self, space: Space, s: np.ndarray, y: np.ndarray, index: int) -> bool:
         """Accept (s, y) if it carries usable curvature; return whether it did.
+
+        s and y are two vectors of ``space``, float arrays of its shape,
+        and the store takes ownership of them: it neither checks nor
+        copies them, and an accepted pair holds the very arrays handed in,
+        so the caller must not write them afterwards.  ``minimize`` hands
+        over the step its ray formed and a fresh gradient difference.  A
+        strided view stays strided, and its products may round
+        differently from those of a contiguous copy.
 
         A pair is accepted when its quality min(sy/ss, sy/yy) is positive
         and rho = 1/sy is finite; a subnormal sy passes sy > 0 and can
@@ -112,8 +120,6 @@ class SecantStore:
         Barzilai-Borwein method, accepts and rejects as any other store
         but keeps only the scalar: it builds no pair.
         """
-        s = space.check(s)
-        y = space.check(y)
         sy = space.inner_unchecked(s, y)
         ss = space.inner_unchecked(s, s)
         yy = space.inner_unchecked(y, y)
@@ -123,9 +129,8 @@ class SecantStore:
             self.bb_scaling = None
             return False
         if self.pairs.maxlen:
-            self.pairs.append(SecantPair(
-                s=s.copy(), y=y.copy(), sy=sy, ss=ss, yy=yy, quality=quality, index=index,
-            ))
+            # positional, in field order: keywords cost more per pair
+            self.pairs.append(SecantPair(s, y, sy, ss, yy, quality, index))
         # Cauchy-Schwarz makes the smaller scaling sy/yy, but rounding can
         # flip the order by one ulp for parallel vectors
         self.bb_scaling = min(sy / yy, ss / sy)

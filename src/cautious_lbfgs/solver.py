@@ -203,21 +203,34 @@ class _Ray:
         return self.space.inner_unchecked(self.grad, self.d)
 
 
-def _search(config: SolverConfig, ray: _Ray, f: float, dphi0: float,
-            trace: list[IterationRecord]) -> LineSearchOutcome:
-    """The configured line search along ``ray`` from the value f and slope dphi0.
+def _bound_search(config: SolverConfig, trace: list[IterationRecord]):
+    """The configured line search as one call ``search(ray, f, dphi0)``, bound once per run.
 
-    The nonmonotone rule's history is the f of the last gll_memory - 1
-    records of ``trace``, then f.
+    It searches along ``ray`` from the value f and slope dphi0.  The
+    nonmonotone rule's history is the f of the last gll_memory - 1
+    records of ``trace``, then f.  The search is looked up among this
+    module's globals when the run binds it, not at import, so a tool
+    that wraps those names before a run sees every call of that run.
     """
+    ls = config.ls
     if config.linesearch == "armijo":
-        return armijo_backtrack(ray.phi, f, dphi0, config.ls)
-    if config.linesearch == "gll":
-        window = trace[max(0, len(trace) + 1 - config.ls.gll_memory):]
-        return gll_nonmonotone(ray.phi, dphi0, [r.f for r in window] + [f], config.ls)
-    if config.linesearch == "wolfe":
-        return wolfe_weak(ray.phi, ray.dphi, config.ls, phi0=f, dphi0=dphi0)
-    return more_thuente(ray.phi, ray.dphi, config.ls, phi0=f, dphi0=dphi0)
+        armijo = armijo_backtrack
+
+        def search(ray: _Ray, f: float, dphi0: float) -> LineSearchOutcome:
+            return armijo(ray.phi, f, dphi0, ls)
+    elif config.linesearch == "gll":
+        gll, memory = gll_nonmonotone, ls.gll_memory
+
+        def search(ray: _Ray, f: float, dphi0: float) -> LineSearchOutcome:
+            window = trace[max(0, len(trace) + 1 - memory):]
+            return gll(ray.phi, dphi0, [r.f for r in window] + [f], ls)
+    else:
+        # the weak and the strong (More-Thuente) Wolfe search share one signature
+        wolfe = wolfe_weak if config.linesearch == "wolfe" else more_thuente
+
+        def search(ray: _Ray, f: float, dphi0: float) -> LineSearchOutcome:
+            return wolfe(ray.phi, ray.dphi, ls, f, dphi0)
+    return search
 
 
 def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveReport:
@@ -234,7 +247,13 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
 
     x0 and each evaluation's result are checked once, where they enter;
     the arithmetic after that trusts them and takes the space's unchecked
-    products.
+    products.  ``two_loop`` takes the checked gradient as it is, and
+    ``SecantStore.push`` keeps each pair's s and y uncopied: the step the
+    line search formed and a fresh gradient difference, both
+    C-contiguous and never written again.  (A strided view handed to
+    ``push`` by other code stays strided, and its products may round
+    differently from a contiguous copy's.)  The configured line search
+    is bound once per run.
 
     The whole run, the start evaluation included, takes place under
     ``np.errstate(all="ignore")``: an overflow or invalid operation gives
@@ -258,44 +277,48 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
     audits: list[BoundReport] = []
     iterates = [x] if config.keep_iterates else None
     n_feval = 0
-    cautious = config.cautious
+    # what each iteration reads, bound once per run
+    inner, norm, push = space.inner_unchecked, space.norm_unchecked, store.push
+    search = _bound_search(config, trace)
+    cautious, grad_tol, max_iter = config.cautious, config.grad_tol, config.max_iter
+    oracle_checks, keep_storage = config.oracle_checks, config.keep_storage
     filtered = config.mode == "cautious"
     try:
         f, grad = _evaluate(problem, space, x)
     except _EvalFailure as err:
         f, grad = math.nan, np.full(space.dim, math.nan)
         status, reason = "eval_error", str(err)
-    grad_norm = space.norm_unchecked(grad)
+    grad_norm = norm(grad)
     if status is None and not (math.isfinite(f) and math.isfinite(grad_norm)):
         status, reason = "nonfinite", "nonfinite objective or gradient at the starting point"
 
     while status is None:
-        if grad_norm <= config.grad_tol:
+        if grad_norm <= grad_tol:
             status = "converged"
             break
         k = len(trace)
-        if k >= config.max_iter:
+        if k >= max_iter:
             status = "max_iter"
-            reason = f"gradient norm {grad_norm} above {config.grad_tol} after {k} iterations"
+            reason = f"gradient norm {grad_norm} above {grad_tol} after {k} iterations"
             break
 
         omega = cautious_threshold(grad_norm, cautious)
         level = omega if filtered else 0.0
         gamma = choose_seed_scaling(store, level, 1.0 / grad_norm)
         active = store.active(level)
-        n_stored = len(store)
+        n_stored = len(store.pairs)
         d = two_loop(space, active, gamma, grad)
-        dphi0 = space.inner_unchecked(grad, d)
+        dphi0 = inner(grad, d)
         if not dphi0 < 0.0:
             status, reason = "non_descent", f"direction is not a descent direction: dphi0 = {dphi0}"
             break
 
-        if config.oracle_checks:
+        if oracle_checks:
             audits.append(cautious_bound_report(space, active, gamma, omega, cautious.m))
 
         ray = _Ray(problem, space, x, d)
         try:
-            outcome = _search(config, ray, f, dphi0, trace)
+            outcome = search(ray, f, dphi0)
         except LineSearchError as err:
             status, reason = "linesearch_failure", str(err)
             break
@@ -306,7 +329,7 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
             # the trials of a failed search happened too
             n_feval += ray.n_feval
         alpha, x_new, f_new, grad_new = outcome.alpha, ray.point, ray.f, ray.grad
-        grad_norm_new = space.norm_unchecked(grad_new)
+        grad_norm_new = norm(grad_new)
         # a NaN or infinite entry, or finite entries whose norm overflows
         if not (math.isfinite(f_new) and math.isfinite(grad_norm_new)):
             x, f, grad, grad_norm = x_new, f_new, grad_new, grad_norm_new
@@ -314,13 +337,13 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
             break
 
         # s is the step the ray added, alpha * d as the search formed it (d
-        # itself at alpha = 1); push copies what it stores, so the ray's
-        # step and d stay unwritten
-        stored = store.push(space, ray.step, grad_new - grad, index=k)
+        # itself at alpha = 1), and y a fresh difference: the store keeps
+        # both uncopied, and nothing here writes either of them again
+        stored = push(space, ray.step, grad_new - grad, index=k)
+        # positional, in field order: keywords cost more per record
         trace.append(IterationRecord(
-            k=k, f=f, grad_norm=grad_norm, omega=omega, gamma=gamma, n_active=len(active),
-            n_stored=n_stored, alpha=alpha, pair_stored=stored, n_feval_ls=outcome.n_feval,
-            storage=store.snapshot() if config.keep_storage else None,
+            k, f, grad_norm, omega, gamma, len(active), n_stored, alpha, stored, outcome.n_feval,
+            store.snapshot() if keep_storage else None,
         ))
         x, f, grad, grad_norm = x_new, f_new, grad_new, grad_norm_new
         if iterates is not None:
@@ -343,7 +366,8 @@ def compare_traces(a: SolveReport, b: SolveReport) -> int | None:
 
     Compares the TRACE_FIELDS of each record exactly (no tolerance) and the
     final iterates elementwise; a length mismatch diverges at the end of
-    the shorter trace.
+    the shorter trace.  A NaN entry of x_final equals a NaN entry in the
+    same place.
     """
     for i, (ra, rb) in enumerate(zip(a.trace, b.trace)):
         for name in TRACE_FIELDS:
@@ -351,6 +375,6 @@ def compare_traces(a: SolveReport, b: SolveReport) -> int | None:
                 return i
     if len(a.trace) != len(b.trace):
         return min(len(a.trace), len(b.trace))
-    if not np.array_equal(a.x_final, b.x_final):
+    if not np.array_equal(a.x_final, b.x_final, equal_nan=True):
         return len(a.trace)
     return None

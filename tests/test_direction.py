@@ -196,7 +196,7 @@ class TestTwoLoop:
     def test_identical_pair_reproduces_identity(self):
         space = Space(2)
         store = SecantStore(capacity=1)
-        store.push(space, [1.0, 0.0], [1.0, 0.0], index=0)
+        store.push(space, np.array([1.0, 0.0]), np.array([1.0, 0.0]), index=0)
         d = two_loop(space, store.pairs, 1.0, np.array([3.0, 4.0]))
         assert_allclose(d, [-3.0, -4.0], rtol=0, atol=1e-15)
 
@@ -207,7 +207,7 @@ class TestTwoLoop:
     def test_rejects_nonpositive_curvature_pair(self):
         space = Space(2)
         store = SecantStore(capacity=1)
-        store.push(space, [1.0, 0.0], [1.0, 0.0], index=0)
+        store.push(space, np.array([1.0, 0.0]), np.array([1.0, 0.0]), index=0)
         object.__setattr__(store.pairs[0], "sy", -1.0)
         with pytest.raises(ValueError):
             two_loop(space, store.pairs, 1.0, np.array([1.0, 1.0]))
@@ -268,7 +268,7 @@ class TestDenseOperators:
     def test_unit_pair_preserves_identity(self):
         space = Space(2)
         store = SecantStore(capacity=1)
-        store.push(space, [1.0, 0.0], [1.0, 0.0], index=0)
+        store.push(space, np.array([1.0, 0.0]), np.array([1.0, 0.0]), index=0)
         assert_allclose(dense_hessian_inverse(space, store.pairs, 1.0), np.eye(2), atol=1e-15)
         assert_allclose(dense_hessian(space, store.pairs, 1.0), np.eye(2), atol=1e-15)
 
@@ -510,8 +510,8 @@ class TestTwoLoopOperator:
         # eigenvalue beside finite ones, in whatever order LAPACK sorts it
         space = Space(3)
         store = SecantStore(capacity=2)
-        assert store.push(space, [1e150, 0.0, 0.0], [1e50, 0.0, 0.0], index=0)
-        assert store.push(space, [0.0, 1e150, 0.0], [0.0, 1e150, 0.0], index=1)
+        assert store.push(space, np.array([1e150, 0.0, 0.0]), np.array([1e50, 0.0, 0.0]), index=0)
+        assert store.push(space, np.array([0.0, 1e150, 0.0]), np.array([0.0, 1e150, 0.0]), index=1)
         with np.errstate(all="ignore"):
             expected = numpy_two_loop_norms(space, store.pairs, 1e200)
             assert math.isnan(expected[0]) and expected[1] == math.inf
@@ -541,7 +541,7 @@ class TestTwoLoopOperator:
         with pytest.raises(ValueError):
             two_loop_norms(space, [], 0.0)
         store = SecantStore(capacity=1)
-        store.push(space, [1.0, 0.0], [1.0, 0.0], index=0)
+        store.push(space, np.array([1.0, 0.0]), np.array([1.0, 0.0]), index=0)
         object.__setattr__(store.pairs[0], "sy", -1.0)
         with pytest.raises(ValueError):
             two_loop_norms(space, store.pairs, 1.0)
@@ -569,7 +569,7 @@ class TestBoundChecks:
     def test_trivial_unit_pair(self):
         space = Space(2)
         store = SecantStore(capacity=1)
-        store.push(space, [1.0, 0.0], [1.0, 0.0], index=0)
+        store.push(space, np.array([1.0, 0.0]), np.array([1.0, 0.0]), index=0)
         H = dense_hessian_inverse(space, store.pairs, 1.0)
         report = check_bounds(H, gamma=1.0, kappa1=1.0, kappa2=1.0, n_pairs=1)
         assert report.bound_h == 5.0
@@ -601,7 +601,7 @@ class TestBoundChecks:
     def test_cautious_report_infinite_bounds(self, threshold):
         # level 0, and a level whose bound on ||H|| leaves the float range
         space, store = Space(2), SecantStore(capacity=2)
-        store.push(space, [1.0, 0.0], [2.0, 0.5], index=0)
+        store.push(space, np.array([1.0, 0.0]), np.array([2.0, 0.5]), index=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = cautious_bound_report(space, store.pairs, 0.5, threshold=threshold, m=2)

@@ -22,25 +22,25 @@ class TestCurvatureQuality:
     space = Space(2)
 
     def test_identical_vectors(self):
-        store, stored = _pushed(self.space, [1.0, 0.0], [1.0, 0.0])
+        store, stored = _pushed(self.space, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         assert stored
         assert store.pairs[0].quality == 1.0
 
     def test_scaled_vector(self):
-        store, stored = _pushed(self.space, [1.0, 0.0], [2.0, 0.0])
+        store, stored = _pushed(self.space, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         assert stored
         assert store.pairs[0].quality == 0.5
 
     def test_zero_y_branch(self):
-        store, stored = _pushed(self.space, [1.0, 0.0], [0.0, 0.0])
+        store, stored = _pushed(self.space, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
         assert not stored and len(store) == 0
 
     def test_zero_s_branch(self):
-        store, stored = _pushed(self.space, [0.0, 0.0], [1.0, 0.0])
+        store, stored = _pushed(self.space, np.array([0.0, 0.0]), np.array([1.0, 0.0]))
         assert not stored and len(store) == 0
 
     def test_negative_curvature(self):
-        store, stored = _pushed(self.space, [1.0, 0.0], [-1.0, 0.0])
+        store, stored = _pushed(self.space, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
         assert not stored and len(store) == 0
 
 
@@ -121,13 +121,13 @@ class TestBbScalars:
     space = Space(2)
 
     def test_parallel_pair(self):
-        store, stored = _pushed(self.space, [1.0, 0.0], [2.0, 0.0])
+        store, stored = _pushed(self.space, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         assert stored
         assert store.bb_scaling == 0.5
 
     def test_general_pair(self):
         # sy/yy = 3/5 is the smaller of the two scalings; ss/sy = 2/3
-        store, stored = _pushed(self.space, [1.0, 1.0], [1.0, 2.0])
+        store, stored = _pushed(self.space, np.array([1.0, 1.0]), np.array([1.0, 2.0]))
         assert stored
         assert_allclose(store.bb_scaling, 0.6, rtol=1e-15)
 
@@ -139,7 +139,7 @@ class TestBbScalars:
         assert store.bb_scaling == 11.0
 
     def test_requires_positive_curvature(self):
-        store, stored = _pushed(self.space, [1.0, 0.0], [-1.0, 0.0])
+        store, stored = _pushed(self.space, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
         assert not stored
         assert store.bb_scaling is None
 
@@ -162,37 +162,37 @@ class TestSecantStore:
 
     def test_push_accepts_positive_curvature(self):
         store = SecantStore(capacity=2)
-        assert store.push(self.space, [1.0, 0.0], [1.0, 0.0], index=0)
+        assert store.push(self.space, np.array([1.0, 0.0]), np.array([1.0, 0.0]), index=0)
         assert len(store) == 1
         assert store.bb_scaling == 1.0
 
     def test_fifo_eviction_at_capacity(self):
         store = SecantStore(capacity=2)
         for k in range(3):
-            assert store.push(self.space, [1.0, 0.0], [float(k + 1), 0.0], index=k)
+            assert store.push(self.space, np.array([1.0, 0.0]), np.array([float(k + 1), 0.0]), index=k)
         assert len(store) == 2
         assert [p.index for p in store.pairs] == [1, 2]
 
     def test_rejection_leaves_pairs_untouched(self):
         store = SecantStore(capacity=2)
-        store.push(self.space, [1.0, 0.0], [1.0, 0.0], index=0)
+        store.push(self.space, np.array([1.0, 0.0]), np.array([1.0, 0.0]), index=0)
         before = pickle.dumps(store.pairs)
-        assert not store.push(self.space, [1.0, 0.0], [-1.0, 0.0], index=1)
+        assert not store.push(self.space, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), index=1)
         assert pickle.dumps(store.pairs) == before
         assert store.bb_scaling is None
 
     def test_rejects_subnormal_curvature(self):
         store = SecantStore(capacity=2)
         # sy = 5e-324 > 0, but the quality underflows to 0
-        assert not store.push(self.space, [0.0, 1.0], [2.0, 5e-324], index=0)
+        assert not store.push(self.space, np.array([0.0, 1.0]), np.array([2.0, 5e-324]), index=0)
         # quality 1, but rho = 1/sy overflows to inf
-        assert not store.push(self.space, [1e-155, 0.0], [1e-155, 0.0], index=1)
+        assert not store.push(self.space, np.array([1e-155, 0.0]), np.array([1e-155, 0.0]), index=1)
         assert len(store) == 0
         assert store.bb_scaling is None
 
     def test_capacity_zero_keeps_no_pairs_but_updates_scaling(self):
         store = SecantStore(capacity=0)
-        assert store.push(self.space, [1.0, 0.0], [2.0, 0.0], index=0)
+        assert store.push(self.space, np.array([1.0, 0.0]), np.array([2.0, 0.0]), index=0)
         assert len(store) == 0
         assert store.bb_scaling == 0.5
 
@@ -211,12 +211,12 @@ class TestSecantStore:
 
     def test_active_ties_count(self):
         store = SecantStore(capacity=1)
-        store.push(self.space, [1.0, 0.0], [2.0, 0.0], index=0)
+        store.push(self.space, np.array([1.0, 0.0]), np.array([2.0, 0.0]), index=0)
         assert len(store.active(store.pairs[0].quality)) == 1
 
     def test_snapshot_is_scalar_only(self):
         store = SecantStore(capacity=1)
-        store.push(self.space, [1.0, 1.0], [1.0, 2.0], index=4)
+        store.push(self.space, np.array([1.0, 1.0]), np.array([1.0, 2.0]), index=4)
         (snap,) = store.snapshot()
         assert set(snap) == {"index", "sy", "ss", "yy", "quality"}
         assert snap["index"] == 4
@@ -240,7 +240,7 @@ def test_store_invariants_after_any_push_sequence(raw):
     store = SecantStore(capacity=3)
     accepted = False
     for k, (a, b, c, d) in enumerate(raw):
-        accepted = store.push(space, [a, b], [c, d], index=k)
+        accepted = store.push(space, np.array([a, b]), np.array([c, d]), index=k)
     assert len(store) <= 3
     indices = [p.index for p in store.pairs]
     assert indices == sorted(indices)
@@ -265,7 +265,8 @@ def test_capacity_zero_decides_and_scales_as_capacity_one(raw):
     space = Space(2)
     bare, one = SecantStore(capacity=0), SecantStore(capacity=1)
     for k, (a, b, c, d) in enumerate(raw):
-        assert bare.push(space, [a, b], [c, d], index=k) == one.push(space, [a, b], [c, d], index=k)
+        s, y = np.array([a, b]), np.array([c, d])
+        assert bare.push(space, s, y, index=k) == one.push(space, s, y, index=k)
         assert bare.bb_scaling == one.bb_scaling
         assert len(bare) == 0 and not bare.pairs and bare.snapshot() == []
 
@@ -343,7 +344,7 @@ class TestChooseSeedScaling:
     def test_level_zero_returns_unclamped_target(self, raw, fallback):
         store = SecantStore(capacity=2)
         for k, (a, b, c, d) in enumerate(raw):
-            store.push(self.space, [a, b], [c, d], index=k)
+            store.push(self.space, np.array([a, b]), np.array([c, d]), index=k)
         target = fallback if store.bb_scaling is None else store.bb_scaling
         assert choose_seed_scaling(store, 0.0, fallback) == target
 

@@ -238,9 +238,9 @@ class TestValidation:
     @pytest.mark.parametrize("m", [0, 5])
     @pytest.mark.parametrize("ls", ["armijo", "wolfe", "mt", "gll"])
     def test_each_array_checked_once_where_it_enters(self, monkeypatch, ls, m):
-        # x0 once; each evaluation twice (the problem's x, then minimize's
-        # gradient); each iteration three times (two_loop's gradient, then
-        # push's s and y).  Everything else trusts arrays already checked.
+        # x0 once, and each evaluation twice: the problem's x, then
+        # minimize's gradient.  two_loop and push trust those arrays, as
+        # does everything else.
         prob = PiecewiseQuadratic(100)
         x0 = np.random.default_rng(7).standard_normal(prob.space.dim)
         calls = dict.fromkeys(("check", "inner", "norm"), 0)
@@ -251,7 +251,7 @@ class TestValidation:
             monkeypatch.setattr(Space, name, counted)
         report = minimize(prob, prob.space, x0, config(m=m, linesearch=ls, grad_tol=1e-5))
         assert report.status == "converged"
-        assert calls["check"] == 1 + 2 * report.n_geval + 3 * report.n_iter
+        assert calls["check"] == 1 + 2 * report.n_geval
         assert calls["inner"] == calls["norm"] == 0
 
 
@@ -449,6 +449,56 @@ class TestRayAndDirectionBits:
         assert not np.shares_memory(d, grad)
 
 
+class TestPairOwnership:
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    @pytest.mark.parametrize("ls", ["armijo", "wolfe", "mt", "gll"])
+    @pytest.mark.parametrize("problem_id", ["pwquad", "rosenbrock", "ocp"])
+    def test_store_holds_the_arrays_pushed_with_their_bytes(self, monkeypatch, problem_id, ls, m):
+        # push keeps the s and y it is handed uncopied, so the solver must
+        # hand it arrays that nothing writes afterwards and that no other
+        # stored vector, iterate or x_final shares; nor may it write the
+        # gradients the problem returned
+        rng = np.random.default_rng(5)
+        if problem_id == "pwquad":
+            prob = PiecewiseQuadratic(10)
+            x0 = rng.standard_normal(prob.space.dim)
+        elif problem_id == "rosenbrock":
+            prob, x0 = Rosenbrock(), ROSEN_X0
+        else:
+            prob = OcpControlProblem(OcpGrid(M=8))
+            x0 = 1e-3 * rng.standard_normal(prob.space.dim)
+        pushes, gradients = {}, []
+        push, value_and_grad = SecantStore.push, prob.value_and_grad
+
+        def recording_push(self, space, s, y, index):
+            pushes[index] = (self, s, y, s.tobytes(), y.tobytes())
+            return push(self, space, s, y, index=index)
+
+        def recording_value_and_grad(x):
+            f, grad = value_and_grad(x)
+            gradients.append((grad, grad.tobytes()))
+            return f, grad
+
+        monkeypatch.setattr(SecantStore, "push", recording_push)
+        monkeypatch.setattr(prob, "value_and_grad", recording_value_and_grad)
+        report = minimize(prob, prob.space, x0, config(m=m, linesearch=ls, grad_tol=1e-6, max_iter=100))
+        assert len(pushes) == report.n_iter > 0
+        (store,) = {id(rec[0]): rec[0] for rec in pushes.values()}.values()
+        for _, s, y, s_bytes, y_bytes in pushes.values():
+            assert s.tobytes() == s_bytes and y.tobytes() == y_bytes
+        for grad, grad_bytes in gradients:
+            assert grad.tobytes() == grad_bytes
+        assert len(store.pairs) == min(m, report.n_pairs_stored) and (m == 0 or store.pairs)
+        stored = []
+        for pair in store.pairs:
+            _, s, y, _, _ = pushes[pair.index]
+            assert pair.s is s and pair.y is y
+            stored += [s, y]
+        for i, u in enumerate(stored):
+            others = stored[i + 1:] + report.iterates + [report.x_final]
+            assert not any(np.shares_memory(u, v) for v in others)
+
+
 class TestAudits:
     def test_audit_reports_present_and_clean(self):
         prob = Rosenbrock()
@@ -581,6 +631,17 @@ class TestModes:
         b = dataclasses.replace(a, x_final=np.nextafter(a.x_final, np.inf))
         # equal records, so the runs part only after the last iteration
         assert compare_traces(a, b) == a.n_iter
+
+    def test_compare_traces_nan_final_iterates_are_equal(self):
+        # a NaN start ends the run before any record, with x_final holding the NaN
+        prob, x0 = Rosenbrock(), np.array([math.nan, 1.0])
+        a, b, classical = (
+            minimize(prob, prob.space, x0, config(m=2, mode=mode))
+            for mode in ("cautious", "cautious", "classical")
+        )
+        assert a.status == "nonfinite" and not a.trace and math.isnan(a.x_final[0])
+        assert compare_traces(a, b) is None
+        assert compare_traces(a, classical) is None
 
 
 class TestConfigValidation:
