@@ -4,8 +4,13 @@
 Each tree's package is imported under its own name, so both share one
 process and its speed drift.  ``--problem pwquad`` (the default) solves
 PiecewiseQuadratic(100) at grad_tol 1e-5, armijo and wolfe at m = 0, 5,
-10, in batches of 25 seeded normal starts.  ``--problem pwquad-audit``
-solves the same problem and configs with the norm audit on, in batches
+10 and gll at m = 0, 5 (its ten-value window), in batches of 25 seeded
+normal starts.  Per config it also solves its first batch's starts once
+more, untimed, at grad_tol 1e-9, where armijo and wolfe end
+``linesearch_failure`` from many starts at every m, so the reasons of
+failing searches are compared too; it prints the statuses of those
+solves.  ``--problem pwquad-audit`` solves the problem in the armijo
+and wolfe configs with the norm audit on, in batches
 of three starts: its b and two seeded perturbations b + 1e-6 N(0, I).
 Its audits run on QR coordinates, since n = 300 > 2k.  ``--problem rosenbrock``
 solves Rosenbrock from (-1.2, 1) at grad_tol 1e-9 with the norm audit on,
@@ -25,9 +30,10 @@ and at seeded N(0, I) controls of scale 30 and 1e3 on M = 32.  Each
 solve is timed through ``minimize`` then ``q_factors``, after one
 untimed audited solve per tree, which takes the one-time costs of a
 first audit, such as an import, out of every timed batch.  The trees
-take turns going first, and each batch must give the same bits in
-both: x_final, the q-factors, and every trace record's f, grad_norm,
-omega, gamma, alpha, n_active, n_stored and n_feval_ls.  Each config
+take turns going first, and each batch must give the same results in
+both: each solve's status and reason, and the bits of x_final, the
+q-factors, and every trace record's f, grad_norm, omega, gamma, alpha,
+n_active, n_stored and n_feval_ls.  Each config
 also runs one untimed solve per tree with ``keep_storage=True``, from
 the last start of its first batch, and every trace record's storage
 snapshot must give the same bits in both: each stored pair's index,
@@ -50,6 +56,7 @@ import importlib.util
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +69,8 @@ OCP_M = 32
 OCP_START_SCALE = 1e-3
 T3_CONFIGS = [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "wolfe")]
 T4_CONFIGS = [(ls, m) for m in (0, 5, 10) for ls in ("armijo", "mt")]
+# the grad_tol of pwquad's untimed batch, the SolverConfig default
+STRICT_TOL = 1e-9
 # the IterationRecord fields whose bits each batch compares between the trees
 RECORD_FIELDS = ("f", "grad_norm", "omega", "gamma", "alpha", "n_active", "n_stored", "n_feval_ls")
 
@@ -100,7 +109,7 @@ def evaluation_bits(lib, cases):
 PROBLEMS = {
     "pwquad": (
         lambda lib: lib.PiecewiseQuadratic(100),
-        T3_CONFIGS,
+        T3_CONFIGS + [("gll", 0), ("gll", 5)],
         1e-5,
         False,
         lambda rng, problem: [rng.standard_normal(300) for _ in range(BATCH)],
@@ -141,9 +150,13 @@ def load(src: str, alias: str):
     return module
 
 
-def solver_config(lib, name, config, keep_storage=False):
-    """The package's SolverConfig of one (line search, m) config of problem ``name``."""
-    _, _, grad_tol, audit, _ = PROBLEMS[name]
+def solver_config(lib, name, config, keep_storage=False, grad_tol=None):
+    """The package's SolverConfig of one (line search, m) config of problem ``name``.
+
+    ``grad_tol`` replaces the problem's own where it is given.
+    """
+    _, _, default_tol, audit, _ = PROBLEMS[name]
+    grad_tol = default_tol if grad_tol is None else grad_tol
     ls, m = config
     # More-Thuente on the control problem at sigma 1e-8, as the benchmark's
     # ocp-j5 and the mesh-independence criterion run it
@@ -162,12 +175,13 @@ def storage_bits(lib, name, config, x0, problem):
     return [[tuple(repr(v) for v in entry.values()) for entry in r.storage] for r in report.trace]
 
 
-def batch(lib, name, config, starts, problem, reference):
-    """(ns, iterations, result bits, (norm_h, norm_h_inv) of every audit) of one batch of solves.
+def batch(lib, name, config, starts, problem, reference, grad_tol=None):
+    """(ns, iterations, results, (norm_h, norm_h_inv) of every audit) of one batch of solves.
 
-    ``reference`` is the (f*, x*) of the q-factors.
+    ``reference`` is the (f*, x*) of the q-factors.  Each solve's result is
+    its status, its reason and the bits of its x_final, q-factors and records.
     """
-    cfg = solver_config(lib, name, config)
+    cfg = solver_config(lib, name, config, grad_tol=grad_tol)
     ns, iters, bits, norms = 0, 0, [], []
     for x0 in starts:
         t0 = time.perf_counter_ns()
@@ -177,7 +191,7 @@ def batch(lib, name, config, starts, problem, reference):
         iters += report.n_iter
         # repr round-trips a float and tells -0.0 from 0.0
         records = [tuple(repr(getattr(r, name)) for name in RECORD_FIELDS) for r in report.trace]
-        bits.append((report.x_final.tobytes(), repr(rates), records))
+        bits.append((report.status, report.reason, report.x_final.tobytes(), repr(rates), records))
         norms += [(a.norm_h, a.norm_h_inv) for a in report.audits or []]
     return ns, iters, bits, np.array(norms)
 
@@ -216,6 +230,7 @@ def main() -> None:
     problem = problems["old"]
     totals = {(tree, c): np.zeros(2) for tree in libs for c in configs}  # ns, iterations
     worst_audit = 0.0
+    strict_statuses = Counter()
     for r in range(args.rounds):
         for i, config in enumerate(configs):
             starts = make_starts(rng, problem)
@@ -224,9 +239,14 @@ def main() -> None:
                 snapshots = [storage_bits(libs[tree], args.problem, config, starts[-1], problems[tree])
                              for tree in ("old", "new")]
                 assert snapshots[0] == snapshots[1], f"storage snapshots differ: {config}"
+                if args.problem == "pwquad":
+                    strict = [batch(libs[tree], args.problem, config, starts, problems[tree], references[tree],
+                                    grad_tol=STRICT_TOL)[2] for tree in ("old", "new")]
+                    assert strict[0] == strict[1], f"results at grad_tol {STRICT_TOL} differ: {config}"
+                    strict_statuses.update(status for status, *_ in strict[1])
             results = {tree: batch(libs[tree], args.problem, config, starts, problems[tree], references[tree])
                        for tree in order}
-            assert results["old"][2] == results["new"][2], f"bits differ: round {r}, {config}"
+            assert results["old"][2] == results["new"][2], f"results differ: round {r}, {config}"
             old_norms, new_norms = results["old"][3], results["new"][3]
             assert old_norms.shape == new_norms.shape, f"audit counts differ: round {r}, {config}"
             diff = float(relative_differences(old_norms, new_norms).max(initial=0.0))
@@ -245,6 +265,8 @@ def main() -> None:
     print(f"total time ratio new/old: {new / old:.3f}")
     if PROBLEMS[args.problem][3]:
         print(f"largest relative audit difference new/old: {worst_audit:.3g}")
+    if strict_statuses:
+        print(f"statuses at grad_tol {STRICT_TOL} (same in both trees): {dict(sorted(strict_statuses.items()))}")
 
 if __name__ == "__main__":
     main()

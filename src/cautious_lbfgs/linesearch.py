@@ -1,11 +1,15 @@
 """Step-size rules: Armijo backtracking, weak and strong Wolfe-Powell,
 and the Grippo-Lampariello-Lucidi nonmonotone Armijo variant.
 
-All searches operate on a one-dimensional slice phi(alpha) = f(x + alpha*d)
-with phi'(0) < 0 and return a :class:`LineSearchOutcome` for a step that
-satisfies the search's conditions: sufficient decrease against phi(0)
-(against the history maximum for the nonmonotone rule), plus the weak or
-strong curvature condition for the Wolfe rules.  The last call to phi
+Every search is ``search(ray, params) -> LineSearchOutcome`` on a slice
+phi(alpha) = f(x + alpha*d), and reads from ``ray`` only ``phi(alpha)``,
+``dphi(alpha)``, ``phi0`` = phi(0), ``dphi0`` = phi'(0) < 0 and
+``reference``, the level backtracking measures sufficient decrease
+against: phi0 for Armijo, the maximum of the last few values of f for
+the nonmonotone rule.  So Armijo is that rule with a one-value window,
+and :func:`gll_nonmonotone` is :func:`armijo_backtrack`.  The Wolfe
+rules measure decrease against phi0 and add the weak or strong
+curvature condition.  The last call to phi
 (and, for the Wolfe rules, dphi) before a search returns is at the
 accepted step, so a caller that caches its latest evaluation holds the
 accepted one.  Failures raise :class:`LineSearchError` with a distinct
@@ -75,30 +79,19 @@ class LineSearchError(RuntimeError):
         self.trials = trials or []
 
 
-def armijo_backtrack(phi, phi0: float, dphi0: float, params: LineSearchParams) -> LineSearchOutcome:
-    """Backtracking from alpha = 1 until the sufficient-decrease test holds.
+def armijo_backtrack(ray, params: LineSearchParams) -> LineSearchOutcome:
+    """Backtracking from alpha = 1 until phi(alpha) <= reference + sigma alpha dphi0.
 
-    This is :func:`gll_nonmonotone` with the one-entry history [phi0].
+    With ``ray.reference`` equal to phi0 this is the Armijo rule; with the
+    maximum of the last few objective values it is the nonmonotone rule,
+    :func:`gll_nonmonotone`.  Each later trial minimizes the quadratic
+    through (0, phi0) with slope dphi0 and the last trial, clipped to
+    [beta1, beta2] times that trial's step; with beta1 == beta2 the window
+    has no width and the contraction is fixed.
     """
-    return gll_nonmonotone(phi, dphi0, [phi0], params)
-
-
-def gll_nonmonotone(phi, dphi0: float, f_history, params: LineSearchParams) -> LineSearchOutcome:
-    """Nonmonotone Armijo backtracking: decrease is measured against max(f_history).
-
-    ``f_history`` holds the most recent objective values, oldest first,
-    with the current value phi(0) last; a one-entry history is the
-    Armijo rule.  Backtracking starts at alpha = 1.  Each later trial
-    minimizes the quadratic through (0, phi(0)) with slope dphi0 and the
-    last trial, clipped to [beta1, beta2] times that trial's step; with
-    beta1 == beta2 the window has no width and the contraction is fixed.
-    """
-    history = list(f_history)
-    if not history:
-        raise ValueError("f_history must be nonempty")
+    phi, phi0, dphi0, reference = ray.phi, ray.phi0, ray.dphi0, ray.reference
     if not dphi0 < 0.0:
         raise ValueError(f"descent derivative required, got dphi0 = {dphi0}")
-    phi0, reference = history[-1], max(history)
     alpha = 1.0
     trials: list[tuple[float, float]] = []
     for _ in range(params.maxfev):
@@ -118,8 +111,11 @@ def gll_nonmonotone(phi, dphi0: float, f_history, params: LineSearchParams) -> L
     )
 
 
-def wolfe_weak(phi, dphi, params: LineSearchParams,
-               phi0: float, dphi0: float) -> LineSearchOutcome:
+# the nonmonotone rule is the same backtracking; its ray's reference is the window maximum
+gll_nonmonotone = armijo_backtrack
+
+
+def wolfe_weak(ray, params: LineSearchParams) -> LineSearchOutcome:
     """Bracketing/bisection search for the weak Wolfe-Powell conditions.
 
     Doubles the step while decrease holds but curvature fails, halves the
@@ -127,6 +123,7 @@ def wolfe_weak(phi, dphi, params: LineSearchParams,
     sufficient-decrease and the weak curvature inequality, which forces
     positive curvature inner(s, y) > 0 of the resulting pair.
     """
+    phi, dphi, phi0, dphi0 = ray.phi, ray.dphi, ray.phi0, ray.dphi0
     if not dphi0 < 0.0:
         raise ValueError(f"descent derivative required, got dphi0 = {dphi0}")
     lo, hi = 0.0, math.inf
@@ -156,8 +153,7 @@ def wolfe_weak(phi, dphi, params: LineSearchParams,
     )
 
 
-def more_thuente(phi, dphi, params: LineSearchParams,
-                 phi0: float, dphi0: float) -> LineSearchOutcome:
+def more_thuente(ray, params: LineSearchParams) -> LineSearchOutcome:
     """More-Thuente search for the strong Wolfe-Powell conditions.
 
     Sectioning with cubic/quadratic interpolation over a shrinking
@@ -168,6 +164,7 @@ def more_thuente(phi, dphi, params: LineSearchParams,
     satisfaction), ``stpmax`` / ``stpmin`` (step clipped at the bounds),
     and ``rounding``.
     """
+    phi, dphi, phi0, dphi0 = ray.phi, ray.dphi, ray.phi0, ray.dphi0
     if not dphi0 < 0.0:
         raise ValueError(f"descent derivative required, got dphi0 = {dphi0}")
 

@@ -12,6 +12,7 @@ modes therefore isolates exactly the effect of the modification.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -27,7 +28,6 @@ from .direction import (
 )
 from .linesearch import (
     LineSearchError,
-    LineSearchOutcome,
     LineSearchParams,
     armijo_backtrack,
     gll_nonmonotone,
@@ -43,7 +43,12 @@ from .secant_store import (
 )
 from .space import Space
 
-LINE_SEARCHES = ("armijo", "wolfe", "mt", "gll")
+# each rule's search by the name of the module global that _minimize looks
+# up at every run, not at import, so a tool that wraps one of these names
+# before a run sees every call of that run
+SEARCH_NAMES = {"armijo": "armijo_backtrack", "wolfe": "wolfe_weak", "mt": "more_thuente",
+                "gll": "gll_nonmonotone"}
+LINE_SEARCHES = tuple(SEARCH_NAMES)
 # what an objective raises when it cannot be evaluated: NewtonError and a
 # singular SuperLU factor are RuntimeErrors, LinAlgError and math domain
 # errors ValueErrors, and Python's float overflow, or numpy's floating-point
@@ -169,22 +174,24 @@ def _evaluate(problem: Problem, space: Space, x: np.ndarray) -> tuple[float, np.
 
 
 class _Ray:
-    """phi/dphi along x + alpha d from one objective-plus-gradient evaluation per step.
+    """A line search's view of x + alpha d, one objective-plus-gradient evaluation per step.
 
-    ``n_feval`` counts the distinct steps evaluated.  Every search returns
-    right after evaluating the step it accepts, so after a successful
-    search ``step``, ``point``, ``f`` and ``grad`` are the values there.
+    ``phi0`` and ``dphi0`` are f and the slope at x, and ``reference`` is
+    the level backtracking measures sufficient decrease against: phi0, or
+    the maximum of the nonmonotone window.  ``n_feval`` counts the
+    distinct steps evaluated.  Every search returns right after
+    evaluating the step it accepts, so after a successful search
+    ``step``, ``point``, ``f`` and ``grad`` are the values there.
     ``step`` is the step added to x: d itself at alpha = 1, the bits of
     ``1.0 * d`` without the product, and ``alpha * d`` otherwise, so
     ``point`` is ``x + step`` and the solver stores ``step`` as its s
     without forming it again.
     """
 
-    def __init__(self, problem: Problem, space: Space, x: np.ndarray, d: np.ndarray):
-        self.problem = problem
-        self.space = space
-        self.x = x
-        self.d = d
+    def __init__(self, problem: Problem, space: Space, x: np.ndarray, d: np.ndarray,
+                 phi0: float, dphi0: float, reference: float):
+        self.problem, self.space, self.x, self.d = problem, space, x, d
+        self.phi0, self.dphi0, self.reference = phi0, dphi0, reference
         self.n_feval = 0
         self.alpha = self.step = self.point = self.f = self.grad = None  # the latest evaluation
 
@@ -201,36 +208,6 @@ class _Ray:
         if alpha != self.alpha:
             self.phi(alpha)
         return self.space.inner_unchecked(self.grad, self.d)
-
-
-def _bound_search(config: SolverConfig, trace: list[IterationRecord]):
-    """The configured line search as one call ``search(ray, f, dphi0)``, bound once per run.
-
-    It searches along ``ray`` from the value f and slope dphi0.  The
-    nonmonotone rule's history is the f of the last gll_memory - 1
-    records of ``trace``, then f.  The search is looked up among this
-    module's globals when the run binds it, not at import, so a tool
-    that wraps those names before a run sees every call of that run.
-    """
-    ls = config.ls
-    if config.linesearch == "armijo":
-        armijo = armijo_backtrack
-
-        def search(ray: _Ray, f: float, dphi0: float) -> LineSearchOutcome:
-            return armijo(ray.phi, f, dphi0, ls)
-    elif config.linesearch == "gll":
-        gll, memory = gll_nonmonotone, ls.gll_memory
-
-        def search(ray: _Ray, f: float, dphi0: float) -> LineSearchOutcome:
-            window = trace[max(0, len(trace) + 1 - memory):]
-            return gll(ray.phi, dphi0, [r.f for r in window] + [f], ls)
-    else:
-        # the weak and the strong (More-Thuente) Wolfe search share one signature
-        wolfe = wolfe_weak if config.linesearch == "wolfe" else more_thuente
-
-        def search(ray: _Ray, f: float, dphi0: float) -> LineSearchOutcome:
-            return wolfe(ray.phi, ray.dphi, ls, f, dphi0)
-    return search
 
 
 def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveReport:
@@ -253,7 +230,7 @@ def minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> SolveR
     C-contiguous and never written again.  (A strided view handed to
     ``push`` by other code stays strided, and its products may round
     differently from a contiguous copy's.)  The configured line search
-    is bound once per run.
+    is looked up by name once per run.
 
     The whole run, the start evaluation included, takes place under
     ``np.errstate(all="ignore")``: an overflow or invalid operation gives
@@ -279,7 +256,11 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
     n_feval = 0
     # what each iteration reads, bound once per run
     inner, norm, push = space.inner_unchecked, space.norm_unchecked, store.push
-    search = _bound_search(config, trace)
+    search, ls = globals()[SEARCH_NAMES[config.linesearch]], config.ls
+    # the nonmonotone window: f at the last gll_memory iterates, oldest
+    # first, whose maximum the backtracking measures decrease against;
+    # one value, the current f, for every other rule
+    window = deque(maxlen=ls.gll_memory if config.linesearch == "gll" else 1)
     cautious, grad_tol, max_iter = config.cautious, config.grad_tol, config.max_iter
     oracle_checks, keep_storage = config.oracle_checks, config.keep_storage
     filtered = config.mode == "cautious"
@@ -291,6 +272,7 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
     grad_norm = norm(grad)
     if status is None and not (math.isfinite(f) and math.isfinite(grad_norm)):
         status, reason = "nonfinite", "nonfinite objective or gradient at the starting point"
+    window.append(f)
 
     while status is None:
         if grad_norm <= grad_tol:
@@ -316,9 +298,9 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
         if oracle_checks:
             audits.append(cautious_bound_report(space, active, gamma, omega, cautious.m))
 
-        ray = _Ray(problem, space, x, d)
+        ray = _Ray(problem, space, x, d, f, dphi0, max(window))
         try:
-            outcome = search(ray, f, dphi0)
+            outcome = search(ray, ls)
         except LineSearchError as err:
             status, reason = "linesearch_failure", str(err)
             break
@@ -346,6 +328,7 @@ def _minimize(problem: Problem, space: Space, x0, config: SolverConfig) -> Solve
             store.snapshot() if keep_storage else None,
         ))
         x, f, grad, grad_norm = x_new, f_new, grad_new, grad_norm_new
+        window.append(f)
         if iterates is not None:
             iterates.append(x)
 

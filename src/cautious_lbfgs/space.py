@@ -8,6 +8,8 @@ from numbers import Integral
 
 import numpy as np
 
+_FLOAT = np.dtype(float)
+
 
 @dataclass(frozen=True)
 class Space:
@@ -34,7 +36,12 @@ class Space:
             raise ValueError(f"weight must be positive and finite, got {self.weight!r}")
 
     def check(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        """u as a float vector of the space; a complex u raises rather than lose its imaginary part."""
+        u = np.asarray(u)
+        if u.dtype is not _FLOAT:
+            if u.dtype.kind == "c":
+                raise ValueError(f"expected a real vector, got dtype {u.dtype}")
+            u = u.astype(float)
         if u.shape != (self.dim,):
             raise ValueError(f"expected vector of shape ({self.dim},), got {u.shape}")
         return u

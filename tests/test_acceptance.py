@@ -20,15 +20,16 @@ from cautious_lbfgs import (
     compare_traces,
     fd_gradient_check,
     linear_rate_check,
+    linesearch,
     lstep_qlinear,
     minimize,
     q_factors,
 )
 from cautious_lbfgs.direction import dense_hessian_inverse, two_loop
-from cautious_lbfgs.linesearch import armijo_backtrack, gll_nonmonotone, more_thuente, wolfe_weak
+from cautious_lbfgs.solver import SEARCH_NAMES
 from test_direction import dense_hessian, dense_norms, random_instance
 from test_diagnostics import alternating_sequence
-from test_linesearch import _random_smooth_problem
+from test_linesearch import Ray, _random_smooth_problem
 from cautious_lbfgs.cli import standard_normals
 
 ROSEN_X0 = np.array([-1.2, 1.0])
@@ -281,17 +282,10 @@ def test_criterion_9_line_search_certificates():
             continue
         # the sufficient-decrease reference: phi(0), or the history maximum for gll
         reference = phi0
+        if rule == "gll":
+            reference = max([phi0 + float(rng.uniform(0, 2)), phi0])
         try:
-            if rule == "armijo":
-                out = armijo_backtrack(phi, phi0, dphi0, params)
-            elif rule == "gll":
-                history = [phi0 + float(rng.uniform(0, 2)), phi0]
-                reference = max(history)
-                out = gll_nonmonotone(phi, dphi0, history, params)
-            elif rule == "wolfe":
-                out = wolfe_weak(phi, dphi, params, phi0=phi0, dphi0=dphi0)
-            else:
-                out = more_thuente(phi, dphi, params, phi0=phi0, dphi0=dphi0)
+            out = getattr(linesearch, SEARCH_NAMES[rule])(Ray(phi, dphi, phi0, dphi0, reference), params)
         except LineSearchError:
             continue
         alpha = out.alpha

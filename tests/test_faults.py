@@ -37,7 +37,7 @@ from cautious_lbfgs.solver import LINE_SEARCHES, TRACE_FIELDS
 
 STATUSES = {"converged", "max_iter", "linesearch_failure", "nonfinite", "eval_error", "non_descent"}
 FAULTS = ("nan_f", "inf_f", "nan_grad", "newton_error", "zero_division", "repeat_grad", "huge_grad",
-          "short_grad", "array_f", "list_grad")
+          "short_grad", "array_f", "list_grad", "complex_grad")
 PROBLEMS = {"rosenbrock": Rosenbrock(), "pwquad": PiecewiseQuadratic(3)}
 STARTS = {"rosenbrock": np.array([-1.2, 1.0]), "pwquad": PROBLEMS["pwquad"].b + 0.3}
 MAX_ITER = 150
@@ -77,6 +77,8 @@ class Faulty(Problem):
             return np.array([f, f]), grad
         if self.fault == "list_grad":  # a well-formed result that is not an array
             return f, grad.tolist()
+        if self.fault == "complex_grad":  # a malformed result: the gradient is complex
+            return f, grad + 1j
         assert self.fault == "huge_grad"  # finite entries whose norm overflows
         return f, grad * 1e300
 
@@ -264,8 +266,30 @@ def test_minimize_survives_any_evaluation_fault(problem_id, ls, m, mode, fault, 
         assert (report.f_final, report.grad_norm_final) == (clean.f_final, clean.grad_norm_final)
         assert report.n_feval == clean.n_feval
         assert np.array_equal(report.x_final, clean.x_final)
-    elif fault in ("short_grad", "array_f"):
+    elif fault in ("short_grad", "array_f", "complex_grad"):
         assert report.status == "eval_error"
+
+
+@pytest.mark.parametrize("at", [1, 2, 5])
+@pytest.mark.parametrize("ls", LINE_SEARCHES)
+def test_complex_gradient_ends_eval_error_without_a_warning(ls, at):
+    # a cast to float would drop the imaginary part with a ComplexWarning
+    # and run on the real part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run("rosenbrock", ls, 2, "cautious", "complex_grad", at)
+    assert report.status == "eval_error"
+    assert report.reason == "ValueError: expected a real vector, got dtype complex128"
+    assert report.n_iter < at
+
+
+def test_complex_start_raises_without_a_warning():
+    problem = PROBLEMS["rosenbrock"]
+    config = SolverConfig(cautious=CautiousParams(m=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="real vector"):
+            minimize(problem, problem.space, STARTS["rosenbrock"] + 0j, config)
 
 
 # usable values of every constructor argument, at the smallest instances: Space

@@ -17,8 +17,23 @@ from cautious_lbfgs.linesearch import (
     more_thuente,
     wolfe_weak,
 )
+from cautious_lbfgs.solver import SEARCH_NAMES
 
 P = LineSearchParams()
+
+
+class Ray:
+    """What a search reads of its ray, from plain functions of the step.
+
+    phi0 and dphi0 default to phi(0) and dphi(0), and reference, the level
+    backtracking measures sufficient decrease against, to phi0.
+    """
+
+    def __init__(self, phi, dphi=None, phi0=None, dphi0=None, reference=None):
+        self.phi, self.dphi = phi, dphi
+        self.phi0 = phi(0.0) if phi0 is None else phi0
+        self.dphi0 = dphi(0.0) if dphi0 is None else dphi0
+        self.reference = self.phi0 if reference is None else reference
 
 
 def counted(fn):
@@ -63,7 +78,7 @@ class TestParams:
 class TestArmijo:
     def test_full_step_on_quadratic(self):
         phi = lambda a: (1 - a) ** 2
-        out = armijo_backtrack(phi, 1.0, -2.0, P)
+        out = armijo_backtrack(Ray(phi, phi0=1.0, dphi0=-2.0), P)
         assert out.alpha == 1.0
         assert phi(out.alpha) == 0.0
         assert out.n_feval == 1
@@ -72,25 +87,25 @@ class TestArmijo:
         # trial ladder 1, 1/2, 1/4, 1/8, 1/16 evaluated directly against
         # the sufficient-decrease inequality accepts 1/16 = 0.0625
         phi = counted(lambda a: 1.0 - a + 10.0 * a * a)
-        out = armijo_backtrack(phi, 1.0, -1.0, P)
+        out = armijo_backtrack(Ray(phi, phi0=1.0, dphi0=-1.0), P)
         assert out.alpha == 0.0625
         assert out.n_feval == 5
         assert [a for a, _ in phi.calls] == [1.0, 0.5, 0.25, 0.125, 0.0625]
 
     def test_requires_descent(self):
         with pytest.raises(ValueError):
-            armijo_backtrack(lambda a: a, 0.0, 1.0, P)
+            armijo_backtrack(Ray(lambda a: a, phi0=0.0, dphi0=1.0), P)
 
     def test_maxfev_failure_carries_trials(self):
         with pytest.raises(LineSearchError) as err:
-            armijo_backtrack(lambda a: 1.0 + a, 1.0, -1.0, P)
+            armijo_backtrack(Ray(lambda a: 1.0 + a, phi0=1.0, dphi0=-1.0), P)
         assert err.value.reason == "maxfev"
         assert len(err.value.trials) == 20
 
     def test_ladder_stays_inside_contraction_window(self):
         params = LineSearchParams(beta1=0.3, beta2=0.8)
         phi = counted(lambda a: math.cosh(3 * a) - 1 - 0.5 * a)
-        out = armijo_backtrack(phi, 0.0, -0.5, params)
+        out = armijo_backtrack(Ray(phi, phi0=0.0, dphi0=-0.5), params)
         alphas = [a for a, _ in phi.calls]
         assert alphas[0] == 1.0
         for prev, nxt in zip(alphas, alphas[1:]):
@@ -104,7 +119,7 @@ class TestArmijo:
         # 0.0625 / (2 * 0.3125) = 0.1.  Both lie strictly inside their windows
         # [0.1, 0.9] * 1 and [0.1, 0.9] * 1/4, so neither is clipped
         phi = counted(lambda a: 1.0 - a + 6.0 * a * a - 4.0 * a * a * a)
-        out = armijo_backtrack(phi, 1.0, -1.0, LineSearchParams(beta1=0.1, beta2=0.9))
+        out = armijo_backtrack(Ray(phi, phi0=1.0, dphi0=-1.0), LineSearchParams(beta1=0.1, beta2=0.9))
         assert [a for a, _ in phi.calls] == [1.0, 0.25, 0.1]
         assert [f for _, f in phi.calls[:2]] == [2.0, 1.0625]
         assert (out.alpha, out.n_feval) == (0.1, 3)
@@ -114,7 +129,7 @@ class TestArmijo:
         # beta1 == beta2 leaves the interpolation window no width, so each
         # trial is beta times the last, whatever phi returned there
         phi = counted(lambda a: bad if a > 0.01 else 1.0 - a)
-        out = armijo_backtrack(phi, 1.0, -1.0, LineSearchParams(beta1=0.3, beta2=0.3))
+        out = armijo_backtrack(Ray(phi, phi0=1.0, dphi0=-1.0), LineSearchParams(beta1=0.3, beta2=0.3))
         ladder = [1.0]
         while ladder[-1] > 0.01:
             ladder.append(ladder[-1] * 0.3)
@@ -125,55 +140,46 @@ class TestArmijo:
         # the reference level of the Armijo rule is phi(0), taken here from
         # phi itself rather than from anything the search reports
         phi = counted(lambda a: 1.0 - a + 10.0 * a * a)
-        out = armijo_backtrack(phi, phi(0.0), -1.0, P)
+        out = armijo_backtrack(Ray(phi, phi0=phi(0.0), dphi0=-1.0), P)
         # the last evaluation is at the accepted step, where a caller reads it
         assert phi.calls[-1][0] == out.alpha
         assert phi(out.alpha) <= phi(0.0) + P.sigma * out.alpha * (-1.0)
 
 
 class TestGll:
-    def test_memory_one_equals_armijo(self):
-        phi = lambda a: 1.0 - a + 10.0 * a * a
-        mono = armijo_backtrack(phi, 1.0, -1.0, P)
-        nonmono = gll_nonmonotone(phi, -1.0, [1.0], P)
-        assert mono.alpha == nonmono.alpha
-        assert mono.n_feval == nonmono.n_feval
+    def test_is_armijo_with_the_window_maximum_as_reference(self):
+        assert gll_nonmonotone is armijo_backtrack
 
     def test_accepts_increase_below_history_maximum(self):
         # current value 1, older value 5: a trial value of 4 passes even
         # though it increases the objective
-        history = [5.0, 1.0]
         phi = lambda a: 4.0 - 1e-6 * a
-        out = gll_nonmonotone(phi, -1e-5, history, P)
+        out = gll_nonmonotone(Ray(phi, phi0=1.0, dphi0=-1e-5, reference=5.0), P)
         assert out.alpha == 1.0
-        assert phi(out.alpha) > history[-1]
+        assert phi(out.alpha) > 1.0
 
     def test_reduces_to_monotone_on_singleton_history(self):
-        out = gll_nonmonotone(lambda a: 1.0 - a + 10.0 * a * a, -1.0, [1.0], P)
+        out = gll_nonmonotone(Ray(lambda a: 1.0 - a + 10.0 * a * a, phi0=1.0, dphi0=-1.0), P)
         assert out.alpha == 0.0625
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            gll_nonmonotone(lambda a: a, -1.0, [], P)
 
 
 class TestWolfeWeak:
     def test_full_step_on_quadratic(self):
         phi = lambda a: (1 - a) ** 2
         dphi = lambda a: 2 * (a - 1)
-        out = wolfe_weak(phi, dphi, P, phi0=1.0, dphi0=-2.0)
+        out = wolfe_weak(Ray(phi, dphi, phi0=1.0, dphi0=-2.0), P)
         assert out.alpha == 1.0
         assert dphi(out.alpha) >= P.eta * (-2.0)
 
     def test_unbounded_ray_hits_stpmax(self):
         with pytest.raises(LineSearchError) as err:
-            wolfe_weak(lambda a: -a, lambda a: -1.0, P, phi0=0.0, dphi0=-1.0)
+            wolfe_weak(Ray(lambda a: -a, lambda a: -1.0, phi0=0.0, dphi0=-1.0), P)
         assert err.value.reason == "stpmax"
 
     def test_quartic_certificate(self):
         phi = lambda a: a**4 / 4.0 - a
         dphi = lambda a: a**3 - 1.0
-        out = wolfe_weak(phi, dphi, P, phi0=0.0, dphi0=-1.0)
+        out = wolfe_weak(Ray(phi, dphi, phi0=0.0, dphi0=-1.0), P)
         assert phi(out.alpha) <= 0.0 + P.sigma * out.alpha * (-1.0)
         assert dphi(out.alpha) >= P.eta * (-1.0)
         # weak curvature at an accepted step forces positive curvature
@@ -181,21 +187,21 @@ class TestWolfeWeak:
 
     def test_requires_descent(self):
         with pytest.raises(ValueError):
-            wolfe_weak(lambda a: a, lambda a: 1.0, P, phi0=0.0, dphi0=1.0)
+            wolfe_weak(Ray(lambda a: a, lambda a: 1.0, phi0=0.0, dphi0=1.0), P)
 
 
 class TestMoreThuente:
     def test_exact_minimizer_accepted(self):
         phi = lambda a: 0.5 * (a - 1) ** 2
         dphi = lambda a: a - 1.0
-        out = more_thuente(phi, dphi, P, phi0=0.5, dphi0=-1.0)
+        out = more_thuente(Ray(phi, dphi, phi0=0.5, dphi0=-1.0), P)
         assert out.alpha == 1.0
         assert out.n_feval == 1
 
     def test_certificate_reverifies_strong_conditions(self):
         phi = lambda a: math.exp(-a) + 0.05 * a * a
         dphi = lambda a: -math.exp(-a) + 0.1 * a
-        out = more_thuente(phi, dphi, P, phi0=phi(0), dphi0=dphi(0))
+        out = more_thuente(Ray(phi, dphi), P)
         assert phi(out.alpha) <= phi(0) + P.sigma * out.alpha * dphi(0)
         assert abs(dphi(out.alpha)) <= P.eta * abs(dphi(0))
 
@@ -204,7 +210,7 @@ class TestMoreThuente:
         # 1, 5, 21, 85, 341 capped by the fourfold growth rule
         phi = counted(lambda a: -a + a * a / 2000.0)
         dphi = lambda a: -1.0 + a / 1000.0
-        out = more_thuente(phi, dphi, P, phi0=0.0, dphi0=-1.0)
+        out = more_thuente(Ray(phi, dphi, phi0=0.0, dphi0=-1.0), P)
         alphas = [a for a, _ in phi.calls]
         assert alphas[:4] == [1.0, 5.0, 21.0, 85.0]
         assert out.alpha >= 85.0
@@ -218,7 +224,7 @@ class TestMoreThuente:
         dphi = lambda a: -1.0 if a < kink else 0.998
         params = LineSearchParams(sigma=0.4, eta=0.5, maxfev=20, xtol=1e-30)
         with pytest.raises(LineSearchError) as err:
-            more_thuente(phi, dphi, params, phi0=0.0, dphi0=-1.0)
+            more_thuente(Ray(phi, dphi, phi0=0.0, dphi0=-1.0), params)
         assert err.value.reason == "maxfev"
         assert len(phi.calls) == 20
         # a five-times-larger budget still fails on float resolution,
@@ -226,7 +232,7 @@ class TestMoreThuente:
         phi2 = counted(lambda a: -a if a < kink else -kink + 0.998 * (a - kink))
         params2 = LineSearchParams(sigma=0.4, eta=0.5, maxfev=100, xtol=1e-30)
         with pytest.raises(LineSearchError) as err2:
-            more_thuente(phi2, dphi, params2, phi0=0.0, dphi0=-1.0)
+            more_thuente(Ray(phi2, dphi, phi0=0.0, dphi0=-1.0), params2)
         assert err2.value.reason == "rounding"
         assert len(phi2.calls) > 20
 
@@ -234,7 +240,7 @@ class TestMoreThuente:
         phi = lambda a: -a
         dphi = lambda a: -1.0
         with pytest.raises(LineSearchError) as err:
-            more_thuente(phi, dphi, P, phi0=0.0, dphi0=-1.0)
+            more_thuente(Ray(phi, dphi, phi0=0.0, dphi0=-1.0), P)
         assert err.value.reason == "stpmax"
 
     def test_stpmin_clip_reported_distinctly(self):
@@ -243,7 +249,7 @@ class TestMoreThuente:
         phi = lambda a: a * a - 0.02 * a
         dphi = lambda a: 2.0 * a - 0.02
         with pytest.raises(LineSearchError) as err:
-            more_thuente(phi, dphi, LineSearchParams(stpmin=0.5), phi0=0.0, dphi0=-0.02)
+            more_thuente(Ray(phi, dphi, phi0=0.0, dphi0=-0.02), LineSearchParams(stpmin=0.5))
         assert err.value.reason == "stpmin"
         assert [a for a, _ in err.value.trials] == [1.0, 0.5]
 
@@ -255,7 +261,7 @@ class TestMoreThuente:
         phi = lambda a: -0.5
         dphi = lambda a: 1.0 if a >= 1.0 else 0.95
         with pytest.raises(LineSearchError) as err:
-            more_thuente(phi, dphi, P, phi0=0.0, dphi0=-1.0)
+            more_thuente(Ray(phi, dphi, phi0=0.0, dphi0=-1.0), P)
         steps = [a for a, _ in err.value.trials]
         assert steps[:2] == [1.0, 0.5]
         assert steps[2] == pytest.approx(0.17, rel=1e-12)
@@ -274,12 +280,12 @@ class TestMoreThuente:
         dphi = lambda a: -1.0 if a < kink else 0.998
         params = LineSearchParams(sigma=0.4, eta=0.5, maxfev=1000, xtol=1e-3)
         with pytest.raises(LineSearchError) as err:
-            more_thuente(phi, dphi, params, phi0=0.0, dphi0=-1.0)
+            more_thuente(Ray(phi, dphi, phi0=0.0, dphi0=-1.0), params)
         assert err.value.reason == "xtol"
 
     def test_requires_descent_and_step_window(self):
         with pytest.raises(ValueError):
-            more_thuente(lambda a: a, lambda a: 1.0, P, phi0=0.0, dphi0=1.0)
+            more_thuente(Ray(lambda a: a, lambda a: 1.0, phi0=0.0, dphi0=1.0), P)
         with pytest.raises(ValueError):
             LineSearchParams(stpmin=2.0, stpmax=3.0)
 
@@ -296,7 +302,7 @@ class TestMoreThuente:
         dphi = lambda a: 3.7390981292304795 * (c1 + 2.0 * c2 * a)
         params = LineSearchParams(sigma=0.45, maxfev=38)
         with pytest.raises(LineSearchError) as err:
-            more_thuente(phi, dphi, params, phi0=phi(0.0), dphi0=dphi(0.0))
+            more_thuente(Ray(phi, dphi), params)
         assert err.value.reason == "rounding"
 
 
@@ -340,7 +346,7 @@ def test_more_thuente_returns_or_raises_line_search_error(coeffs, scale, sigma_e
     sigma, eta = sigma_eta
     params = LineSearchParams(sigma=sigma, eta=eta, maxfev=maxfev)
     try:
-        out = more_thuente(phi, dphi, params, phi0=phi(0.0), dphi0=dphi(0.0))
+        out = more_thuente(Ray(phi, dphi), params)
     except LineSearchError:
         return
     assert out.alpha > 0.0
@@ -365,7 +371,7 @@ def test_unbracketed_trial_never_lies_behind_the_best_step(coeffs, scale, sigma_
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linesearch, "_trial_step", recording)
         try:
-            more_thuente(phi, dphi, params, phi0=phi(0.0), dphi0=dphi(0.0))
+            more_thuente(Ray(phi, dphi), params)
         except LineSearchError:
             pass
     for stx, stp, stpmin, stpmax in calls:
@@ -405,17 +411,10 @@ def test_randomized_certificates(rule):
         if not dphi0 < 0.0:
             continue
         reference = phi0
+        if rule == "gll":
+            reference = max(rng.uniform(phi0, phi0 + 2.0, size=3).tolist() + [phi0])
         try:
-            if rule == "armijo":
-                out = armijo_backtrack(phi, phi0, dphi0, params)
-            elif rule == "gll":
-                history = sorted(rng.uniform(phi0, phi0 + 2.0, size=3).tolist()) + [phi0]
-                reference = max(history)
-                out = gll_nonmonotone(phi, dphi0, history, params)
-            elif rule == "wolfe":
-                out = wolfe_weak(phi, dphi, params, phi0=phi0, dphi0=dphi0)
-            else:
-                out = more_thuente(phi, dphi, params, phi0=phi0, dphi0=dphi0)
+            out = getattr(linesearch, SEARCH_NAMES[rule])(Ray(phi, dphi, phi0, dphi0, reference), params)
         except LineSearchError:
             continue
         alpha = out.alpha
@@ -434,8 +433,8 @@ def test_randomized_certificates(rule):
 def test_searches_are_deterministic():
     phi = lambda a: math.exp(-a) + 0.05 * a * a
     dphi = lambda a: -math.exp(-a) + 0.1 * a
-    first = more_thuente(phi, dphi, P, phi0=phi(0), dphi0=dphi(0))
-    second = more_thuente(phi, dphi, P, phi0=phi(0), dphi0=dphi(0))
+    first = more_thuente(Ray(phi, dphi), P)
+    second = more_thuente(Ray(phi, dphi), P)
     assert first.alpha == second.alpha
     assert first.n_feval == second.n_feval
 
@@ -463,7 +462,7 @@ def assert_same_search_as_dcsrch(phi, dphi, params):
     phi0, dphi0 = phi(0.0), dphi(0.0)
     ours, theirs = counted(phi), counted(phi)
     try:
-        alpha, reason = more_thuente(ours, dphi, params, phi0=phi0, dphi0=dphi0).alpha, None
+        alpha, reason = more_thuente(Ray(ours, dphi, phi0=phi0, dphi0=dphi0), params).alpha, None
     except LineSearchError as err:
         alpha, reason = None, err.reason
     search = DCSRCH(theirs, dphi, params.sigma, params.eta, params.xtol, params.stpmin, params.stpmax)
@@ -518,7 +517,7 @@ def test_modified_function_converts_the_far_endpoint_too():
 
     params = LineSearchParams(sigma=1e-4, eta=0.5)
     assert assert_same_search_as_dcsrch(phi, dphi, params)
-    assert more_thuente(phi, dphi, params, phi0=4.0, dphi0=ray[0.0][1]).alpha == 3.9561369262301183
+    assert more_thuente(Ray(phi, dphi, phi0=4.0, dphi0=ray[0.0][1]), params).alpha == 3.9561369262301183
 
 
 def test_stage_switch_takes_a_tie_with_the_decrease_bound():
@@ -553,7 +552,7 @@ def test_stage_switch_takes_a_tie_with_the_decrease_bound():
     assert ray[tie][0] == phi0 + tie * (params.sigma * dphi0)
     assert params.eta * -dphi0 < ray[tie][1]
     assert assert_same_search_as_dcsrch(phi, dphi, params)
-    assert more_thuente(phi, dphi, params, phi0=phi0, dphi0=dphi0).alpha == 4.681034621439081
+    assert more_thuente(Ray(phi, dphi, phi0=phi0, dphi0=dphi0), params).alpha == 4.681034621439081
 
 
 @given(*POLYNOMIAL_RAYS)

@@ -20,6 +20,7 @@ from cautious_lbfgs import (
     fd_gradient_check,
     minimize,
 )
+from cautious_lbfgs import solver
 from cautious_lbfgs.direction import two_loop
 from cautious_lbfgs.solver import _Ray
 
@@ -234,6 +235,26 @@ class TestEvaluations:
         assert report.status == "converged"
 
 
+class TestSearchLookup:
+    @pytest.mark.parametrize("ls", ["armijo", "wolfe", "mt", "gll"])
+    def test_each_run_calls_the_configured_name_only(self, monkeypatch, ls):
+        # the solver looks each search up by its own name at every run,
+        # though armijo and gll are one function, so a wrapper installed
+        # on that name before a run (bench/tracing.py's spans) sees each call
+        names = {"armijo": "armijo_backtrack", "wolfe": "wolfe_weak", "mt": "more_thuente",
+                 "gll": "gll_nonmonotone"}
+        calls = dict.fromkeys(names.values(), 0)
+        for name in calls:
+            def counted(ray, params, _name=name, _search=getattr(solver, name)):
+                calls[_name] += 1
+                return _search(ray, params)
+            monkeypatch.setattr(solver, name, counted)
+        prob = Rosenbrock()
+        report = minimize(prob, prob.space, ROSEN_X0, config(m=1, linesearch=ls, max_iter=5))
+        assert report.status == "max_iter"
+        assert calls == {name: 5 if name == names[ls] else 0 for name in calls}
+
+
 class TestValidation:
     @pytest.mark.parametrize("m", [0, 5])
     @pytest.mark.parametrize("ls", ["armijo", "wolfe", "mt", "gll"])
@@ -398,12 +419,14 @@ class TestStep:
 TINY = 5e-324
 SIGNED_X = np.array([0.0, -0.0, 0.0, -0.0, TINY, -TINY, 2.0 * TINY, 1.5, -0.0])
 SIGNED_D = np.array([-0.0, -0.0, 0.0, 0.0, -TINY, -TINY, 0.0, -1.5, TINY])
+# phi0, dphi0 and reference of a ray that no search reads
+NO_SEARCH_LEVELS = (math.nan, math.nan, math.nan)
 
 
 class TestRayAndDirectionBits:
     def test_unit_step_point_has_the_bits_of_one_times_d(self):
         prob = SphereProblem(dim=len(SIGNED_X))
-        ray = _Ray(prob, prob.space, SIGNED_X, SIGNED_D)
+        ray = _Ray(prob, prob.space, SIGNED_X, SIGNED_D, *NO_SEARCH_LEVELS)
         ray.dphi(1.0)
         assert ray.point.tobytes() == (SIGNED_X + 1.0 * SIGNED_D).tobytes()
         ray.phi(1.0)
@@ -417,7 +440,7 @@ class TestRayAndDirectionBits:
         # the solver stores the ray's step as s, so it must be the step
         # that point adds to x, in the bits of alpha * d
         prob = SphereProblem(dim=len(SIGNED_X))
-        ray = _Ray(prob, prob.space, SIGNED_X, SIGNED_D)
+        ray = _Ray(prob, prob.space, SIGNED_X, SIGNED_D, *NO_SEARCH_LEVELS)
         ray.phi(1.0)
         assert ray.step is SIGNED_D
         assert ray.point.tobytes() == (SIGNED_X + ray.step).tobytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -54,6 +56,26 @@ def test_dimension_mismatch_raises():
         space.inner([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         space.norm([1.0])
+
+
+@pytest.mark.parametrize("u", [
+    np.array([1.0, 2.0, 3.0 + 0j]),
+    np.array([1.0, 2.0, 3.0], dtype=np.complex64),
+    [1.0, 2.0, np.complex128(3.0)],
+    np.complex128(1j),
+])
+def test_complex_vector_rejected_without_a_warning(u):
+    # a complex dtype raises, even with zero imaginary parts, where a cast
+    # would drop them with a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="real vector"):
+            Space(3).check(u)
+
+
+def test_real_inputs_of_other_types_are_converted():
+    assert Space(3).check([1, 2, np.float32(0.5)]).tolist() == [1.0, 2.0, 0.5]
+    assert Space(2).check(np.array([3, 4])).dtype == np.float64
 
 
 def test_invalid_construction():
