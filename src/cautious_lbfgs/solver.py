@@ -165,9 +165,16 @@ class _EvalFailure(Exception):
 
 
 def _evaluate(problem: Problem, space: Space, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """f and gradient at x, each checked once: f is a float, the gradient a vector of the space."""
+    """f and gradient at x, each checked once: f is a float, the gradient a vector of the space.
+
+    A complex f raises TypeError, as a Python complex does in ``float``:
+    ``float`` of a numpy complex would drop the imaginary part with a
+    ComplexWarning.
+    """
     try:
         f, grad = problem.value_and_grad(x)
+        if type(f) is not float and np.iscomplexobj(f):
+            raise TypeError(f"expected a real f, got {type(f).__name__}")
         return float(f), space.check(grad)
     except EVAL_ERRORS as exc:
         raise _EvalFailure(f"{type(exc).__name__}: {exc}") from exc

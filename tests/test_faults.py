@@ -37,17 +37,21 @@ from cautious_lbfgs.solver import LINE_SEARCHES, TRACE_FIELDS
 
 STATUSES = {"converged", "max_iter", "linesearch_failure", "nonfinite", "eval_error", "non_descent"}
 FAULTS = ("nan_f", "inf_f", "nan_grad", "newton_error", "zero_division", "repeat_grad", "huge_grad",
-          "short_grad", "array_f", "list_grad", "complex_grad")
+          "short_grad", "array_f", "list_grad", "complex_grad", "complex_f")
 PROBLEMS = {"rosenbrock": Rosenbrock(), "pwquad": PiecewiseQuadratic(3)}
 STARTS = {"rosenbrock": np.array([-1.2, 1.0]), "pwquad": PROBLEMS["pwquad"].b + 0.3}
 MAX_ITER = 150
 
 
 class Faulty(Problem):
-    """``inner`` with ``fault`` fired at evaluation number ``at`` (1 is the start)."""
+    """``inner`` with ``fault`` fired at evaluation number ``at`` (1 is the start).
 
-    def __init__(self, inner: Problem, fault: str | None = None, at: int = 0):
+    ``complex_f`` returns f as a ``complex_type`` scalar.
+    """
+
+    def __init__(self, inner: Problem, fault: str | None = None, at: int = 0, complex_type=np.complex128):
         self.inner, self.space, self.fault, self.at = inner, inner.space, fault, at
+        self.complex_type = complex_type
         self.calls = 0
         self.previous_grad = None
 
@@ -79,6 +83,8 @@ class Faulty(Problem):
             return f, grad.tolist()
         if self.fault == "complex_grad":  # a malformed result: the gradient is complex
             return f, grad + 1j
+        if self.fault == "complex_f":  # a malformed result: f is a numpy complex scalar
+            return self.complex_type(f + 1j), grad
         assert self.fault == "huge_grad"  # finite entries whose norm overflows
         return f, grad * 1e300
 
@@ -110,8 +116,8 @@ class CountingOcp(OcpControlProblem):
         return super().value_and_grad(u)
 
 
-def run(problem_id, ls, m, mode, fault=None, at=0):
-    problem = Faulty(PROBLEMS[problem_id], fault, at)
+def run(problem_id, ls, m, mode, fault=None, at=0, complex_type=np.complex128):
+    problem = Faulty(PROBLEMS[problem_id], fault, at, complex_type)
     config = SolverConfig(cautious=CautiousParams(m=m), mode=mode, linesearch=ls,
                           grad_tol=1e-5, max_iter=MAX_ITER, keep_iterates=False)
     return minimize(problem, problem.space, STARTS[problem_id], config)
@@ -266,7 +272,7 @@ def test_minimize_survives_any_evaluation_fault(problem_id, ls, m, mode, fault, 
         assert (report.f_final, report.grad_norm_final) == (clean.f_final, clean.grad_norm_final)
         assert report.n_feval == clean.n_feval
         assert np.array_equal(report.x_final, clean.x_final)
-    elif fault in ("short_grad", "array_f", "complex_grad"):
+    elif fault in ("short_grad", "array_f", "complex_grad", "complex_f"):
         assert report.status == "eval_error"
 
 
@@ -280,6 +286,20 @@ def test_complex_gradient_ends_eval_error_without_a_warning(ls, at):
         report = run("rosenbrock", ls, 2, "cautious", "complex_grad", at)
     assert report.status == "eval_error"
     assert report.reason == "ValueError: expected a real vector, got dtype complex128"
+    assert report.n_iter < at
+
+
+@pytest.mark.parametrize("complex_type", [np.complex128, np.complex64])
+@pytest.mark.parametrize("at", [1, 2, 5])
+@pytest.mark.parametrize("ls", LINE_SEARCHES)
+def test_complex_f_ends_eval_error_without_a_warning(ls, at, complex_type):
+    # float() of a numpy complex scalar would drop the imaginary part with
+    # a ComplexWarning; at = 1 is the start point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run("rosenbrock", ls, 2, "cautious", "complex_f", at, complex_type)
+    assert report.status == "eval_error"
+    assert report.reason == f"TypeError: expected a real f, got {complex_type.__name__}"
     assert report.n_iter < at
 
 
